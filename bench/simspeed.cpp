@@ -27,6 +27,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <memory>
 #include <string>
 
 using namespace djx;
@@ -157,11 +158,14 @@ PhaseResult accessPhase(bool Profiled, int Reps, uint64_t Accesses) {
   return Best;
 }
 
-/// Journaled parallel phase: the executor workload with --journal wired
-/// exactly as the CLI wires it (a full epoch flushed at every round
-/// barrier). Journaling is an observer; this metric pins its overhead
-/// inside the same perf band as the other step rates.
-PhaseResult journalPhase(int Reps, int64_t Iters) {
+/// Parallel executor phase, journaled or not: with \p Journal the
+/// workload runs with --journal wired exactly as the CLI wires it (an
+/// epoch flushed at every round barrier). The plain twin runs the same
+/// simulated work, so journal_vs_plain isolates the journal's cost.
+/// \p BytesPerEpoch receives the journal's bytes per committed epoch,
+/// which depends only on the simulated run, not on the host.
+PhaseResult mtPhase(int Reps, int64_t Iters, bool Journal,
+                    double *BytesPerEpoch = nullptr) {
   PhaseResult Best;
   const std::string Path = "BENCH_journal.djxj.tmp";
   for (int R = 0; R < Reps; ++R) {
@@ -174,20 +178,27 @@ PhaseResult journalPhase(int Reps, int64_t Iters) {
     JavaVm Vm(parallelVmConfig(Pc));
     DjxPerf Prof(Vm, parallelAgentConfig(Pc));
     Prof.start();
-    JournalMeta Meta;
-    Meta.Workload = "bench-journal";
-    auto Journal = ProfileJournal::open(Path, Meta);
+    std::unique_ptr<ProfileJournal> J;
+    if (Journal) {
+      JournalMeta Meta;
+      Meta.Workload = "bench-journal";
+      J = ProfileJournal::open(Path, Meta);
+    }
     Pc.OnRoundEnd = [&](uint64_t Round) {
-      if (Journal)
-        Journal->flush(Prof, Vm.methods(), Round);
+      if (J)
+        J->flush(Prof, Vm.methods(), Round);
       return false;
     };
     Clock::time_point Start = Clock::now();
     ParallelOutcome Run = runParallelWorkload(Vm, &Prof, Pc);
     double Seconds = secondsSince(Start);
     Prof.stop();
-    if (Journal)
-      Journal->closeClean(Prof, Vm.methods());
+    if (J) {
+      J->closeClean(Prof, Vm.methods());
+      if (BytesPerEpoch && J->epochsCommitted() > 0)
+        *BytesPerEpoch = static_cast<double>(J->bytesWritten()) /
+                         static_cast<double>(J->epochsCommitted());
+    }
     Best.Samples += Prof.samplesHandled();
     Best.Dropped += Prof.samplesDropped();
     keepBest(Best, Run.Steps, Seconds);
@@ -272,12 +283,23 @@ int main(int Argc, char **Argv) {
               static_cast<unsigned long long>(AccessProf.Units),
               AccessProf.Seconds);
 
-  PhaseResult Journaled = journalPhase(Reps, Quick ? 100 : 300);
-  std::printf("journaled mt (profiled): %12.0f steps/s   (%llu steps, "
+  const int64_t MtIters = Quick ? 100 : 300;
+  PhaseResult PlainMt = mtPhase(Reps, MtIters, /*Journal=*/false);
+  std::printf("plain mt (profiled):     %12.0f steps/s   (%llu steps, "
               "%.3f s)\n",
+              PlainMt.PerSec, static_cast<unsigned long long>(PlainMt.Units),
+              PlainMt.Seconds);
+
+  double JournalBytesPerEpoch = 0;
+  PhaseResult Journaled =
+      mtPhase(Reps, MtIters, /*Journal=*/true, &JournalBytesPerEpoch);
+  double JournalVsPlain =
+      PlainMt.PerSec > 0 ? Journaled.PerSec / PlainMt.PerSec : 0;
+  std::printf("journaled mt (profiled): %12.0f steps/s   (%llu steps, "
+              "%.3f s; x%.3f of plain, %.1f bytes/epoch)\n",
               Journaled.PerSec,
               static_cast<unsigned long long>(Journaled.Units),
-              Journaled.Seconds);
+              Journaled.Seconds, JournalVsPlain, JournalBytesPerEpoch);
 
   std::FILE *Out = std::fopen(OutPath.c_str(), "w");
   if (!Out) {
@@ -304,7 +326,18 @@ int main(int Argc, char **Argv) {
   }
   jsonPhase(Out, "sim_accesses_per_sec", AccessNative);
   jsonPhase(Out, "sim_accesses_per_sec_profiled", AccessProf);
+  jsonPhase(Out, "plain_mt_steps_per_sec", PlainMt);
   jsonPhase(Out, "journal_steps_per_sec", Journaled);
+  // The journal's cost as a within-run ratio (host-independent, higher
+  // is better), and its deterministic size. Both leaves are named
+  // per_sec so perf_diff.py bands them; the bytes band is lower-better
+  // (bench/perf_gates.json).
+  std::fprintf(Out,
+               "    \"journal_vs_plain\": { \"per_sec\": %.4f },\n",
+               JournalVsPlain);
+  std::fprintf(Out,
+               "    \"journal_bytes_per_epoch\": { \"per_sec\": %.2f },\n",
+               JournalBytesPerEpoch);
   // Sample drop rate across the profiled phases. Not a rate despite the
   // leaf name: "per_sec" is the key perf_diff.py treats as a gateable
   // leaf, and the ratio (kept / handled) is what the tight band in

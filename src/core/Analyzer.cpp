@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <unordered_map>
 
 using namespace djx;
@@ -77,7 +78,8 @@ djx::mergeProfiles(const std::vector<const ThreadProfile *> &Parts) {
   // step of §5.2.
   auto ResolveAllocNode = [&](const AllocKey &Key) -> CctNodeId {
     auto It = ByThread.find(Key.AllocThread);
-    if (It == ByThread.end() || Key.AllocNode == kCctRoot)
+    if (It == ByThread.end() || Key.AllocNode == kCctRoot ||
+        Key.AllocNode >= It->second->cct().size())
       return kCctRoot; // Unknown provenance.
     return Out.Tree.insertPath(It->second->cct().path(Key.AllocNode));
   };
@@ -121,10 +123,15 @@ std::optional<MergedProfile> djx::mergeProfileDir(const std::string &Dir) {
   for (const auto &Entry : fs::directory_iterator(Dir, Ec)) {
     if (Entry.path().extension() != ".djxprof")
       continue;
-    std::ifstream In(Entry.path());
-    ThreadProfile P;
-    if (In && P.readFrom(In))
-      Loaded.push_back(std::move(P));
+    std::ifstream In(Entry.path(), std::ios::binary);
+    std::string Bytes((std::istreambuf_iterator<char>(In)),
+                      std::istreambuf_iterator<char>());
+    std::string_view View(Bytes);
+    if (View.substr(0, sizeof(kProfileFileMagic)) !=
+        std::string_view(kProfileFileMagic, sizeof(kProfileFileMagic)))
+      continue;
+    if (auto P = ThreadProfile::decode(View.substr(sizeof(kProfileFileMagic))))
+      Loaded.push_back(std::move(*P));
   }
   if (Loaded.empty())
     return std::nullopt;

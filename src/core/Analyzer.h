@@ -88,7 +88,8 @@ struct MergedProfile {
 /// the merged root.
 MergedProfile mergeProfiles(const std::vector<const ThreadProfile *> &Parts);
 
-/// Convenience: loads every "*.djxprof" file in \p Dir and merges.
+/// Convenience: loads every "*.djxprof" file in \p Dir and merges; a
+/// file without kProfileFileMagic or that fails to decode is skipped.
 /// \returns nullopt when the directory holds no readable profiles.
 std::optional<MergedProfile> mergeProfileDir(const std::string &Dir);
 

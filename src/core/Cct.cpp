@@ -26,6 +26,24 @@ CctNodeId Cct::child(CctNodeId Parent, MethodId Method, uint32_t Bci) {
   return Id;
 }
 
+CctNodeId Cct::append(CctNodeId Parent, MethodId Method, uint32_t Bci) {
+  assert(Parent < Nodes.size() && "bad parent node");
+  CctNodeId Id = static_cast<CctNodeId>(Nodes.size());
+  Nodes.push_back(Node{Method, Bci, Parent});
+  Edges.emplace(EdgeKey{Parent, Method, Bci}, Id);
+  return Id;
+}
+
+void Cct::remapMethods(const std::vector<MethodId> &Map) {
+  Edges.clear();
+  for (CctNodeId Id = 1; Id < Nodes.size(); ++Id) {
+    Node &N = Nodes[Id];
+    if (N.Method < Map.size())
+      N.Method = Map[N.Method];
+    Edges.emplace(EdgeKey{N.Parent, N.Method, N.Bci}, Id);
+  }
+}
+
 CctNodeId Cct::insertPath(const std::vector<StackFrame> &Frames) {
   CctNodeId Cur = kCctRoot;
   for (const StackFrame &F : Frames)

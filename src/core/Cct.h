@@ -39,6 +39,15 @@ public:
   /// Interns a full root-first call path; returns the leaf node.
   CctNodeId insertPath(const std::vector<StackFrame> &Frames);
 
+  /// Appends node size() as the child of \p Parent labelled (Method, Bci),
+  /// even when that edge already exists: decoding rebuilds a tree by id,
+  /// so a node's id never depends on whether its label repeats.
+  CctNodeId append(CctNodeId Parent, MethodId Method, uint32_t Bci);
+
+  /// Rewrites every node's method id through \p Map (index = old id);
+  /// ids past the end of \p Map are kept. Node ids do not change.
+  void remapMethods(const std::vector<MethodId> &Map);
+
   /// Reconstructs the root-first path ending at \p Node.
   std::vector<StackFrame> path(CctNodeId Node) const;
 

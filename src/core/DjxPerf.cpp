@@ -13,7 +13,6 @@
 #include <cassert>
 #include <filesystem>
 #include <fstream>
-#include <sstream>
 
 using namespace djx;
 
@@ -417,12 +416,12 @@ unsigned DjxPerf::writeProfiles(const std::string &Dir) const {
   unsigned Written = 0;
   SpinLockGuard G(ProfilesLock);
   for (const auto &[Tid, P] : Profiles) {
-    std::ostringstream OS;
-    P->writeTo(OS);
+    std::string Bytes(kProfileFileMagic, sizeof(kProfileFileMagic));
+    P->encode(Bytes);
     // Atomic replacement: a reader (or a crash) never sees a torn
     // .djxprof file.
     if (writeFileAtomic(Dir + "/thread_" + std::to_string(Tid) + ".djxprof",
-                        OS.str()))
+                        Bytes))
       ++Written;
   }
   return Written;

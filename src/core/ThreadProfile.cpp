@@ -6,10 +6,9 @@
 
 #include "core/ThreadProfile.h"
 
-#include <cassert>
-#include <istream>
-#include <ostream>
-#include <sstream>
+#include "support/Varint.h"
+
+#include <algorithm>
 
 using namespace djx;
 
@@ -23,6 +22,8 @@ void ThreadProfile::recordAllocation(CctNodeId AllocNode,
   ++G.AllocCount;
   G.AllocBytes += Bytes;
   ++Version;
+  logChange({Key.AllocThread, Key.AllocNode, 0, kInvalidNode, kInvalidNode,
+             Change::Alloc});
 }
 
 void ThreadProfile::recordObjectSample(const AllocKey &Key,
@@ -45,12 +46,16 @@ void ThreadProfile::recordObjectSample(const AllocKey &Key,
     ++G.AccessNodeSamples[CpuNode];
   Totals.add(Kind);
   ++Version;
+  logChange({Key.AllocThread, Key.AllocNode, AccessNode,
+             static_cast<int16_t>(HomeNode), static_cast<int16_t>(CpuNode),
+             Change::Sample});
 }
 
 void ThreadProfile::recordCodeSample(CctNodeId AccessNode,
                                      PerfEventKind Kind) {
   CodeCentric[AccessNode].add(Kind);
   ++Version;
+  logChange({0, 0, AccessNode, kInvalidNode, kInvalidNode, Change::Code});
 }
 
 void ThreadProfile::recordUnattributed(PerfEventKind Kind) {
@@ -72,140 +77,367 @@ size_t ThreadProfile::memoryFootprint() const {
   }
   Bytes += CodeCentric.size() *
            (sizeof(CctNodeId) + sizeof(MetricCounts) + 32);
+  Bytes += Log.capacity() * sizeof(Change) +
+           LogSlots.capacity() * sizeof(uint16_t);
   return Bytes;
 }
 
-// --- Serialisation ---------------------------------------------------------
+// --- Change log ------------------------------------------------------------
 
-static void writeMetrics(std::ostream &OS, const MetricCounts &M) {
-  for (size_t I = 0; I < kNumPerfEventKinds; ++I)
-    OS << ' ' << M.Counts[I];
+void ThreadProfile::logChange(const Change &C) {
+  if (LogBase == kNoReader)
+    return;
+  if (Log.size() == kChangeLogCap) {
+    forgetChanges();
+    return;
+  }
+  if (LogSlots.size() < 2 * (Log.size() + 1)) {
+    std::vector<uint16_t> Grown(std::max<size_t>(16, 2 * LogSlots.size()));
+    LogSlots.swap(Grown);
+    for (size_t I = 0; I < Log.size(); ++I)
+      insertSlot(I);
+  }
+  size_t Mask = LogSlots.size() - 1;
+  for (size_t H = hashChange(C) & Mask;; H = (H + 1) & Mask) {
+    if (LogSlots[H] == 0) {
+      Log.push_back(C);
+      LogSlots[H] = static_cast<uint16_t>(Log.size());
+      return;
+    }
+    if (Log[LogSlots[H] - 1] == C)
+      return;
+  }
 }
 
-static bool readMetrics(std::istringstream &IS, MetricCounts &M) {
-  for (size_t I = 0; I < kNumPerfEventKinds; ++I)
-    if (!(IS >> M.Counts[I]))
+size_t ThreadProfile::hashChange(const Change &C) {
+  uint64_t H = C.AllocThread;
+  H = H * 0x9E3779B97F4A7C15ULL + C.AllocNode;
+  H = H * 0x9E3779B97F4A7C15ULL + C.Node;
+  H = H * 0x9E3779B97F4A7C15ULL +
+      ((static_cast<uint64_t>(static_cast<uint16_t>(C.Home)) << 24) |
+       (static_cast<uint64_t>(static_cast<uint16_t>(C.Cpu)) << 8) | C.Kind);
+  H *= 0x9E3779B97F4A7C15ULL;
+  return static_cast<size_t>(H ^ (H >> 32));
+}
+
+void ThreadProfile::insertSlot(size_t Index) {
+  size_t Mask = LogSlots.size() - 1;
+  size_t H = hashChange(Log[Index]) & Mask;
+  while (LogSlots[H] != 0)
+    H = (H + 1) & Mask;
+  LogSlots[H] = static_cast<uint16_t>(Index + 1);
+}
+
+void ThreadProfile::forgetChanges() const {
+  LogBase = kNoReader;
+  std::vector<Change>().swap(Log);
+  std::vector<uint16_t>().swap(LogSlots);
+}
+
+// --- Codec -----------------------------------------------------------------
+
+namespace {
+
+/// Record tags (see ThreadProfile.h); part of the on-disk format.
+enum RecordTag : uint8_t {
+  TagEnd = 0,
+  TagThread = 1,
+  TagNodes = 2,
+  TagGroup = 3,
+  TagAccess = 4,
+  TagHomeNode = 5,
+  TagCpuNode = 6,
+  TagCode = 7,
+  TagTotals = 8,
+};
+
+void putMetrics(std::string &Out, const MetricCounts &M) {
+  for (uint64_t C : M.Counts)
+    putVarint(Out, C);
+}
+
+bool readMetrics(VarintReader &R, MetricCounts &M) {
+  for (uint64_t &C : M.Counts)
+    if (!R.u64(C))
       return false;
   return true;
 }
 
-void ThreadProfile::writeTo(std::ostream &OS) const {
-  OS << "djxprofile v1\n";
-  OS << "thread " << ThreadId << ' ' << ThreadName << '\n';
-  OS << "cct " << Tree.size() << '\n';
-  for (CctNodeId N = 1; N < Tree.size(); ++N)
-    OS << "node " << N << ' ' << Tree.parentOf(N) << ' ' << Tree.methodOf(N)
-       << ' ' << Tree.bciOf(N) << '\n';
-  for (const auto &[Key, G] : Groups) {
-    OS << "group " << Key.AllocThread << ' ' << Key.AllocNode << ' '
-       << (G.TypeName.empty() ? "?" : G.TypeName) << ' ' << G.AllocCount
-       << ' ' << G.AllocBytes << ' ' << G.RemoteSamples << ' '
-       << G.AddressSamples;
-    writeMetrics(OS, G.Metrics);
-    OS << '\n';
-    for (const auto &[Node, M] : G.AccessBreakdown) {
-      OS << "access " << Key.AllocThread << ' ' << Key.AllocNode << ' '
-         << Node;
-      writeMetrics(OS, M);
-      OS << '\n';
-    }
-    // NUMA residency histograms (absent when NUMA tracking is off).
-    for (const auto &[Node, Count] : G.HomeNodeSamples)
-      OS << "homenode " << Key.AllocThread << ' ' << Key.AllocNode << ' '
-         << Node << ' ' << Count << '\n';
-    for (const auto &[Node, Count] : G.AccessNodeSamples)
-      OS << "cpunode " << Key.AllocThread << ' ' << Key.AllocNode << ' '
-         << Node << ' ' << Count << '\n';
-  }
-  for (const auto &[Node, M] : CodeCentric) {
-    OS << "code " << Node;
-    writeMetrics(OS, M);
-    OS << '\n';
-  }
-  OS << "totals";
-  writeMetrics(OS, Totals);
-  OS << '\n';
-  OS << "unattributed " << Unattributed << '\n';
-  OS << "end\n";
+void putGroup(std::string &Out, const AllocKey &Key,
+              const ObjectGroupStats &G) {
+  putVarint(Out, TagGroup);
+  putVarint(Out, Key.AllocThread);
+  putVarint(Out, Key.AllocNode);
+  putBytes(Out, G.TypeName);
+  putVarint(Out, G.AllocCount);
+  putVarint(Out, G.AllocBytes);
+  putVarint(Out, G.RemoteSamples);
+  putVarint(Out, G.AddressSamples);
+  putMetrics(Out, G.Metrics);
 }
 
-bool ThreadProfile::readFrom(std::istream &IS) {
-  *this = ThreadProfile();
-  std::string Line;
-  if (!std::getline(IS, Line) || Line != "djxprofile v1")
-    return false;
-  bool SawEnd = false;
-  while (std::getline(IS, Line)) {
-    std::istringstream LS(Line);
-    std::string Tag;
-    if (!(LS >> Tag))
-      continue;
-    if (Tag == "thread") {
-      if (!(LS >> ThreadId >> ThreadName))
-        return false;
-    } else if (Tag == "cct") {
-      uint64_t N;
-      if (!(LS >> N))
-        return false;
-    } else if (Tag == "node") {
-      CctNodeId Id, Parent;
-      MethodId Method;
-      uint32_t Bci;
-      if (!(LS >> Id >> Parent >> Method >> Bci))
-        return false;
-      CctNodeId Got = Tree.child(Parent, Method, Bci);
-      if (Got != Id)
-        return false; // Nodes must arrive in id order.
-    } else if (Tag == "group") {
-      AllocKey Key;
-      ObjectGroupStats G;
-      if (!(LS >> Key.AllocThread >> Key.AllocNode >> G.TypeName >>
-            G.AllocCount >> G.AllocBytes >> G.RemoteSamples >>
-            G.AddressSamples))
-        return false;
-      if (!readMetrics(LS, G.Metrics))
-        return false;
-      if (G.TypeName == "?")
-        G.TypeName.clear();
-      Groups[Key] = std::move(G);
-    } else if (Tag == "access") {
-      AllocKey Key;
-      CctNodeId Node;
-      MetricCounts M;
-      if (!(LS >> Key.AllocThread >> Key.AllocNode >> Node))
-        return false;
-      if (!readMetrics(LS, M))
-        return false;
-      Groups[Key].AccessBreakdown[Node] = M;
-    } else if (Tag == "homenode" || Tag == "cpunode") {
-      AllocKey Key;
-      NumaNodeId Node;
-      uint64_t Count;
-      if (!(LS >> Key.AllocThread >> Key.AllocNode >> Node >> Count))
-        return false;
-      ObjectGroupStats &G = Groups[Key];
-      (Tag == "homenode" ? G.HomeNodeSamples
-                         : G.AccessNodeSamples)[Node] = Count;
-    } else if (Tag == "code") {
-      CctNodeId Node;
-      MetricCounts M;
-      if (!(LS >> Node))
-        return false;
-      if (!readMetrics(LS, M))
-        return false;
-      CodeCentric[Node] = M;
-    } else if (Tag == "totals") {
-      if (!readMetrics(LS, Totals))
-        return false;
-    } else if (Tag == "unattributed") {
-      if (!(LS >> Unattributed))
-        return false;
-    } else if (Tag == "end") {
-      SawEnd = true;
-      break;
-    } else {
-      return false;
+/// Access and Code records: a CCT node and its metrics.
+void putNodeMetrics(std::string &Out, RecordTag Tag, CctNodeId Node,
+                    const MetricCounts &M) {
+  putVarint(Out, Tag);
+  putVarint(Out, Node);
+  putMetrics(Out, M);
+}
+
+/// HomeNode and CpuNode records.
+void putNumaCount(std::string &Out, RecordTag Tag, NumaNodeId Node,
+                  uint64_t Count) {
+  putVarint(Out, Tag);
+  putVarint(Out, static_cast<uint32_t>(Node));
+  putVarint(Out, Count);
+}
+
+template <typename T> void sortUnique(std::vector<T> &V) {
+  std::sort(V.begin(), V.end());
+  V.erase(std::unique(V.begin(), V.end()), V.end());
+}
+
+} // namespace
+
+void ThreadProfile::encode(std::string &Out, const ProfileMark &Since) const {
+  putVarint(Out, TagThread);
+  putVarint(Out, ThreadId);
+  putBytes(Out, ThreadName);
+
+  // The CCT only grows, so its delta is the id range appended since.
+  size_t First = std::max<size_t>(Since.CctNodes, 1);
+  if (First < Tree.size()) {
+    putVarint(Out, TagNodes);
+    putVarint(Out, First);
+    putVarint(Out, Tree.size() - First);
+    for (size_t N = First; N < Tree.size(); ++N) {
+      CctNodeId Id = static_cast<CctNodeId>(N);
+      putVarint(Out, Tree.parentOf(Id));
+      putVarint(Out, Tree.methodOf(Id));
+      putVarint(Out, Tree.bciOf(Id));
     }
   }
-  return SawEnd;
+
+  bool FromLog = LogBase != kNoReader && LogBase <= Since.Version &&
+                 Since.Version <= Version;
+  if (FromLog) {
+    // The touched keys, each once and in key order.
+    std::vector<AllocKey> Keys;
+    std::vector<std::pair<AllocKey, CctNodeId>> Accesses;
+    std::vector<std::pair<AllocKey, NumaNodeId>> Homes, Cpus;
+    std::vector<CctNodeId> Codes;
+    for (const Change &C : Log) {
+      if (C.Kind == Change::Code) {
+        Codes.push_back(C.Node);
+        continue;
+      }
+      AllocKey Key{C.AllocThread, C.AllocNode};
+      Keys.push_back(Key);
+      if (C.Kind != Change::Sample)
+        continue;
+      Accesses.push_back({Key, C.Node});
+      if (C.Home != kInvalidNode)
+        Homes.push_back({Key, C.Home});
+      if (C.Cpu != kInvalidNode)
+        Cpus.push_back({Key, C.Cpu});
+    }
+    sortUnique(Keys);
+    sortUnique(Accesses);
+    sortUnique(Homes);
+    sortUnique(Cpus);
+    sortUnique(Codes);
+    auto A = Accesses.begin();
+    auto H = Homes.begin();
+    auto C = Cpus.begin();
+    for (const AllocKey &Key : Keys) {
+      const ObjectGroupStats &G = Groups.at(Key);
+      putGroup(Out, Key, G);
+      for (; A != Accesses.end() && A->first == Key; ++A)
+        putNodeMetrics(Out, TagAccess, A->second,
+                       G.AccessBreakdown.at(A->second));
+      for (; H != Homes.end() && H->first == Key; ++H)
+        putNumaCount(Out, TagHomeNode, H->second,
+                     G.HomeNodeSamples.at(H->second));
+      for (; C != Cpus.end() && C->first == Key; ++C)
+        putNumaCount(Out, TagCpuNode, C->second,
+                     G.AccessNodeSamples.at(C->second));
+    }
+    for (CctNodeId Node : Codes)
+      putNodeMetrics(Out, TagCode, Node, CodeCentric.at(Node));
+  } else {
+    for (const auto &[Key, G] : Groups) {
+      putGroup(Out, Key, G);
+      for (const auto &[Node, M] : G.AccessBreakdown)
+        putNodeMetrics(Out, TagAccess, Node, M);
+      for (const auto &[Node, Count] : G.HomeNodeSamples)
+        putNumaCount(Out, TagHomeNode, Node, Count);
+      for (const auto &[Node, Count] : G.AccessNodeSamples)
+        putNumaCount(Out, TagCpuNode, Node, Count);
+    }
+    for (const auto &[Node, M] : CodeCentric)
+      putNodeMetrics(Out, TagCode, Node, M);
+  }
+
+  if (Since.Version == 0 || Since.Version != Version) {
+    putVarint(Out, TagTotals);
+    putMetrics(Out, Totals);
+    putVarint(Out, Unattributed);
+  }
+  putVarint(Out, TagEnd);
+
+  // This caller now holds mark(): restart the log there.
+  LogBase = Version;
+  Log.clear();
+  std::fill(LogSlots.begin(), LogSlots.end(), 0);
+}
+
+bool ThreadProfile::decodeInto(std::string_view Delta,
+                               ThreadProfile *Target) const {
+  VarintReader R(Delta);
+  uint64_t Tag, Tid;
+  std::string_view Name;
+  if (!R.u64(Tag) || Tag != TagThread || !R.u64(Tid) || !R.bytes(Name) ||
+      Tid != ThreadId)
+    return false;
+  if (Target)
+    Target->ThreadName.assign(Name);
+  // Checked against the tree as the delta extends it; Target's tree is
+  // this tree when applying. Known is the size before this delta.
+  const size_t Known = Tree.size();
+  size_t NumNodes = Known;
+  bool InGroup = false;
+  ObjectGroupStats *Group = nullptr;
+  while (R.u64(Tag)) {
+    switch (Tag) {
+    case TagEnd:
+      return R.atEnd();
+    case TagNodes: {
+      uint64_t First, Count;
+      // First past the tree is a gap in the node ids; a node takes at
+      // least three bytes, which bounds Count.
+      if (!R.u64(First) || !R.u64(Count) || First > NumNodes ||
+          Count > Delta.size())
+        return false;
+      for (uint64_t Id = First; Id < First + Count; ++Id) {
+        uint32_t Parent, Method, Bci;
+        if (!R.u32(Parent) || !R.u32(Method) || !R.u32(Bci))
+          return false;
+        if (Id < NumNodes) {
+          // A node the tree had before this delta must repeat exactly,
+          // so applying a delta twice is a no-op.
+          CctNodeId N = static_cast<CctNodeId>(Id);
+          if (Id >= Known || Tree.parentOf(N) != Parent ||
+              Tree.methodOf(N) != Method || Tree.bciOf(N) != Bci)
+            return false;
+          continue;
+        }
+        if (Parent >= NumNodes)
+          return false;
+        if (Target)
+          Target->Tree.append(Parent, Method, Bci);
+        ++NumNodes;
+      }
+      break;
+    }
+    case TagGroup: {
+      AllocKey Key;
+      std::string_view Type;
+      ObjectGroupStats G;
+      if (!R.u64(Key.AllocThread) || !R.u32(Key.AllocNode) ||
+          !R.bytes(Type) || !R.u64(G.AllocCount) || !R.u64(G.AllocBytes) ||
+          !R.u64(G.RemoteSamples) || !R.u64(G.AddressSamples) ||
+          !readMetrics(R, G.Metrics))
+        return false;
+      InGroup = true;
+      if (Target) {
+        Group = &Target->Groups[Key];
+        Group->TypeName.assign(Type);
+        Group->AllocCount = G.AllocCount;
+        Group->AllocBytes = G.AllocBytes;
+        Group->RemoteSamples = G.RemoteSamples;
+        Group->AddressSamples = G.AddressSamples;
+        Group->Metrics = G.Metrics;
+      }
+      break;
+    }
+    case TagAccess:
+    case TagCode: {
+      uint32_t Node;
+      MetricCounts M;
+      if ((Tag == TagAccess && !InGroup) || !R.u32(Node) ||
+          Node >= NumNodes || !readMetrics(R, M))
+        return false;
+      if (Target)
+        (Tag == TagAccess ? Group->AccessBreakdown
+                          : Target->CodeCentric)[Node] = M;
+      break;
+    }
+    case TagHomeNode:
+    case TagCpuNode: {
+      uint32_t Node;
+      uint64_t Count;
+      if (!InGroup || !R.u32(Node) || Node > INT32_MAX || !R.u64(Count))
+        return false;
+      if (Target)
+        (Tag == TagHomeNode ? Group->HomeNodeSamples
+                            : Group->AccessNodeSamples)
+            [static_cast<NumaNodeId>(Node)] = Count;
+      break;
+    }
+    case TagTotals: {
+      MetricCounts M;
+      uint64_t U;
+      if (!readMetrics(R, M) || !R.u64(U))
+        return false;
+      if (Target) {
+        Target->Totals = M;
+        Target->Unattributed = U;
+      }
+      break;
+    }
+    default:
+      return false; // Unknown record tag.
+    }
+  }
+  return false; // Truncated: no End record.
+}
+
+bool ThreadProfile::check(std::string_view Delta) const {
+  return decodeInto(Delta, nullptr);
+}
+
+bool ThreadProfile::apply(std::string_view Delta) {
+  if (!check(Delta))
+    return false;
+  decodeInto(Delta, this);
+  ++Version;
+  forgetChanges(); // The log cannot say what the delta touched.
+  return true;
+}
+
+std::optional<ThreadProfile> ThreadProfile::decode(std::string_view Bytes) {
+  VarintReader R(Bytes);
+  uint64_t Tag, Tid;
+  if (!R.u64(Tag) || Tag != TagThread || !R.u64(Tid))
+    return std::nullopt;
+  ThreadProfile P(Tid, "");
+  if (!P.apply(Bytes))
+    return std::nullopt;
+  return P;
+}
+
+void ThreadProfile::remapIds(uint64_t ThreadOffset,
+                             const std::vector<MethodId> &MethodMap) {
+  auto MapTid = [&](uint64_t Tid) { return Tid == 0 ? 0 : Tid + ThreadOffset; };
+  ThreadId = MapTid(ThreadId);
+  Tree.remapMethods(MethodMap);
+  // MapTid keeps the key order, so the rebuilt map fills from the end.
+  std::map<AllocKey, ObjectGroupStats> Remapped;
+  for (auto &[Key, G] : Groups)
+    Remapped.emplace_hint(Remapped.end(),
+                          AllocKey{MapTid(Key.AllocThread), Key.AllocNode},
+                          std::move(G));
+  Groups = std::move(Remapped);
+  ++Version;
+  forgetChanges();
 }

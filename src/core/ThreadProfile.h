@@ -11,9 +11,30 @@
 /// records the plain code-centric view (what Linux perf would report) for
 /// the Figure 1 comparison.
 ///
-/// Profiles are serialisable to a line-oriented text format, so the
-/// collector can emit one file per thread and the analyzer can load them
-/// back — the exact workflow of Figure 3.
+/// Profiles have one binary encoding (LEB128 varint records): the
+/// collector writes one `.djxprof` file per thread and the analyzer loads
+/// them back — the workflow of Figure 3 — and the profile journal
+/// streams the same records as per-epoch deltas. A full profile is the
+/// delta from an empty one.
+///
+/// Encoding, one record after another, each a varint tag then varint
+/// fields (strings length-prefixed, metrics as kNumPerfEventKinds
+/// counts):
+///
+///   Thread   tid, name                         always first
+///   Nodes    first id, count, count x (parent, method, bci)
+///   Group    alloc tid, alloc node, type, allocs, bytes, remote,
+///            address samples, metrics
+///   Access   node, metrics       } of the Group record before them
+///   HomeNode numa node, count    }
+///   CpuNode  numa node, count    }
+///   Code     node, metrics
+///   Totals   metrics, unattributed
+///   End
+///
+/// Every record carries absolute values, so applying one is an
+/// idempotent overwrite. Records come in key order (groups by AllocKey,
+/// entries by node), so the bytes depend only on the profile's content.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -26,9 +47,11 @@
 #include "sim/NumaTopology.h"
 
 #include <cstdint>
-#include <iosfwd>
 #include <map>
+#include <optional>
 #include <string>
+#include <string_view>
+#include <vector>
 
 namespace djx {
 
@@ -69,6 +92,18 @@ struct ObjectGroupStats {
   std::map<NumaNodeId, uint64_t> AccessNodeSamples;
   /// Disaggregated access contexts (nodes of the owning profile's CCT).
   std::map<CctNodeId, MetricCounts> AccessBreakdown;
+};
+
+/// "DJXPROF2": leads every `.djxprof` file, followed by one full
+/// encoding.
+inline constexpr char kProfileFileMagic[8] = {'D', 'J', 'X', 'P',
+                                              'R', 'O', 'F', '2'};
+
+/// A point in a profile's history; ThreadProfile::encode() emits what
+/// changed after it. The default mark is the empty profile.
+struct ProfileMark {
+  uint64_t Version = 0;
+  size_t CctNodes = 1; ///< The root is implicit.
 };
 
 /// One thread's complete profile.
@@ -114,21 +149,80 @@ public:
   const MetricCounts &totals() const { return Totals; }
   uint64_t unattributedSamples() const { return Unattributed; }
 
-  /// Monotonic change counter, bumped by every record* call. The profile
-  /// journal snapshots a thread only when its version moved since the
-  /// last flush, so idle threads cost no journal bytes per epoch.
-  uint64_t version() const { return Version; }
+  /// Where the profile stands now: its change counter (bumped by every
+  /// record* call) and CCT size.
+  ProfileMark mark() const { return {Version, Tree.size()}; }
+  /// False when nothing (records or CCT nodes) changed after \p Since.
+  bool changedSince(const ProfileMark &Since) const {
+    return Version != Since.Version || Tree.size() != Since.CctNodes;
+  }
 
   size_t memoryFootprint() const;
 
-  /// Serialises to the line-oriented profile format.
-  void writeTo(std::ostream &OS) const;
+  /// Appends to \p Out the records changed after \p Since: the CCT nodes
+  /// appended since, the touched groups and entries, and the totals. The
+  /// default \p Since encodes the full profile.
+  ///
+  /// Touched entries come from a bounded change log. The log has one
+  /// reader, whoever calls encode() (the profile journal): each call
+  /// restarts it at the current version, so a profile nobody encodes logs
+  /// nothing. When \p Since is not the previous call's mark, or the log
+  /// overflowed kChangeLogCap in between, the full profile is sent
+  /// instead; never a wrong delta, only a bigger one.
+  void encode(std::string &Out,
+              const ProfileMark &Since = ProfileMark()) const;
 
-  /// Parses a profile written by writeTo. \returns false on malformed
-  /// input.
-  bool readFrom(std::istream &IS);
+  /// True when \p Delta is a well-formed encoding for this profile: its
+  /// Thread record names threadId(), its Nodes continue this CCT, and
+  /// every node it references exists. Never modifies the profile.
+  bool check(std::string_view Delta) const;
+
+  /// Applies an encoded delta. \returns false, leaving the profile
+  /// unchanged, when check() rejects it.
+  bool apply(std::string_view Delta);
+
+  /// Decodes a full encoding into a fresh profile. nullopt when
+  /// malformed.
+  static std::optional<ThreadProfile> decode(std::string_view Bytes);
+
+  /// Merge support: adds \p ThreadOffset to every real thread id (id 0,
+  /// unknown provenance, is kept) and maps CCT method ids through
+  /// \p MethodMap (index = old id; ids past its end are kept).
+  void remapIds(uint64_t ThreadOffset,
+                const std::vector<MethodId> &MethodMap);
 
 private:
+  /// One change-log entry: a touched group and, for samples, the
+  /// access / home / CPU entries the sample touched too.
+  struct Change {
+    enum KindTy : uint8_t { Alloc, Sample, Code };
+    uint64_t AllocThread;
+    CctNodeId AllocNode;
+    CctNodeId Node;    ///< Sample: access node; Code: the code node.
+    int16_t Home, Cpu; ///< Sample: NUMA nodes, kInvalidNode if unknown.
+    KindTy Kind;
+    bool operator==(const Change &O) const {
+      return AllocThread == O.AllocThread && AllocNode == O.AllocNode &&
+             Node == O.Node && Home == O.Home && Cpu == O.Cpu &&
+             Kind == O.Kind;
+    }
+  };
+  /// Distinct changes the log holds; past it the log stops until the
+  /// next encode(), which then sends the full profile.
+  static constexpr size_t kChangeLogCap = 4096;
+  /// LogBase while nobody reads the log.
+  static constexpr uint64_t kNoReader = UINT64_MAX;
+
+  void logChange(const Change &C);
+  static size_t hashChange(const Change &C);
+  /// Indexes Log[Index] in LogSlots.
+  void insertSlot(size_t Index);
+  /// Stops the log and frees it until the next encode().
+  void forgetChanges() const;
+  /// Walks \p Delta; writes into \p Target when non-null, else only
+  /// checks it against this profile.
+  bool decodeInto(std::string_view Delta, ThreadProfile *Target) const;
+
   uint64_t ThreadId = 0;
   std::string ThreadName;
   Cct Tree;
@@ -137,6 +231,12 @@ private:
   MetricCounts Totals;
   uint64_t Unattributed = 0;
   uint64_t Version = 0;
+  /// Change log: the distinct changes made after version LogBase, with
+  /// an open-addressing index (1-based positions in Log, 0 = empty slot)
+  /// that keeps repeats out. encode() restarts it, hence mutable.
+  mutable std::vector<Change> Log;
+  mutable std::vector<uint16_t> LogSlots;
+  mutable uint64_t LogBase = kNoReader;
 };
 
 } // namespace djx

@@ -7,10 +7,11 @@
 #include "io/JournalReader.h"
 
 #include "io/Checksum.h"
+#include "support/Varint.h"
 
+#include <cassert>
 #include <cstring>
 #include <fstream>
-#include <sstream>
 
 using namespace djx;
 
@@ -64,18 +65,51 @@ struct PayloadCursor {
   }
 };
 
+/// Reads \p Path whole, with one sized read into one buffer.
+bool readWholeFile(const std::string &Path, std::string &Data) {
+  std::ifstream In(Path, std::ios::binary | std::ios::ate);
+  if (!In)
+    return false;
+  std::streamoff Size = In.tellg();
+  if (Size < 0)
+    return false;
+  Data.resize(static_cast<size_t>(Size));
+  In.seekg(0);
+  In.read(Data.data(), Size);
+  Data.resize(static_cast<size_t>(In.gcount()));
+  return true;
+}
+
+/// Walks a Delta payload: calls \p Fn(tid, records) per thread entry.
+/// \returns false when the framing is malformed (thread ids must
+/// strictly increase, and an empty Delta is never written) or \p Fn
+/// does.
+template <typename FnT> bool forEachThreadDelta(std::string_view Payload,
+                                                FnT &&Fn) {
+  VarintReader R(Payload);
+  uint64_t Prev = 0;
+  bool Any = false;
+  while (!R.atEnd()) {
+    uint64_t Tid;
+    std::string_view Records;
+    if (!R.u64(Tid) || !R.bytes(Records) || (Any && Tid <= Prev) ||
+        !Fn(Tid, Records))
+      return false;
+    Prev = Tid;
+    Any = true;
+  }
+  return Any;
+}
+
 } // namespace
 
 JournalRecovery djx::readJournal(const std::string &Path) {
   JournalRecovery R;
-  std::ifstream In(Path, std::ios::binary);
-  if (!In) {
+  std::string Data;
+  if (!readWholeFile(Path, Data)) {
     R.HeaderError = "cannot open file";
     return R;
   }
-  std::ostringstream Buf;
-  Buf << In.rdbuf();
-  const std::string Data = Buf.str();
 
   if (Data.size() < kJournalFileHeaderBytes) {
     R.HeaderError = "file shorter than the journal header";
@@ -98,10 +132,13 @@ JournalRecovery djx::readJournal(const std::string &Path) {
   R.BytesKept = kJournalFileHeaderBytes;
 
   // Pending state: promoted to committed only by a Commit/Close
-  // sentinel, so a tear between a snapshot and its commit drops the
-  // snapshot — the state is always the one at the last sentinel.
+  // sentinel, so a tear between a Delta and its commit drops the Delta
+  // — the state is always the one at the last sentinel. The Delta is
+  // checked against the committed profiles when read, so applying it at
+  // the sentinel cannot fail.
   std::vector<MethodInfo> PendingMethods;
-  std::map<uint64_t, std::string> PendingSnapshots;
+  std::map<uint64_t, ThreadProfile> Committed;
+  std::string_view PendingDelta;
   uint64_t NextSeq = 1;
   size_t Off = kJournalFileHeaderBytes;
   size_t LastValidEnd = Off;
@@ -112,9 +149,14 @@ JournalRecovery djx::readJournal(const std::string &Path) {
     for (auto &M : PendingMethods)
       R.Methods.push_back(std::move(M));
     PendingMethods.clear();
-    for (auto &[Tid, Text] : PendingSnapshots)
-      R.Snapshots[Tid] = std::move(Text);
-    PendingSnapshots.clear();
+    forEachThreadDelta(PendingDelta, [&](uint64_t Tid,
+                                         std::string_view Records) {
+      bool Applied =
+          Committed.try_emplace(Tid, Tid, "").first->second.apply(Records);
+      assert(Applied && "Delta was checked when read");
+      return Applied;
+    });
+    PendingDelta = {};
     R.SegmentsCommitted = R.Segments.size();
     R.BytesKept = EndOff;
   };
@@ -186,11 +228,19 @@ JournalRecovery djx::readJournal(const std::string &Path) {
       }
       break;
     }
-    case SegmentType::Snapshot: {
-      uint64_t Tid = 0;
-      Ok = C.u64(Tid);
+    case SegmentType::Delta: {
+      // One Delta per epoch; a second before the sentinel is malformed.
+      std::string_view Delta(Payload, PayloadLen);
+      Ok = PendingDelta.empty() &&
+           forEachThreadDelta(Delta, [&](uint64_t Tid,
+                                         std::string_view Records) {
+             auto It = Committed.find(Tid);
+             return It != Committed.end()
+                        ? It->second.check(Records)
+                        : ThreadProfile(Tid, "").check(Records);
+           });
       if (Ok)
-        PendingSnapshots[Tid] = C.rest();
+        PendingDelta = Delta;
       break;
     }
     case SegmentType::Commit: {
@@ -250,20 +300,9 @@ JournalRecovery djx::readJournal(const std::string &Path) {
   if (R.Closed && R.TrailingBytes != 0 && R.TruncationReason.empty())
     R.TruncationReason = "bytes after the Close sentinel";
 
-  // Materialize the committed snapshots. A CRC-valid but unparseable
-  // snapshot means a writer bug or hash collision; drop that thread and
-  // record it, never crash.
-  for (const auto &[Tid, Text] : R.Snapshots) {
-    ThreadProfile P;
-    std::istringstream IS(Text);
-    if (!P.readFrom(IS)) {
-      if (R.TruncationReason.empty())
-        R.TruncationReason =
-            "unparseable snapshot for thread " + std::to_string(Tid);
-      continue;
-    }
+  R.Profiles.reserve(Committed.size());
+  for (auto &[Tid, P] : Committed)
     R.Profiles.push_back(std::move(P));
-  }
   return R;
 }
 
@@ -272,56 +311,4 @@ MethodRegistry djx::buildJournalMethodRegistry(const JournalRecovery &R) {
   for (const MethodInfo &M : R.Methods)
     Reg.registerMethod(M.ClassName, M.MethodName, M.LineTable);
   return Reg;
-}
-
-std::string djx::remapSnapshotText(const std::string &Text,
-                                   uint64_t ThreadOffset,
-                                   const std::vector<MethodId> &MethodMap) {
-  // Rewrites the line-oriented djxprofile format in place of a field-by-
-  // field rebuild: thread ids live in fixed token positions per tag, and
-  // method ids only appear in "node" lines. CCT node ids are indices
-  // into the owning profile's tree and need no remapping.
-  auto MapTid = [&](uint64_t Tid) {
-    return Tid == 0 ? 0 : Tid + ThreadOffset;
-  };
-  auto MapMethod = [&](MethodId M) {
-    return M < MethodMap.size() ? MethodMap[M] : M;
-  };
-  std::istringstream IS(Text);
-  std::ostringstream OS;
-  std::string Line;
-  while (std::getline(IS, Line)) {
-    std::istringstream LS(Line);
-    std::string Tag;
-    LS >> Tag;
-    if (Tag == "thread") {
-      uint64_t Tid;
-      std::string Name;
-      if (LS >> Tid >> Name) {
-        OS << "thread " << MapTid(Tid) << ' ' << Name << '\n';
-        continue;
-      }
-    } else if (Tag == "node") {
-      uint64_t Id, Parent;
-      MethodId Method;
-      uint32_t Bci;
-      if (LS >> Id >> Parent >> Method >> Bci) {
-        OS << "node " << Id << ' ' << Parent << ' ' << MapMethod(Method)
-           << ' ' << Bci << '\n';
-        continue;
-      }
-    } else if (Tag == "group" || Tag == "access" || Tag == "homenode" ||
-               Tag == "cpunode") {
-      uint64_t AllocThread, AllocNode;
-      if (LS >> AllocThread >> AllocNode) {
-        std::string Rest;
-        std::getline(LS, Rest);
-        OS << Tag << ' ' << MapTid(AllocThread) << ' ' << AllocNode << Rest
-           << '\n';
-        continue;
-      }
-    }
-    OS << Line << '\n';
-  }
-  return OS.str();
 }

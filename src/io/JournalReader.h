@@ -24,7 +24,6 @@
 #include "support/VmError.h"
 
 #include <cstdint>
-#include <map>
 #include <string>
 #include <vector>
 
@@ -51,9 +50,7 @@ struct JournalRecovery {
 
   /// Rebuilt method registry content; index == original MethodId.
   std::vector<MethodInfo> Methods;
-  /// Committed snapshot text per thread (last writer wins), and the
-  /// parsed profiles, in thread-id order.
-  std::map<uint64_t, std::string> Snapshots;
+  /// Profiles as of the last Commit/Close, in thread-id order.
   std::vector<ThreadProfile> Profiles;
 
   /// Structurally valid segments, in file order (committed or not).
@@ -96,13 +93,6 @@ JournalRecovery readJournal(const std::string &Path);
 
 /// Registry whose MethodIds equal the journal's original ids.
 MethodRegistry buildJournalMethodRegistry(const JournalRecovery &R);
-
-/// Merge support: rewrites one snapshot's text, adding \p ThreadOffset
-/// to every real thread id (id 0 — unknown provenance — is preserved)
-/// and mapping method ids through \p MethodMap (index = original id).
-/// Ids absent from \p MethodMap pass through unchanged.
-std::string remapSnapshotText(const std::string &Text, uint64_t ThreadOffset,
-                              const std::vector<MethodId> &MethodMap);
 
 } // namespace djx
 

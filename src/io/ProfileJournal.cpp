@@ -10,6 +10,7 @@
 #include "io/Checksum.h"
 #include "jvm/MethodRegistry.h"
 #include "support/FaultInjector.h"
+#include "support/Varint.h"
 
 #include <cerrno>
 #include <chrono>
@@ -159,28 +160,28 @@ ProfileJournal::open(const std::string &Path, const JournalMeta &Meta,
 void ProfileJournal::appendSegment(SegmentType Type, uint64_t EpochNo,
                                    const std::string &Payload) {
   ++Seq;
-  std::string Seg;
-  Seg.reserve(kJournalSegmentHeaderBytes + Payload.size());
-  appendU32(Seg, kJournalSegmentMagic);
-  appendU32(Seg, static_cast<uint32_t>(Type));
-  appendU64(Seg, Seq);
-  appendU64(Seg, EpochNo);
-  appendU32(Seg, static_cast<uint32_t>(Payload.size()));
+  size_t Start = Pending.size();
+  appendU32(Pending, kJournalSegmentMagic);
+  appendU32(Pending, static_cast<uint32_t>(Type));
+  appendU64(Pending, Seq);
+  appendU64(Pending, EpochNo);
+  appendU32(Pending, static_cast<uint32_t>(Payload.size()));
   // CRC covers everything after the magic: header fields + payload.
-  uint32_t Crc = Crc32c::compute(Seg.data() + 4, Seg.size() - 4);
+  uint32_t Crc = Crc32c::compute(Pending.data() + Start + 4,
+                                 Pending.size() - Start - 4);
   Crc = Crc32c::compute(Payload.data(), Payload.size(), Crc);
-  appendU32(Seg, Crc);
-  Seg += Payload;
+  appendU32(Pending, Crc);
+  Pending += Payload;
   // JournalCorruptByte: flip one payload bit after the CRC was computed,
   // so read-back must catch it. Keyed on the segment sequence number — a
   // logical ordinal, so the corrupted set is --jobs-invariant.
   if (!Payload.empty() &&
       FaultInjector::shouldFail(FaultSite::JournalCorruptByte, Seq)) {
-    size_t Pos = kJournalSegmentHeaderBytes +
+    size_t Pos = Start + kJournalSegmentHeaderBytes +
                  posMix(Seq) % Payload.size();
-    Seg[Pos] = static_cast<char>(Seg[Pos] ^ (1u << (posMix(Seq ^ 0xb17) % 8)));
+    Pending[Pos] =
+        static_cast<char>(Pending[Pos] ^ (1u << (posMix(Seq ^ 0xb17) % 8)));
   }
-  Pending += Seg;
 }
 
 void ProfileJournal::bufferEpoch(const DjxPerf &Prof,
@@ -208,21 +209,22 @@ void ProfileJournal::bufferEpoch(const DjxPerf &Prof,
     appendSegment(SegmentType::MethodTable, EpochNo, P);
     MethodsFlushed = Methods.size();
   }
-  // Snapshots: full profile per thread, only when it changed since its
-  // last snapshot (last-writer-wins on read-back). profiles() is sorted
-  // by thread id, so the byte stream is deterministic.
+  // One Delta for the epoch: per changed thread, what changed since its
+  // last journaled epoch. profiles() is sorted by thread id and encode()
+  // emits in key order, so the byte stream is deterministic.
+  DeltaBuf.clear();
   for (const ThreadProfile *P : Prof.profiles()) {
-    uint64_t &Last = SnapshotVersions[P->threadId()];
-    if (Last == P->version() && Last != 0)
+    auto [It, First] = Journaled.try_emplace(P->threadId());
+    if (!First && !P->changedSince(It->second))
       continue;
-    std::ostringstream OS;
-    P->writeTo(OS);
-    std::string Payload;
-    appendU64(Payload, P->threadId());
-    Payload += OS.str();
-    appendSegment(SegmentType::Snapshot, EpochNo, Payload);
-    Last = P->version();
+    RecordBuf.clear();
+    P->encode(RecordBuf, It->second);
+    It->second = P->mark();
+    putVarint(DeltaBuf, P->threadId());
+    putBytes(DeltaBuf, RecordBuf);
   }
+  if (!DeltaBuf.empty())
+    appendSegment(SegmentType::Delta, EpochNo, DeltaBuf);
   std::string Commit;
   appendU64(Commit, Round);
   appendSegment(SegmentType::Commit, EpochNo, Commit);

@@ -10,11 +10,11 @@
 /// profiler still yields a usable report (`djxperf recover`), and many
 /// single-VM journals fold into one fleet report (`djxperf merge`).
 ///
-/// On-disk format (all integers little-endian):
+/// On-disk format (fixed-width integers little-endian):
 ///
 ///   file header (16 bytes)
 ///     +0  magic    "DJXJRNL1"                                (8 bytes)
-///     +8  version  u32 = 1
+///     +8  version  u32 = 2
 ///     +12 crc      u32 CRC32C of bytes [0, 12)
 ///
 ///   segment (32-byte header + payload), repeated to EOF
@@ -31,9 +31,14 @@
 ///   MethodTable — delta of newly registered methods since the last
 ///                 flush (binary; ids are assigned contiguously so the
 ///                 reader rebuilds the registry by position).
-///   Snapshot    — one thread's full profile (u64 thread id + the
-///                 djxprofile v1 text), written only when the profile
-///                 changed since its last snapshot; last-writer-wins.
+///   Delta       — at most one per epoch: for each thread whose profile
+///                 changed since its last journaled epoch, in thread-id
+///                 order, a LEB128 varint thread id, a varint byte
+///                 count, and ThreadProfile::encode's records of what
+///                 changed (the full profile the first time a thread
+///                 appears). Records hold absolute values, so the reader
+///                 overwrites; the journal grows with the changes, not
+///                 with rounds x profile size.
 ///   Commit      — epoch sentinel (u64 executor round): everything up
 ///                 to and including this segment is a consistent
 ///                 snapshot. Recovery state = state at the last valid
@@ -45,7 +50,7 @@
 ///                 included — byte for byte.
 ///
 /// Epochs are flushed at executor round barriers (single-threaded
-/// windows, so snapshots are race-free and --jobs-invariant), at
+/// windows, so deltas are race-free and --jobs-invariant), at
 /// GC-finish for serial workloads, and on the VmError unwind path after
 /// the profiler drained its rings. Writes are buffered per epoch and
 /// flushed with plain append write()s: everything the kernel accepted
@@ -63,6 +68,7 @@
 #ifndef DJX_IO_PROFILEJOURNAL_H
 #define DJX_IO_PROFILEJOURNAL_H
 
+#include "core/ThreadProfile.h"
 #include "support/VmError.h"
 
 #include <cstdint>
@@ -78,7 +84,7 @@ class MethodRegistry;
 /// "DJXJRNL1"
 inline constexpr char kJournalFileMagic[8] = {'D', 'J', 'X', 'J',
                                               'R', 'N', 'L', '1'};
-inline constexpr uint32_t kJournalFormatVersion = 1;
+inline constexpr uint32_t kJournalFormatVersion = 2;
 /// "DJSG" little-endian.
 inline constexpr uint32_t kJournalSegmentMagic = 0x47534a44u;
 inline constexpr size_t kJournalFileHeaderBytes = 16;
@@ -90,7 +96,7 @@ inline constexpr uint32_t kJournalMaxPayloadBytes = 64u << 20;
 enum class SegmentType : uint32_t {
   Meta = 1,
   MethodTable = 2,
-  Snapshot = 3,
+  Delta = 3,
   Commit = 4,
   Close = 5,
 };
@@ -129,8 +135,8 @@ public:
   bool active() const { return Fd >= 0; }
   const std::string &path() const { return Path; }
 
-  /// Writes one durable epoch: the method-table delta, a snapshot of
-  /// every profile whose version changed, then a Commit sentinel for
+  /// Writes one durable epoch: the method-table delta, the Delta of
+  /// every profile that changed, then a Commit sentinel for
   /// \p Round; physically flushed before returning. Must be called at a
   /// quiescent point (round barrier / GC finish / after stop()).
   void flush(const DjxPerf &Prof, const MethodRegistry &Methods,
@@ -156,7 +162,7 @@ private:
 
   void appendSegment(SegmentType Type, uint64_t EpochNo,
                      const std::string &Payload);
-  /// Delta + snapshots + Commit into the pending buffer (no I/O).
+  /// Method table + Delta + Commit into the pending buffer (no I/O).
   void bufferEpoch(const DjxPerf &Prof, const MethodRegistry &Methods,
                    uint64_t Round);
   void bufferClose(const VmError *E, uint64_t SamplesHandled,
@@ -175,7 +181,10 @@ private:
   uint64_t BytesOut = 0;
   uint64_t WriteOrdinal = 0; ///< Logical key for write fault draws.
   size_t MethodsFlushed = 0;
-  std::map<uint64_t, uint64_t> SnapshotVersions; ///< tid -> version.
+  /// Per thread, the profile's mark at its last journaled epoch.
+  std::map<uint64_t, ProfileMark> Journaled;
+  /// Reused buffers: the epoch's Delta payload, one thread's records.
+  std::string DeltaBuf, RecordBuf;
 };
 
 /// Serialises \p Meta to the Meta segment's text payload.

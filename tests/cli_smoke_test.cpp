@@ -243,6 +243,20 @@ TEST(CliJournal, RecoverOfGarbageExitsJournalCorruptCode) {
   std::remove(J.c_str());
 }
 
+// A journal from before the binary Delta format (version 1: full-text
+// snapshots) has one read path and it is not this one: the header is
+// rejected and recover exits JournalCorrupt.
+TEST(CliJournal, RecoverOfVersionOneJournalExitsJournalCorruptCode) {
+  std::string J = tmpFile("v1.djxj");
+  // "DJXJRNL1", version 1, CRC32C of those 12 bytes.
+  spitBytes(J, std::string("DJXJRNL1\x01\x00\x00\x00\x73\x58\x84\xec", 16));
+  auto [Exit, Out] = run("'" + DjxperfPath + "' recover '" + J + "'");
+  EXPECT_EQ(Exit, 7) << Out;
+  EXPECT_NE(Out.find("unsupported journal version"), std::string::npos)
+      << Out;
+  std::remove(J.c_str());
+}
+
 // merge folds N journals into one aggregate report with per-file
 // accounting; unusable inputs are skipped, not fatal.
 TEST(CliJournal, MergeAggregatesJournalsAndSkipsGarbage) {

@@ -15,7 +15,8 @@
 
 #include <filesystem>
 #include <fstream>
-#include <sstream>
+#include <initializer_list>
+#include <optional>
 
 #include "harness/TestModule.h"
 
@@ -226,6 +227,21 @@ TEST(ThreadProfile, UnattributedCountsInTotals) {
   EXPECT_EQ(P.totals().get(PerfEventKind::L1Miss), 1u);
 }
 
+std::string bytesOf(std::initializer_list<int> Bytes) {
+  std::string S;
+  for (int B : Bytes)
+    S += static_cast<char>(B);
+  return S;
+}
+
+/// encode() into a fresh string.
+std::string encoded(const ThreadProfile &P,
+                    const ProfileMark &Since = ProfileMark()) {
+  std::string Out;
+  P.encode(Out, Since);
+  return Out;
+}
+
 TEST(ThreadProfile, SerializationRoundTrip) {
   ThreadProfile P(7, "worker3");
   CctNodeId A = P.cct().insertPath({{1, 2}, {3, 4}});
@@ -236,35 +252,175 @@ TEST(ThreadProfile, SerializationRoundTrip) {
   P.recordCodeSample(B, PerfEventKind::L1Miss);
   P.recordUnattributed(PerfEventKind::TlbMiss);
 
-  std::stringstream SS;
-  P.writeTo(SS);
-  ThreadProfile Q;
-  ASSERT_TRUE(Q.readFrom(SS));
-  EXPECT_EQ(Q.threadId(), 7u);
-  EXPECT_EQ(Q.threadName(), "worker3");
-  EXPECT_EQ(Q.cct().size(), P.cct().size());
-  const auto &G = Q.groups().at(AllocKey{7, A});
+  std::string Bytes = encoded(P);
+  std::optional<ThreadProfile> Q = ThreadProfile::decode(Bytes);
+  ASSERT_TRUE(Q.has_value());
+  EXPECT_EQ(Q->threadId(), 7u);
+  EXPECT_EQ(Q->threadName(), "worker3");
+  EXPECT_EQ(Q->cct().size(), P.cct().size());
+  const auto &G = Q->groups().at(AllocKey{7, A});
   EXPECT_EQ(G.TypeName, "double[]");
   EXPECT_EQ(G.AllocCount, 1u);
   EXPECT_EQ(G.AllocBytes, 8192u);
   EXPECT_EQ(G.RemoteSamples, 1u);
   EXPECT_EQ(G.Metrics.get(PerfEventKind::L1Miss), 1u);
   EXPECT_EQ(G.AccessBreakdown.at(B).get(PerfEventKind::L1Miss), 1u);
-  EXPECT_EQ(Q.codeCentric().at(B).get(PerfEventKind::L1Miss), 1u);
-  EXPECT_EQ(Q.unattributedSamples(), 1u);
+  EXPECT_EQ(Q->codeCentric().at(B).get(PerfEventKind::L1Miss), 1u);
+  EXPECT_EQ(Q->unattributedSamples(), 1u);
   // Round-trip again: identical bytes.
-  std::stringstream S2, S3;
-  P.writeTo(S2);
-  Q.writeTo(S3);
-  EXPECT_EQ(S2.str(), S3.str());
+  EXPECT_EQ(encoded(*Q), encoded(P));
+  EXPECT_EQ(encoded(*Q), Bytes);
 }
 
 TEST(ThreadProfile, ReadRejectsGarbage) {
-  std::stringstream SS("not a profile\n");
-  ThreadProfile P;
-  EXPECT_FALSE(P.readFrom(SS));
-  std::stringstream Truncated("djxprofile v1\nthread 1 t\n");
-  EXPECT_FALSE(P.readFrom(Truncated)) << "missing end marker";
+  EXPECT_FALSE(ThreadProfile::decode("not a profile\n").has_value());
+  EXPECT_FALSE(ThreadProfile::decode("").has_value());
+  // A valid encoding cut anywhere before its End record.
+  ThreadProfile P(1, "t");
+  P.recordAllocation(P.cct().insertPath({{1, 0}}), "X", 64);
+  std::string Bytes = encoded(P);
+  for (size_t Cut = 0; Cut < Bytes.size(); ++Cut)
+    EXPECT_FALSE(ThreadProfile::decode(Bytes.substr(0, Cut)).has_value())
+        << "cut at " << Cut;
+  EXPECT_FALSE(ThreadProfile::decode(Bytes + '\0').has_value())
+      << "trailing bytes after End";
+}
+
+// --- Profile codec: deltas --------------------------------------------------
+
+TEST(ProfileCodec, DeltaAppliedToOlderCopyReproducesProfile) {
+  ThreadProfile P(3, "delta");
+  CctNodeId A = P.cct().insertPath({{1, 0}});
+  P.recordAllocation(A, "int[]", 256);
+  P.recordObjectSample(AllocKey{3, A}, "int[]", PerfEventKind::L1Miss, A,
+                       false, 0, 1);
+  std::optional<ThreadProfile> Copy = ThreadProfile::decode(encoded(P));
+  ASSERT_TRUE(Copy.has_value());
+  ProfileMark Then = P.mark();
+
+  CctNodeId B = P.cct().insertPath({{1, 0}, {2, 7}});
+  P.recordAllocation(B, "long[]", 512);
+  P.recordObjectSample(AllocKey{3, A}, "int[]", PerfEventKind::L2Miss, B,
+                       true, 1, 1);
+  P.recordObjectSample(AllocKey{9, 4}, "Foreign", PerfEventKind::L1Miss, B,
+                       false);
+  P.recordCodeSample(B, PerfEventKind::L1Miss);
+  P.recordUnattributed(PerfEventKind::L1Miss);
+  ASSERT_TRUE(P.changedSince(Then));
+
+  std::string Delta = encoded(P, Then);
+  EXPECT_LT(Delta.size(), encoded(P).size());
+  ASSERT_TRUE(Copy->apply(Delta));
+  EXPECT_EQ(encoded(*Copy), encoded(P));
+  // Records carry absolute values: applying the same delta again is a
+  // no-op.
+  ASSERT_TRUE(Copy->apply(Delta));
+  EXPECT_EQ(encoded(*Copy), encoded(P));
+}
+
+TEST(ProfileCodec, UnchangedProfileEncodesNoEntries) {
+  ThreadProfile P(2, "idle");
+  CctNodeId A = P.cct().insertPath({{1, 0}});
+  P.recordAllocation(A, "X", 64);
+  encoded(P);
+  ProfileMark Now = P.mark();
+  EXPECT_FALSE(P.changedSince(Now));
+  // Only the Thread and End records.
+  EXPECT_EQ(encoded(P, Now), bytesOf({1, 2, 4, 'i', 'd', 'l', 'e', 0}));
+}
+
+TEST(ProfileCodec, DeltaSizeTracksChangesNotProfileSize) {
+  ThreadProfile P(1, "big");
+  std::vector<CctNodeId> Nodes;
+  for (uint32_t I = 0; I < 100; ++I)
+    Nodes.push_back(P.cct().child(kCctRoot, I, I));
+  for (uint32_t G = 0; G < 10000; ++G) {
+    AllocKey Key{1 + G % 4, Nodes[G % Nodes.size()] + G / 100 * 1000};
+    P.recordObjectSample(Key, "T", PerfEventKind::L1Miss,
+                         Nodes[G % Nodes.size()], false);
+  }
+  ASSERT_EQ(P.groups().size(), 10000u);
+  std::string Full = encoded(P);
+  ProfileMark Then = P.mark();
+
+  // Touch one entry of one group.
+  P.recordObjectSample(AllocKey{2, Nodes[1]}, "T", PerfEventKind::L1Miss,
+                       Nodes[1], false);
+  std::string Delta = encoded(P, Then);
+  EXPECT_GT(Full.size(), 100000u);
+  EXPECT_LT(Delta.size(), 128u) << "delta must not grow with the profile";
+
+  std::optional<ThreadProfile> Copy = ThreadProfile::decode(Full);
+  ASSERT_TRUE(Copy.has_value());
+  ASSERT_TRUE(Copy->apply(Delta));
+  EXPECT_EQ(encoded(*Copy), encoded(P));
+}
+
+TEST(ProfileCodec, ChangeLogOverflowFallsBackToFullProfile) {
+  ThreadProfile P(1, "busy");
+  CctNodeId A = P.cct().insertPath({{1, 0}});
+  encoded(P); // Start the change log.
+  ProfileMark Then = P.mark();
+  // More distinct changes than the log holds.
+  for (uint32_t I = 0; I < 5000; ++I)
+    P.recordObjectSample(AllocKey{1, I}, "T", PerfEventKind::L1Miss, A,
+                         false);
+  std::string Delta = encoded(P, Then);
+  // The full profile, not a wrong delta: an empty copy as of Then
+  // catches up exactly.
+  std::string Full = encoded(P);
+  EXPECT_GT(Delta.size(), Full.size() * 9 / 10);
+  ThreadProfile Copy(1, "busy");
+  Copy.cct().insertPath({{1, 0}});
+  ASSERT_TRUE(Copy.apply(Delta));
+  EXPECT_EQ(encoded(Copy), Full);
+}
+
+TEST(ProfileCodec, CheckRejectsMalformedRecordsWithoutSideEffects) {
+  ThreadProfile P(1, "t");
+  P.recordAllocation(P.cct().insertPath({{1, 0}}), "X", 64);
+  const std::string Before = encoded(P);
+  // Thread record for tid 1 named "t", as every encoding starts.
+  const std::string Thread = bytesOf({1, 1, 1, 't'});
+  const std::vector<std::pair<std::string, std::string>> Cases = {
+      {"overlong varint",
+       Thread + bytesOf({8}) + std::string(10, '\x80') + bytesOf({1})},
+      {"truncated record", Thread + bytesOf({3, 1, 1})},
+      {"node-id gap", Thread + bytesOf({2, 5, 1, 0, 1, 0, 0})},
+      {"parent past the tree", Thread + bytesOf({2, 2, 1, 7, 1, 0, 0})},
+      {"unknown record tag", Thread + bytesOf({0x63, 0})},
+      {"access before any group",
+       Thread + bytesOf({4, 0, 0, 0, 0, 0, 0, 0, 0, 0})},
+      {"code node past the tree",
+       Thread + bytesOf({7, 9, 0, 0, 0, 0, 0, 0, 0, 0})},
+      {"another thread's delta", bytesOf({1, 2, 1, 't', 0})},
+      {"no End record", Thread},
+  };
+  for (const auto &[Label, Bytes] : Cases) {
+    EXPECT_FALSE(P.check(Bytes)) << Label;
+    EXPECT_FALSE(P.apply(Bytes)) << Label;
+    EXPECT_EQ(encoded(P), Before) << Label << " modified the profile";
+  }
+  // The well-formed control case.
+  EXPECT_TRUE(P.check(Thread + bytesOf({0})));
+}
+
+TEST(ProfileCodec, RemapIdsRewritesThreadAndMethodIds) {
+  ThreadProfile P(2, "worker-1");
+  CctNodeId N = P.cct().child(kCctRoot, 0, 4);
+  P.recordAllocation(N, "long[]", 64);
+  P.recordObjectSample(AllocKey{0, N}, "long[]", PerfEventKind::L1Miss, N,
+                       false, 0);
+  P.remapIds(10, {7});
+  EXPECT_EQ(P.threadId(), 12u);
+  EXPECT_EQ(P.threadName(), "worker-1");
+  EXPECT_EQ(P.cct().methodOf(N), 7u);
+  EXPECT_EQ(P.cct().bciOf(N), 4u);
+  EXPECT_EQ(P.cct().child(kCctRoot, 7, 4), N) << "edges are re-keyed";
+  // Alloc-thread 0 (unknown provenance) is preserved; 2 is offset.
+  ASSERT_EQ(P.groups().size(), 2u);
+  EXPECT_EQ(P.groups().at(AllocKey{12, N}).AllocBytes, 64u);
+  EXPECT_EQ(P.groups().at(AllocKey{0, N}).HomeNodeSamples.at(0), 1u);
 }
 
 // --- Analyzer -----------------------------------------------------------------------
@@ -361,11 +517,19 @@ TEST(Analyzer, DirectoryRoundTrip) {
   std::string Dir = ::testing::TempDir() + "/djxprof_dir_test";
   std::filesystem::create_directories(Dir);
   {
-    std::ofstream Out(Dir + "/thread_1.djxprof");
-    P.writeTo(Out);
+    std::ofstream Out(Dir + "/thread_1.djxprof", std::ios::binary);
+    Out.write(kProfileFileMagic, sizeof(kProfileFileMagic));
+    Out << encoded(P);
+    // Neither a file without the magic nor a torn one loads.
+    std::ofstream(Dir + "/thread_2.djxprof", std::ios::binary)
+        << encoded(ThreadProfile(2, "t2"));
+    std::ofstream Torn(Dir + "/thread_3.djxprof", std::ios::binary);
+    Torn.write(kProfileFileMagic, sizeof(kProfileFileMagic));
+    Torn << encoded(ThreadProfile(3, "t3")).substr(0, 3);
   }
   auto M = mergeProfileDir(Dir);
   ASSERT_TRUE(M.has_value());
+  EXPECT_EQ(M->ThreadsMerged, 1u);
   EXPECT_EQ(M->Groups.size(), 1u);
   EXPECT_FALSE(mergeProfileDir(Dir + "/nonexistent").has_value());
 }

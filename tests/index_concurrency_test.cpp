@@ -306,10 +306,12 @@ TEST(IndexSnapshot, ConcurrentBatchedReadersDuringInsertErase) {
     });
   // Readers: sorted batches with a hint, across every shard, racing the
   // writers. Stable-prefix probes must always hit with the right
-  // identity; churn probes may hit or miss but never misattribute.
+  // identity; churn probes may hit or miss but never misattribute. Each
+  // reader makes at least one pass, even when a loaded host schedules it
+  // only after the writers finished.
   for (unsigned R = 0; R < 2; ++R)
     Threads.emplace_back([&] {
-      while (!Stop.load(std::memory_order_acquire)) {
+      do {
         LiveObjectIndex::SnapshotHint Hint;
         for (unsigned T = 0; T < kThreads; ++T)
           for (unsigned I = 0; I < kStable + 64; I += 5) {
@@ -323,7 +325,7 @@ TEST(IndexSnapshot, ConcurrentBatchedReadersDuringInsertErase) {
               EXPECT_EQ(E->AllocThread, T + 1);
             }
           }
-      }
+      } while (!Stop.load(std::memory_order_acquire));
     });
   for (unsigned T = 0; T < kThreads / 2; ++T)
     Threads[T].join();

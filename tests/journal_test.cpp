@@ -8,20 +8,24 @@
 /// The durability contract of src/io: a journaled run salvages exactly
 /// the valid prefix, no matter where the byte stream tears.
 ///
-///  - CRC32C known-answer and chaining vectors; atomic file replacement.
+///  - CRC32C known-answer and chaining vectors, and slicing-by-8 against
+///    a byte-wise reference; atomic file replacement.
 ///  - Clean round trip: journal -> readJournal reproduces the run's
-///    per-thread profile texts and merged report byte for byte, across
-///    --jobs values (the journal file itself is jobs-invariant).
+///    per-thread profile encodings and merged report byte for byte,
+///    across --jobs values (the journal file itself is jobs-invariant).
+///  - Size: journal bytes per epoch follow the changes, not the rounds.
 ///  - Truncation: cutting the file after commit R recovers the same
 ///    state as a reference run stopped at MaxRounds = R.
-///  - Fuzz corpus: seeded truncations, bit flips and segment swaps.
+///  - Fuzz corpus: seeded truncations, bit flips (anywhere, and inside
+///    Delta payloads) and segment swaps.
 ///    Recovery never crashes, never trusts bytes past a bad CRC, and
 ///    keeps exactly the commits that precede the damage. Failures
-///    print DJX_JOURNAL_FUZZ_SEED for replay.
+///    print DJX_JOURNAL_FUZZ_SEED for replay. CRC-valid but malformed
+///    Delta payloads stop the scan the same way.
 ///  - Injected I/O faults: write errors degrade journaling to off
 ///    without touching the run; short writes leave a recoverable torn
 ///    prefix; corrupt bits never survive read-back.
-///  - Merge: remapped snapshots from N journals fold into keyed sums.
+///  - Merge: remapped profiles from N journals fold into keyed sums.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -33,6 +37,7 @@
 #include "io/JournalReader.h"
 #include "io/ProfileJournal.h"
 #include "support/FaultInjector.h"
+#include "support/Varint.h"
 #include "support/VmError.h"
 #include "workloads/Parallel.h"
 
@@ -43,6 +48,8 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <initializer_list>
+#include <optional>
 #include <random>
 #include <sstream>
 #include <string>
@@ -63,8 +70,8 @@ DJX_TEST_MODULE(journal_test, 80.0, 50.0,
     "src/io/ProfileJournal.cpp",
     "src/io/ProfileJournal.h");
 
-/// Fuzz iterations per mutation kind.
-constexpr int kFuzzCases = 40;
+/// Fuzz iterations, spread over the four mutation kinds.
+constexpr int kFuzzCases = 52;
 
 uint64_t mixSeed(uint64_t X) {
   X += 0x9E3779B97F4A7C15ULL;
@@ -138,8 +145,16 @@ struct JournaledRun {
   bool JournalActive = false; ///< Still on at close (no degrade).
   uint64_t Rounds = 0;
   std::string Report; ///< Merged object-centric report text.
-  std::vector<std::string> ProfileTexts; ///< writeTo per thread.
+  std::vector<std::string> ProfileBytes; ///< Full encoding per thread.
+  uint64_t JournalBytes = 0;
+  uint64_t Epochs = 0;
 };
+
+std::string encoded(const ThreadProfile &P) {
+  std::string Out;
+  P.encode(Out);
+  return Out;
+}
 
 /// Runs the journal workload with the CLI's wiring (flush at round
 /// barriers, closeClean at the end) and returns the live-side state the
@@ -167,14 +182,13 @@ JournaledRun runJournaled(const std::string &Path, unsigned Jobs,
   if (Journal) {
     Journal->closeClean(Prof, Vm.methods());
     R.JournalActive = Journal->active();
+    R.JournalBytes = Journal->bytesWritten();
+    R.Epochs = Journal->epochsCommitted();
   }
   MergedProfile P = Prof.analyze();
   R.Report = renderObjectCentric(P, Vm.methods());
-  for (const ThreadProfile *T : Prof.profiles()) {
-    std::ostringstream OS;
-    T->writeTo(OS);
-    R.ProfileTexts.push_back(OS.str());
-  }
+  for (const ThreadProfile *T : Prof.profiles())
+    R.ProfileBytes.push_back(encoded(*T));
   return R;
 }
 
@@ -205,6 +219,34 @@ TEST(Crc32c, SeedChainsAcrossSplits) {
   for (size_t Cut = 0; Cut <= Len; ++Cut) {
     uint32_t Head = Crc32c::compute(Data, Cut);
     EXPECT_EQ(Crc32c::compute(Data + Cut, Len - Cut, Head), Whole) << Cut;
+  }
+}
+
+/// The textbook bit-at-a-time CRC32C, independent of the tables.
+uint32_t crc32cBitwise(const uint8_t *P, size_t Len, uint32_t Seed) {
+  uint32_t Crc = ~Seed;
+  for (size_t I = 0; I < Len; ++I) {
+    Crc ^= P[I];
+    for (int K = 0; K < 8; ++K)
+      Crc = (Crc & 1) ? (Crc >> 1) ^ 0x82f63b78u : Crc >> 1;
+  }
+  return ~Crc;
+}
+
+TEST(Crc32c, SlicingMatchesBytewiseReference) {
+  // Random lengths (short tails and multi-word runs), start offsets
+  // (every alignment mod 8) and chaining seeds.
+  std::mt19937_64 Rng(0xc5c32);
+  std::vector<uint8_t> Buf(4096 + 16);
+  for (uint8_t &B : Buf)
+    B = static_cast<uint8_t>(Rng());
+  for (int Case = 0; Case < 2000; ++Case) {
+    size_t Align = Rng() % 16;
+    size_t Len = Case < 64 ? static_cast<size_t>(Case) : Rng() % 4096;
+    uint32_t Seed = Case % 3 == 0 ? 0 : static_cast<uint32_t>(Rng());
+    EXPECT_EQ(Crc32c::compute(Buf.data() + Align, Len, Seed),
+              crc32cBitwise(Buf.data() + Align, Len, Seed))
+        << "len " << Len << " align " << Align << " seed " << Seed;
   }
 }
 
@@ -284,13 +326,11 @@ TEST(JournalRoundTrip, RecoversCompleteRunExactly) {
   EXPECT_EQ(R.SegmentsUncommitted, 0u);
   EXPECT_EQ(R.LastRound, Live.Rounds);
 
-  // Per-thread snapshots reproduce the live profiles byte for byte.
-  ASSERT_EQ(R.Profiles.size(), Live.ProfileTexts.size());
-  for (size_t I = 0; I < R.Profiles.size(); ++I) {
-    std::ostringstream OS;
-    R.Profiles[I].writeTo(OS);
-    EXPECT_EQ(OS.str(), Live.ProfileTexts[I]) << "thread " << I;
-  }
+  // Per-thread profiles rebuilt from the deltas reproduce the live
+  // profiles' encodings byte for byte.
+  ASSERT_EQ(R.Profiles.size(), Live.ProfileBytes.size());
+  for (size_t I = 0; I < R.Profiles.size(); ++I)
+    EXPECT_EQ(encoded(R.Profiles[I]), Live.ProfileBytes[I]) << "thread " << I;
   EXPECT_EQ(recoveredReport(R), Live.Report);
   std::remove(Path.c_str());
 }
@@ -368,6 +408,19 @@ uint64_t lastDurableEpochBefore(const JournalRecovery &Whole,
   return Epoch;
 }
 
+/// \p Full cut right after the last Commit of \p Epoch (just the file
+/// header for epoch 0).
+std::string prefixThroughEpoch(const std::string &Full,
+                               const JournalRecovery &Whole,
+                               uint64_t Epoch) {
+  size_t End = kJournalFileHeaderBytes;
+  for (const JournalSegmentInfo &S : Whole.Segments)
+    if (S.Type == static_cast<uint32_t>(SegmentType::Commit) &&
+        S.Epoch == Epoch)
+      End = S.Offset + S.Length;
+  return Full.substr(0, End);
+}
+
 TEST(JournalFuzz, SalvagesExactlyTheValidPrefix) {
   std::string Path = tempPath("fuzz.djxj");
   runJournaled(Path, 2);
@@ -383,7 +436,7 @@ TEST(JournalFuzz, SalvagesExactlyTheValidPrefix) {
     std::string Label = "fuzz case " + std::to_string(Case);
     std::string Mut = Full;
     uint64_t Damage;
-    switch (Case % 3) {
+    switch (Case % 4) {
     case 0: { // Truncate at an arbitrary byte.
       Damage = S % Full.size();
       Mut.resize(Damage);
@@ -399,6 +452,21 @@ TEST(JournalFuzz, SalvagesExactlyTheValidPrefix) {
       for (const JournalSegmentInfo &Seg : Whole.Segments)
         if (Seg.Offset <= Damage && Damage < Seg.Offset + Seg.Length)
           Damage = Seg.Offset;
+      break;
+    }
+    case 2: { // Damage one byte inside a Delta payload. CRC32C catches
+              // every burst of up to 32 bits, so the scan stops at that
+              // segment whatever the damaged varints would decode to.
+      std::vector<const JournalSegmentInfo *> Deltas;
+      for (const JournalSegmentInfo &Seg : Whole.Segments)
+        if (Seg.Type == static_cast<uint32_t>(SegmentType::Delta))
+          Deltas.push_back(&Seg);
+      ASSERT_FALSE(Deltas.empty());
+      const JournalSegmentInfo &Seg = *Deltas[S % Deltas.size()];
+      size_t Pos = Seg.Offset + kJournalSegmentHeaderBytes +
+                   (S >> 32) % (Seg.Length - kJournalSegmentHeaderBytes);
+      Mut[Pos] = static_cast<char>(Mut[Pos] ^ (1 + (S >> 8) % 255));
+      Damage = Seg.Offset;
       break;
     }
     default: { // Swap two adjacent segments: a sequence break.
@@ -423,13 +491,170 @@ TEST(JournalFuzz, SalvagesExactlyTheValidPrefix) {
     ASSERT_TRUE(R.HeaderValid) << Label;
     EXPECT_EQ(R.LastEpoch, lastDurableEpochBefore(Whole, Damage)) << Label;
     EXPECT_LE(R.BytesKept, Mut.size()) << Label;
-    // Salvaged profiles always parse back (readJournal drops the
-    // unparseable), and the report renders without crashing.
-    EXPECT_EQ(R.Profiles.size(), R.Snapshots.size()) << Label;
-    recoveredReport(R);
+    // The salvaged state is exactly the undamaged prefix's: the same
+    // report as the file cut right after that commit, and profiles
+    // whose encodings decode back to themselves.
+    spit(MutPath, prefixThroughEpoch(Full, Whole, R.LastEpoch));
+    EXPECT_EQ(recoveredReport(R), recoveredReport(readJournal(MutPath)))
+        << Label;
+    for (const ThreadProfile &P : R.Profiles) {
+      std::optional<ThreadProfile> Back = ThreadProfile::decode(encoded(P));
+      ASSERT_TRUE(Back.has_value()) << Label;
+      EXPECT_EQ(encoded(*Back), encoded(P)) << Label;
+    }
   }
   std::remove(Path.c_str());
   std::remove(MutPath.c_str());
+}
+
+// --- Malformed payloads ----------------------------------------------------
+
+void appendU32(std::string &Out, uint32_t V) {
+  for (int I = 0; I < 4; ++I)
+    Out += static_cast<char>((V >> (8 * I)) & 0xff);
+}
+
+void appendU64(std::string &Out, uint64_t V) {
+  for (int I = 0; I < 8; ++I)
+    Out += static_cast<char>((V >> (8 * I)) & 0xff);
+}
+
+/// Appends a segment with a valid CRC, laid out as ProfileJournal does.
+void appendSegment(std::string &Out, SegmentType Type, uint64_t Seq,
+                   uint64_t Epoch, const std::string &Payload) {
+  std::string H;
+  appendU32(H, kJournalSegmentMagic);
+  appendU32(H, static_cast<uint32_t>(Type));
+  appendU64(H, Seq);
+  appendU64(H, Epoch);
+  appendU32(H, static_cast<uint32_t>(Payload.size()));
+  uint32_t Crc = Crc32c::compute(H.data() + 4, H.size() - 4);
+  appendU32(H, Crc32c::compute(Payload.data(), Payload.size(), Crc));
+  Out += H;
+  Out += Payload;
+}
+
+std::string bytesOf(std::initializer_list<int> Bytes) {
+  std::string S;
+  for (int B : Bytes)
+    S += static_cast<char>(B);
+  return S;
+}
+
+TEST(JournalMalformed, CrcValidBadDeltasStopTheScan) {
+  std::string Path = tempPath("malformed_base.djxj");
+  runJournaled(Path, 2);
+  std::string Full = slurp(Path);
+  JournalRecovery Whole = readJournal(Path);
+  ASSERT_TRUE(Whole.Closed);
+  ASSERT_FALSE(Whole.Profiles.empty());
+
+  // Keep the journal up to its second commit, then append a CRC-valid
+  // epoch whose Delta is malformed.
+  const JournalSegmentInfo *Cut = nullptr;
+  for (const JournalSegmentInfo &S : Whole.Segments)
+    if (S.Type == static_cast<uint32_t>(SegmentType::Commit) && S.Epoch == 2)
+      Cut = &S;
+  ASSERT_NE(Cut, nullptr);
+  const std::string Prefix = Full.substr(0, Cut->Offset + Cut->Length);
+  std::string PrefixPath = tempPath("malformed_prefix.djxj");
+  spit(PrefixPath, Prefix);
+  JournalRecovery AtCut = readJournal(PrefixPath);
+  ASSERT_FALSE(AtCut.Profiles.empty());
+  const std::string Reference = recoveredReport(AtCut);
+
+  // Thread entries for a thread the prefix already committed: its id,
+  // the byte count, then the records, which open with a Thread record.
+  const ThreadProfile &Known = AtCut.Profiles.front();
+  const uint64_t Tid = Known.threadId();
+  auto Entry = [&](const std::string &Records) {
+    std::string E;
+    putVarint(E, Tid);
+    putBytes(E, Records);
+    return E;
+  };
+  std::string Thread = bytesOf({1});
+  putVarint(Thread, Tid);
+  putBytes(Thread, Known.threadName());
+  std::string Gap = bytesOf({2});
+  putVarint(Gap, Known.cct().size() + 5);
+  Gap += bytesOf({1, 0, 1, 0, 0});
+  std::string LongEntry;
+  putVarint(LongEntry, Tid);
+  putVarint(LongEntry, Thread.size() + 10);
+  LongEntry += Thread + bytesOf({0});
+  const std::vector<std::pair<std::string, std::string>> Cases = {
+      {"overlong varint", std::string(10, '\x80') + bytesOf({1, 0})},
+      {"truncated record", Entry(Thread + bytesOf({3, 1, 1}))},
+      {"CCT node-id gap", Entry(Thread + Gap)},
+      {"unknown record tag", Entry(Thread + bytesOf({0x63, 0}))},
+      {"entry length past the payload", LongEntry},
+      {"thread ids out of order",
+       Entry(Thread + bytesOf({0})) + Entry(Thread + bytesOf({0}))},
+  };
+  std::string MutPath = tempPath("malformed.djxj");
+  for (const auto &[Label, Payload] : Cases) {
+    std::string Mut = Prefix;
+    appendSegment(Mut, SegmentType::Delta, Cut->Seq + 1, 3, Payload);
+    std::string Commit;
+    appendU64(Commit, 3);
+    appendSegment(Mut, SegmentType::Commit, Cut->Seq + 2, 3, Commit);
+    spit(MutPath, Mut);
+    JournalRecovery R = readJournal(MutPath);
+    ASSERT_TRUE(R.HeaderValid) << Label;
+    EXPECT_EQ(R.TruncationReason, "malformed segment payload") << Label;
+    EXPECT_EQ(R.LastEpoch, 2u) << Label;
+    EXPECT_EQ(R.BytesKept, Prefix.size()) << Label;
+    EXPECT_TRUE(R.degraded()) << Label;
+    EXPECT_EQ(recoveredReport(R), Reference) << Label;
+  }
+
+  // A second Delta in one epoch is malformed too, even when each is
+  // well formed on its own.
+  std::string Twice = Prefix;
+  std::string Ok = Entry(Thread + bytesOf({0}));
+  appendSegment(Twice, SegmentType::Delta, Cut->Seq + 1, 3, Ok);
+  appendSegment(Twice, SegmentType::Delta, Cut->Seq + 2, 3, Ok);
+  spit(MutPath, Twice);
+  JournalRecovery R = readJournal(MutPath);
+  EXPECT_EQ(R.TruncationReason, "malformed segment payload");
+  EXPECT_EQ(R.LastEpoch, 2u);
+
+  std::remove(Path.c_str());
+  std::remove(PrefixPath.c_str());
+  std::remove(MutPath.c_str());
+}
+
+TEST(JournalMalformed, RejectsVersionOneHeader) {
+  std::string Header(kJournalFileMagic, sizeof(kJournalFileMagic));
+  appendU32(Header, 1);
+  appendU32(Header, Crc32c::compute(Header.data(), Header.size()));
+  std::string Path = tempPath("v1.djxj");
+  spit(Path, Header);
+  JournalRecovery R = readJournal(Path);
+  EXPECT_FALSE(R.HeaderValid);
+  EXPECT_EQ(R.HeaderError, "unsupported journal version");
+  std::remove(Path.c_str());
+}
+
+// --- Size ------------------------------------------------------------------
+
+TEST(JournalSize, BytesPerEpochDoNotGrowWithRounds) {
+  // Each epoch holds what changed in its round. Once the profiles stop
+  // growing, a longer run adds epochs no bigger than the ones before,
+  // so the average cannot rise. (That one changed entry costs bytes
+  // independent of the profile's size is ProfileCodec's test.)
+  std::string Path = tempPath("size.djxj");
+  JournaledRun Full = runJournaled(Path, 2);
+  JournaledRun Half = runJournaled(Path, 2, Full.Rounds / 2);
+  ASSERT_GT(Half.Epochs, 8u);
+  ASSERT_GT(Full.Epochs, Half.Epochs);
+  double FullPerEpoch =
+      static_cast<double>(Full.JournalBytes) / static_cast<double>(Full.Epochs);
+  double HalfPerEpoch =
+      static_cast<double>(Half.JournalBytes) / static_cast<double>(Half.Epochs);
+  EXPECT_LE(FullPerEpoch, HalfPerEpoch);
+  std::remove(Path.c_str());
 }
 
 // --- Injected I/O faults ---------------------------------------------------
@@ -516,11 +741,8 @@ TEST(JournalMerge, TwoIdenticalJournalsSumToDouble) {
       Map.push_back(Union.getOrRegister(M.ClassName, M.MethodName,
                                         M.LineTable));
     uint64_t MaxTid = TidOffset;
-    for (const auto &[Tid, Text] : R.Snapshots) {
-      (void)Tid;
-      std::istringstream IS(remapSnapshotText(Text, TidOffset, Map));
-      ThreadProfile P;
-      ASSERT_TRUE(P.readFrom(IS)) << Path;
+    for (ThreadProfile &P : R.Profiles) {
+      P.remapIds(TidOffset, Map);
       MaxTid = std::max(MaxTid, P.threadId());
       All.push_back(std::move(P));
     }
@@ -548,27 +770,31 @@ TEST(JournalMerge, TwoIdenticalJournalsSumToDouble) {
 }
 
 TEST(JournalMerge, RemapRewritesThreadAndMethodIds) {
-  // A tiny handwritten djxprofile: one node, one group, an unknown-tid
-  // homenode line. Offset 10, map method 0 -> 7.
-  std::string Text =
-      "djxprofile v1\n"
-      "thread 2 worker-1\n"
-      "cct 2\n"
-      "node 1 0 0 4\n"
-      "group 2 1 long[] 1 64 0 0 1 0 0 0 0 0 0\n"
-      "homenode 0 1 0 3\n"
-      "homenode 2 1 0 5\n"
-      "totals 1 0 0 0 0 0 0\n"
-      "unattributed 0\n"
-      "end\n";
-  std::vector<MethodId> Map = {7};
-  std::string Out = remapSnapshotText(Text, 10, Map);
-  EXPECT_NE(Out.find("thread 12 worker-1"), std::string::npos) << Out;
-  EXPECT_NE(Out.find("node 1 0 7 4"), std::string::npos) << Out;
-  EXPECT_NE(Out.find("group 12 1 long[]"), std::string::npos) << Out;
+  // A tiny profile: one node, one group, and a NUMA histogram on a
+  // group of unknown provenance (alloc thread 0). Offset 10, map method
+  // 0 -> 7, then check the decoded profile the merge folds.
+  ThreadProfile Src(2, "worker-1");
+  CctNodeId N = Src.cct().child(kCctRoot, 0, 4);
+  Src.recordAllocation(N, "long[]", 64);
+  Src.recordObjectSample(AllocKey{0, N}, "long[]", PerfEventKind::L1Miss, N,
+                         false, /*HomeNode=*/0);
+  Src.recordObjectSample(AllocKey{2, N}, "long[]", PerfEventKind::L1Miss, N,
+                         false, /*HomeNode=*/0);
+  std::optional<ThreadProfile> P = ThreadProfile::decode(encoded(Src));
+  ASSERT_TRUE(P.has_value());
+  P->remapIds(10, {7});
+  EXPECT_EQ(P->threadId(), 12u);
+  EXPECT_EQ(P->threadName(), "worker-1");
+  EXPECT_EQ(P->cct().methodOf(N), 7u);
+  EXPECT_EQ(P->cct().bciOf(N), 4u);
+  const auto &Groups = P->groups();
+  ASSERT_EQ(Groups.size(), 2u);
+  EXPECT_EQ(Groups.at(AllocKey{12, N}).TypeName, "long[]");
+  EXPECT_EQ(Groups.at(AllocKey{12, N}).AllocBytes, 64u);
+  EXPECT_EQ(Groups.at(AllocKey{12, N}).HomeNodeSamples.at(0), 1u);
   // Alloc-thread 0 (unknown provenance) is preserved; 2 is offset.
-  EXPECT_NE(Out.find("homenode 0 1 0 3"), std::string::npos) << Out;
-  EXPECT_NE(Out.find("homenode 12 1 0 5"), std::string::npos) << Out;
+  EXPECT_EQ(Groups.at(AllocKey{0, N}).HomeNodeSamples.at(0), 1u);
+  EXPECT_EQ(Groups.count(AllocKey{2, N}), 0u);
 }
 
 } // namespace

@@ -28,7 +28,7 @@
 
 #include <gtest/gtest.h>
 
-#include <sstream>
+#include <optional>
 
 #include "harness/TestModule.h"
 
@@ -382,11 +382,11 @@ TEST(NumaProfile, NodeHistogramsSurviveSerialisation) {
   P.recordObjectSample(Key, "long[]", PerfEventKind::L1Miss, Node,
                        /*Remote=*/false, /*HomeNode=*/1, /*CpuNode=*/1);
 
-  std::stringstream SS;
-  P.writeTo(SS);
-  ThreadProfile Back;
-  ASSERT_TRUE(Back.readFrom(SS));
-  const ObjectGroupStats &G = Back.groups().at(Key);
+  std::string Bytes;
+  P.encode(Bytes);
+  std::optional<ThreadProfile> Back = ThreadProfile::decode(Bytes);
+  ASSERT_TRUE(Back.has_value());
+  const ObjectGroupStats &G = Back->groups().at(Key);
   EXPECT_EQ(G.RemoteSamples, 1u);
   EXPECT_EQ(G.AddressSamples, 2u);
   ASSERT_EQ(G.HomeNodeSamples.size(), 2u);

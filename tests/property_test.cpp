@@ -20,7 +20,7 @@
 
 #include <algorithm>
 #include <list>
-#include <sstream>
+#include <optional>
 
 #include "harness/TestModule.h"
 
@@ -100,6 +100,37 @@ INSTANTIATE_TEST_SUITE_P(Seeds, CctRoundTripTest,
 
 class ProfileFuzzTest : public ::testing::TestWithParam<int> {};
 
+/// One random record* call on \p P over the nodes in \p Nodes.
+void randomRecord(Random &Rng, ThreadProfile &P,
+                  const std::vector<CctNodeId> &Nodes) {
+  CctNodeId N = Nodes[Rng.nextBelow(Nodes.size())];
+  switch (Rng.nextBelow(4)) {
+  case 0:
+    P.recordAllocation(N, "T" + std::to_string(Rng.nextBelow(5)),
+                       8 << Rng.nextBelow(10));
+    break;
+  case 1:
+    P.recordObjectSample(
+        AllocKey{Rng.nextBelow(3), Nodes[Rng.nextBelow(Nodes.size())]}, "T",
+        static_cast<PerfEventKind>(Rng.nextBelow(7)), N, Rng.nextBool(0.3),
+        static_cast<NumaNodeId>(Rng.nextBelow(3)) - 1,
+        static_cast<NumaNodeId>(Rng.nextBelow(3)) - 1);
+    break;
+  case 2:
+    P.recordCodeSample(N, static_cast<PerfEventKind>(Rng.nextBelow(7)));
+    break;
+  default:
+    P.recordUnattributed(static_cast<PerfEventKind>(Rng.nextBelow(7)));
+  }
+}
+
+std::string encoded(const ThreadProfile &P,
+                    const ProfileMark &Since = ProfileMark()) {
+  std::string Out;
+  P.encode(Out, Since);
+  return Out;
+}
+
 TEST_P(ProfileFuzzTest, RandomProfileSerialisationRoundTrips) {
   Random Rng(GetParam());
   ThreadProfile P(1 + Rng.nextBelow(100), "t" + std::to_string(GetParam()));
@@ -109,38 +140,42 @@ TEST_P(ProfileFuzzTest, RandomProfileSerialisationRoundTrips) {
         Nodes[Rng.nextBelow(Nodes.size())],
         static_cast<MethodId>(Rng.nextBelow(10)),
         static_cast<uint32_t>(Rng.nextBelow(20))));
-  for (int I = 0; I < 200; ++I) {
-    CctNodeId N = Nodes[Rng.nextBelow(Nodes.size())];
-    switch (Rng.nextBelow(4)) {
-    case 0:
-      P.recordAllocation(N, "T" + std::to_string(Rng.nextBelow(5)),
-                         8 << Rng.nextBelow(10));
-      break;
-    case 1:
-      P.recordObjectSample(
-          AllocKey{Rng.nextBelow(3), Nodes[Rng.nextBelow(Nodes.size())]},
-          "T", static_cast<PerfEventKind>(Rng.nextBelow(7)), N,
-          Rng.nextBool(0.3));
-      break;
-    case 2:
-      P.recordCodeSample(N, static_cast<PerfEventKind>(Rng.nextBelow(7)));
-      break;
-    default:
-      P.recordUnattributed(static_cast<PerfEventKind>(Rng.nextBelow(7)));
-    }
-  }
-  std::stringstream S1;
-  P.writeTo(S1);
-  ThreadProfile Q;
-  ASSERT_TRUE(Q.readFrom(S1));
-  std::stringstream S2, S3;
-  P.writeTo(S2);
-  Q.writeTo(S3);
-  EXPECT_EQ(S2.str(), S3.str()) << "write(read(write(p))) == write(p)";
-  EXPECT_EQ(Q.groups().size(), P.groups().size());
-  EXPECT_EQ(Q.unattributedSamples(), P.unattributedSamples());
+  for (int I = 0; I < 200; ++I)
+    randomRecord(Rng, P, Nodes);
+  std::string S1 = encoded(P);
+  std::optional<ThreadProfile> Q = ThreadProfile::decode(S1);
+  ASSERT_TRUE(Q.has_value());
+  EXPECT_EQ(encoded(*Q), encoded(P)) << "enc(dec(enc(p))) == enc(p)";
+  EXPECT_EQ(encoded(*Q), S1);
+  EXPECT_EQ(Q->groups().size(), P.groups().size());
+  EXPECT_EQ(Q->unattributedSamples(), P.unattributedSamples());
   for (size_t K = 0; K < kNumPerfEventKinds; ++K)
-    EXPECT_EQ(Q.totals().Counts[K], P.totals().Counts[K]);
+    EXPECT_EQ(Q->totals().Counts[K], P.totals().Counts[K]);
+}
+
+TEST_P(ProfileFuzzTest, RandomDeltaStreamRebuildsTheProfile) {
+  // The journal's use: deltas since the previous mark, at random
+  // epochs, applied in order to a replica, reproduce the profile's full
+  // encoding at every epoch.
+  Random Rng(GetParam() * 7 + 1);
+  ThreadProfile P(5, "delta" + std::to_string(GetParam()));
+  ThreadProfile Replica(5, "");
+  ProfileMark Mark;
+  std::vector<CctNodeId> Nodes{kCctRoot};
+  for (int Epoch = 0; Epoch < 30; ++Epoch) {
+    for (int I = 0, E = static_cast<int>(Rng.nextBelow(40)); I < E; ++I) {
+      if (Rng.nextBool(0.1))
+        Nodes.push_back(P.cct().child(
+            Nodes[Rng.nextBelow(Nodes.size())],
+            static_cast<MethodId>(Rng.nextBelow(10)),
+            static_cast<uint32_t>(Rng.nextBelow(20))));
+      randomRecord(Rng, P, Nodes);
+    }
+    std::string Delta = encoded(P, Mark);
+    Mark = P.mark();
+    ASSERT_TRUE(Replica.apply(Delta)) << "epoch " << Epoch;
+    ASSERT_EQ(encoded(Replica), encoded(P)) << "epoch " << Epoch;
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ProfileFuzzTest,

@@ -9,6 +9,7 @@
 #include "support/SpinLock.h"
 #include "support/Statistics.h"
 #include "support/TextTable.h"
+#include "support/Varint.h"
 
 #include <gtest/gtest.h>
 
@@ -31,7 +32,8 @@ DJX_TEST_MODULE(support_test, 86.0, 66.0,
     "src/support/Statistics.h",
     "src/support/TextTable.cpp",
     "src/support/TextTable.h",
-    "src/support/ThreadAnnotations.h");
+    "src/support/ThreadAnnotations.h",
+    "src/support/Varint.h");
 
 // --- IntervalSplayTree ------------------------------------------------------
 
@@ -422,6 +424,54 @@ TEST(TextTable, SeparatorRows) {
   std::string S = T.render();
   EXPECT_EQ(T.numRows(), 3u);
   EXPECT_NE(S.find("---"), std::string::npos);
+}
+
+// --- Varint -----------------------------------------------------------------
+
+TEST(Varint, RoundTripsBoundaryValues) {
+  const uint64_t Values[] = {0,           1,          127,
+                             128,         16383,      16384,
+                             UINT32_MAX,  1ULL << 35, UINT64_MAX - 1,
+                             UINT64_MAX};
+  std::string Buf;
+  for (uint64_t V : Values)
+    putVarint(Buf, V);
+  putBytes(Buf, "tail");
+  VarintReader R(Buf);
+  for (uint64_t V : Values) {
+    uint64_t Got;
+    ASSERT_TRUE(R.u64(Got));
+    EXPECT_EQ(Got, V);
+  }
+  std::string_view S;
+  ASSERT_TRUE(R.bytes(S));
+  EXPECT_EQ(S, "tail");
+  EXPECT_TRUE(R.atEnd());
+  // One byte below 128, ten for the widest value.
+  std::string One, Ten;
+  putVarint(One, 127);
+  putVarint(Ten, UINT64_MAX);
+  EXPECT_EQ(One.size(), 1u);
+  EXPECT_EQ(Ten.size(), kMaxVarintBytes);
+}
+
+TEST(Varint, RejectsWhatNoWriterEmits) {
+  uint64_t V;
+  uint32_t W;
+  std::string_view S;
+  // Longer than ten bytes.
+  EXPECT_FALSE(VarintReader(std::string(10, '\x80') + '\x01').u64(V));
+  // A tenth byte with bits past the 64th.
+  EXPECT_FALSE(VarintReader(std::string(9, '\xff') + '\x02').u64(V));
+  // Truncated: the continuation bit set on the last byte.
+  EXPECT_FALSE(VarintReader("\x80\x80").u64(V));
+  EXPECT_FALSE(VarintReader("").u64(V));
+  // Too wide for a u32 field.
+  std::string Wide;
+  putVarint(Wide, 1ULL << 32);
+  EXPECT_FALSE(VarintReader(Wide).u32(W));
+  // A length prefix past the end.
+  EXPECT_FALSE(VarintReader("\x05" "abc").bytes(S));
 }
 
 } // namespace

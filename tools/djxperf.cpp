@@ -211,7 +211,8 @@ void usage(const char *Argv0) {
       "executor rounds (0 = run to completion; the reference oracle for "
       "truncated-journal recovery)\n"
       "  --html <file>          also write a self-contained HTML report\n"
-      "  --write-profiles <dir> dump one .djxprof file per thread\n"
+      "  --write-profiles <dir> dump one binary .djxprof file per "
+      "thread (the journal's varint profile encoding)\n"
       "exit codes: 0 success, 2 usage error, 3 out-of-memory, 4 step "
       "limit,\n"
       "  5 invalid bytecode, 6 worker stall, 7 unusable journal "
@@ -451,16 +452,8 @@ int runMerge(int Argc, char **Argv) {
       Map.push_back(Union.getOrRegister(M.ClassName, M.MethodName,
                                         M.LineTable));
     uint64_t MaxTid = TidOffset;
-    for (const auto &[Tid, Text] : R.Snapshots) {
-      (void)Tid;
-      std::istringstream IS(remapSnapshotText(Text, TidOffset, Map));
-      ThreadProfile P;
-      if (!P.readFrom(IS)) {
-        std::fprintf(stderr,
-                     "djxperf: %s: dropped one unparseable snapshot\n",
-                     Path.c_str());
-        continue;
-      }
+    for (ThreadProfile &P : R.Profiles) {
+      P.remapIds(TidOffset, Map);
       MaxTid = std::max(MaxTid, P.threadId());
       Merged.push_back(std::move(P));
     }

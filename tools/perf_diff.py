@@ -22,7 +22,8 @@ bench/perf_gates.json):
 
 A metric regresses when current < previous * (1 - tolerance/100); the
 first "metrics" pattern matching the dotted path supplies the band, else
-default_tolerance_pct. A metric present in PREVIOUS that matches a
+default_tolerance_pct. A band with "better": "lower" (sizes, costs)
+regresses the other way: when current > previous * (1 + tolerance/100). A metric present in PREVIOUS that matches a
 "required" pattern must still exist in CURRENT (a vanished metric is a
 silent way to dodge its band). Improvements and brand-new metrics never
 fail.
@@ -84,17 +85,25 @@ def load_gates(path):
             raise ValueError(
                 f'metric band "{pattern}" needs a numeric tolerance_pct'
             )
+        if band.get("better", "higher") not in ("higher", "lower"):
+            raise ValueError(
+                f'metric band "{pattern}": "better" must be "higher" or '
+                f'"lower"'
+            )
     if not isinstance(gates["required"], list):
         raise ValueError('"required" must be a list of patterns')
     return gates
 
 
-def tolerance_for(path, gates):
-    """The tolerance band (pct) for a metric: first matching pattern wins."""
+def band_for(path, gates):
+    """(tolerance pct, lower_is_better) for a metric: first matching
+    pattern wins."""
     for pattern in sorted(gates["metrics"]):
         if fnmatch.fnmatch(path, pattern):
-            return float(gates["metrics"][pattern]["tolerance_pct"])
-    return float(gates["default_tolerance_pct"])
+            band = gates["metrics"][pattern]
+            return (float(band["tolerance_pct"]),
+                    band.get("better", "higher") == "lower")
+    return float(gates["default_tolerance_pct"]), False
 
 
 def evaluate_gate(prev, cur, gates):
@@ -108,12 +117,24 @@ def evaluate_gate(prev, cur, gates):
     rows = []
     for path in sorted(set(prev) & set(cur)):
         p, c = prev[path], cur[path]
-        tol = tolerance_for(path, gates)
-        floor = p * (1.0 - tol / 100.0)
-        ok = c >= floor or p <= 0
+        tol, lower = band_for(path, gates)
+        if lower:
+            ceiling = p * (1.0 + tol / 100.0)
+            ok = c <= ceiling or p <= 0
+        else:
+            floor = p * (1.0 - tol / 100.0)
+            ok = c >= floor or p <= 0
         ratio = c / p if p else float("nan")
         rows.append((path, p, c, ratio, tol, ok))
-        if not ok:
+        if ok:
+            continue
+        if lower:
+            failures.append(
+                f"{path}: {c:,.2f} is above the band "
+                f"({p:,.2f} previous, +{tol:.0f}% tolerance "
+                f"=> ceiling {ceiling:,.2f})"
+            )
+        else:
             failures.append(
                 f"{path}: {c:,.0f}/s is below the band "
                 f"({p:,.0f}/s previous, -{tol:.0f}% tolerance "

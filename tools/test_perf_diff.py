@@ -96,6 +96,20 @@ class BandMathTest(unittest.TestCase):
         self.assertEqual(len(failures), 1)
         self.assertIn("hot.per_sec", failures[0])
 
+    def test_lower_is_better_band_fails_on_growth(self):
+        g = gates(50.0, metrics={
+            "size.*": {"tolerance_pct": 2, "better": "lower"}})
+        prev = {"size.per_sec": 100.0}
+        self.assertEqual(perf_diff.evaluate_gate(
+            prev, {"size.per_sec": 102.0}, g)[0], [])
+        self.assertEqual(perf_diff.evaluate_gate(
+            prev, {"size.per_sec": 10.0}, g)[0], [])  # Shrinking is fine.
+        failures, rows = perf_diff.evaluate_gate(
+            prev, {"size.per_sec": 103.0}, g)
+        self.assertEqual(len(failures), 1)
+        self.assertIn("above the band", failures[0])
+        self.assertFalse(rows[0][5])
+
     def test_zero_previous_is_not_a_division_trap(self):
         failures, rows = perf_diff.evaluate_gate(
             {"m.per_sec": 0.0}, {"m.per_sec": 0.0}, gates(50.0))
@@ -149,6 +163,11 @@ class GatesConfigTest(unittest.TestCase):
     def test_band_without_tolerance_raises(self):
         with self.assertRaises(ValueError):
             self.load({"metrics": {"m.*": {}}})
+
+    def test_band_with_unknown_direction_raises(self):
+        with self.assertRaises(ValueError):
+            self.load({"metrics": {"m.*": {"tolerance_pct": 5,
+                                           "better": "sideways"}}})
 
     def test_non_object_config_raises(self):
         with self.assertRaises(ValueError):
