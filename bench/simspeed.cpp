@@ -113,8 +113,15 @@ PhaseResult interpPhase(bool Profiled, int Reps, int64_t Iters,
 
 /// Simulated-access phase: a pointer-free hot loop of readWord/writeWord
 /// over an array larger than L1+L2, so the cache/TLB/NUMA/PMU pipeline
-/// runs at full tilt without interpreter dispatch in the way.
-PhaseResult accessPhase(bool Profiled, int Reps, uint64_t Accesses) {
+/// runs at full tilt without interpreter dispatch in the way. With
+/// \p Stride 8 the sweep reads every word, so the L1's MRU memo answers 7
+/// accesses in 8; with \p Stride 64 every access lands on a new line and
+/// misses L1, which times the set scan itself. \p HierarchyBytes receives
+/// the VM hierarchy's allocated cache/TLB bytes after the phase, which
+/// depends only on the CPUs and nodes touched, not on the host.
+PhaseResult accessPhase(bool Profiled, int Reps, uint64_t Accesses,
+                        uint64_t Stride = 8,
+                        uint64_t *HierarchyBytes = nullptr) {
   PhaseResult Best;
   for (int R = 0; R < Reps; ++R) {
     VmConfig Cfg;
@@ -132,14 +139,15 @@ PhaseResult accessPhase(bool Profiled, int Reps, uint64_t Accesses) {
         Vm.methods().getOrRegister("SimSpeed", "main", {{0, 1}});
     FrameScope F(T, Main, 0);
     RootScope Roots(Vm);
-    constexpr uint64_t Elems = (512 * 1024) / 8; // 512 KiB > L1+L2.
+    constexpr uint64_t Bytes = 512 * 1024; // 512 KiB > L1+L2.
     ObjectRef &Hot =
-        Roots.add(Vm.allocateArray(T, Vm.types().longArray(), Elems));
+        Roots.add(Vm.allocateArray(T, Vm.types().longArray(), Bytes / 8));
+    const uint64_t Slots = Bytes / Stride;
 
     Clock::time_point Start = Clock::now();
     uint64_t Acc = 0;
     for (uint64_t I = 0; I < Accesses; ++I) {
-      uint64_t Off = (I % Elems) * 8;
+      uint64_t Off = (I % Slots) * Stride;
       if ((I & 7) == 0)
         Vm.writeWord(T, Hot, Off, Acc);
       else
@@ -147,6 +155,8 @@ PhaseResult accessPhase(bool Profiled, int Reps, uint64_t Accesses) {
     }
     double Seconds = secondsSince(Start);
     uint64_t Done = Vm.machine().stats().Accesses;
+    if (HierarchyBytes)
+      *HierarchyBytes = Vm.machine().memoryFootprint();
     if (Prof) {
       Prof->stop();
       Best.Samples += Prof->samplesHandled();
@@ -283,6 +293,16 @@ int main(int Argc, char **Argv) {
               static_cast<unsigned long long>(AccessProf.Units),
               AccessProf.Seconds);
 
+  uint64_t HierarchyBytes = 0;
+  PhaseResult AccessStrided = accessPhase(false, Reps, Accesses,
+                                          /*Stride=*/64, &HierarchyBytes);
+  std::printf("sim access (strided):    %12.0f accesses/s (%llu accesses, "
+              "%.3f s; %llu hierarchy bytes)\n",
+              AccessStrided.PerSec,
+              static_cast<unsigned long long>(AccessStrided.Units),
+              AccessStrided.Seconds,
+              static_cast<unsigned long long>(HierarchyBytes));
+
   const int64_t MtIters = Quick ? 100 : 300;
   PhaseResult PlainMt = mtPhase(Reps, MtIters, /*Journal=*/false);
   std::printf("plain mt (profiled):     %12.0f steps/s   (%llu steps, "
@@ -326,6 +346,12 @@ int main(int Argc, char **Argv) {
   }
   jsonPhase(Out, "sim_accesses_per_sec", AccessNative);
   jsonPhase(Out, "sim_accesses_per_sec_profiled", AccessProf);
+  jsonPhase(Out, "sim_accesses_per_sec_strided", AccessStrided);
+  // Deterministic, lower-better size (leaf named per_sec so perf_diff.py
+  // bands it): caches allocate on first use, so eager allocation of every
+  // CPU's caches would grow it several-fold.
+  std::fprintf(Out, "    \"sim_hierarchy_bytes\": { \"per_sec\": %llu },\n",
+               static_cast<unsigned long long>(HierarchyBytes));
   jsonPhase(Out, "plain_mt_steps_per_sec", PlainMt);
   jsonPhase(Out, "journal_steps_per_sec", Journaled);
   // The journal's cost as a within-run ratio (host-independent, higher

@@ -16,6 +16,11 @@
 
 using namespace djx;
 
+namespace {
+/// Type name of samples on objects of unknown provenance.
+const std::string kUnknownTypeName = "<unknown>";
+} // namespace
+
 DjxPerf::DjxPerf(JavaVm &Vm, DjxPerfConfig Cfg)
     : Vm(Vm), Config(std::move(Cfg)) {
   // Batched resolution requires the index to be mutation-quiescent
@@ -302,7 +307,7 @@ void DjxPerf::resolveSampleInline(JavaThread &T, ThreadProfile &P,
   }
   bool Unknown = Obj->AllocThread == 0 && Obj->AllocNode == kCctRoot;
   const std::string &TypeName =
-      Unknown ? std::string("<unknown>") : Vm.types().get(Obj->Type).Name;
+      Unknown ? kUnknownTypeName : Vm.types().get(Obj->Type).Name;
   P.recordObjectSample(AllocKey{Obj->AllocThread, Obj->AllocNode}, TypeName,
                        Kind, AccessNode, Remote, Home, CpuNode);
 }
@@ -321,13 +326,15 @@ void DjxPerf::drainSampleRing(SampleCtx &Ctx) {
   // happen inside a GC (which drains first), and a page's home node
   // cannot change between its first touch and the next placement
   // mutation (also GC-fenced). stable_sort keeps equal addresses in
-  // sample order, so aggregation order is deterministic too.
-  std::stable_sort(Batch.begin(), Batch.end(),
-                   [](const BufferedSample &A, const BufferedSample &B) {
-                     return A.EffectiveAddress < B.EffectiveAddress;
-                   });
+  // sample order, so aggregation order is deterministic too. A batch of
+  // one is already sorted; skipping the call skips stable_sort's
+  // temporary buffer, a heap allocation per single-sample drain.
+  if (Batch.size() > 1)
+    std::stable_sort(Batch.begin(), Batch.end(),
+                     [](const BufferedSample &A, const BufferedSample &B) {
+                       return A.EffectiveAddress < B.EffectiveAddress;
+                     });
   NumaTopology *Numa = Config.TrackNuma ? &T.machine().numa() : nullptr;
-  const std::string UnknownName = "<unknown>";
   LiveObjectIndex::SnapshotHint Hint;
   uint64_t MemoPage = ~0ULL;
   NumaNodeId MemoHome = kInvalidNode;
@@ -354,7 +361,7 @@ void DjxPerf::drainSampleRing(SampleCtx &Ctx) {
     }
     bool Unknown = Obj->AllocThread == 0 && Obj->AllocNode == kCctRoot;
     const std::string &TypeName =
-        Unknown ? UnknownName : Vm.types().get(Obj->Type).Name;
+        Unknown ? kUnknownTypeName : Vm.types().get(Obj->Type).Name;
     P.recordObjectSample(AllocKey{Obj->AllocThread, Obj->AllocNode},
                          TypeName, B.Kind, B.AccessNode, Remote, Home,
                          CpuNode);

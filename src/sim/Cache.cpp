@@ -7,88 +7,79 @@
 #include "sim/Cache.h"
 
 #include "support/Bits.h"
+#include "support/VmError.h"
 
-#include <cassert>
+#include <algorithm>
+#include <string>
 
 using namespace djx;
 
-Cache::Cache(const CacheConfig &Cfg) : Config(Cfg), NumSets(Cfg.numSets()) {
-  assert(NumSets > 0 && "cache too small for its associativity");
-  assert(isPowerOfTwo(Config.LineBytes) &&
-         "line size must be a power of two");
-  assert(isPowerOfTwo(NumSets) &&
-         "set count must be a power of two (pick SizeBytes/LineBytes/Ways "
-         "accordingly)");
+Cache::Cache(const CacheConfig &Cfg) : Config(Cfg) {
+  // Checked in every build mode: a bad geometry would silently alias sets.
+  auto Reject = [&Cfg](const char *Why) {
+    throw VmError(VmErrorKind::Internal,
+                  "invalid cache geometry (" + std::to_string(Cfg.SizeBytes) +
+                      " B, " + std::to_string(Cfg.LineBytes) + " B lines, " +
+                      std::to_string(Cfg.Ways) + " ways): " + Why);
+  };
+  if (!isPowerOfTwo(Cfg.LineBytes) || Cfg.LineBytes < 2)
+    Reject("line size must be a power of two of at least 2 bytes");
+  uint64_t NumSets = Cfg.numSets();
+  if (!isPowerOfTwo(NumSets))
+    Reject("set count must be a non-zero power of two");
   LineShift = floorLog2(Config.LineBytes);
   SetMask = NumSets - 1;
-  Lines.resize(NumSets * Config.Ways);
 }
 
-Cache::Line *Cache::findWay(uint64_t LineAddr) {
-  Line *Base = &Lines[setIndex(LineAddr) * Config.Ways];
-  for (uint32_t W = 0; W < Config.Ways; ++W)
-    if (Base[W].Valid && Base[W].Tag == LineAddr)
-      return &Base[W];
-  return nullptr;
-}
-
-bool Cache::access(uint64_t Addr) {
-  uint64_t LA = lineAddr(Addr);
-  ++Clock;
-  // MRU fast path: repeated access to the line touched last (sequential
-  // sweeps hit the same line LineBytes/stride times in a row).
-  if (LA == LastLineAddr) {
-    LastLine->LastUse = Clock;
-    ++Hits;
-    return true;
-  }
-  if (Line *Hit = findWay(LA)) {
-    Hit->LastUse = Clock;
-    ++Hits;
-    LastLineAddr = LA;
-    LastLine = Hit;
-    return true;
-  }
-  // Miss: pick the victim exactly as the combined scan used to — the last
-  // invalid way if any way is invalid, else the first least-recently-used.
-  Line *Base = &Lines[setIndex(LA) * Config.Ways];
-  Line *Victim = nullptr;
+bool Cache::accessSet(uint64_t LA) {
+  if (Tags.empty())
+    Tags.assign((SetMask + 1) * Config.Ways, kEmpty);
+  LastLineAddr = LA;
+  // One pass inserts the line at the front and shifts each way back one
+  // rank until it reaches the line's old way (a hit) or falls off the
+  // tail (a miss). Empty ways sit at the tail, so a miss drops an empty
+  // way while the set has one, and the LRU line once it is full.
+  uint64_t *Set = Tags.data() + setBase(LA);
+  uint64_t Carry = LA;
   for (uint32_t W = 0; W < Config.Ways; ++W) {
-    Line &Way = Base[W];
-    if (!Victim || !Way.Valid ||
-        (Victim->Valid && Way.Valid && Way.LastUse < Victim->LastUse))
-      Victim = &Way;
+    uint64_t Cur = Set[W];
+    Set[W] = Carry;
+    if (Cur == LA) {
+      ++Hits;
+      return true;
+    }
+    Carry = Cur;
   }
   ++Misses;
-  if (Victim->Valid)
-    ++Evictions;
-  // If the victim happened to be the memoised line, the unconditional
-  // memo update below repoints it at the new tag; no stale entry survives.
-  Victim->Valid = true;
-  Victim->Tag = LA;
-  Victim->LastUse = Clock;
-  LastLineAddr = LA;
-  LastLine = Victim;
+  Evictions += Carry != kEmpty;
   return false;
 }
 
 bool Cache::contains(uint64_t Addr) const {
-  return findWay(lineAddr(Addr)) != nullptr;
+  if (Tags.empty())
+    return false;
+  uint64_t LA = lineAddr(Addr);
+  const uint64_t *Set = Tags.data() + setBase(LA);
+  return std::find(Set, Set + Config.Ways, LA) != Set + Config.Ways;
 }
 
 void Cache::invalidate(uint64_t Addr) {
+  if (Tags.empty())
+    return;
   uint64_t LA = lineAddr(Addr);
-  if (LA == LastLineAddr) {
-    LastLineAddr = ~0ULL;
-    LastLine = nullptr;
-  }
-  if (Line *Way = findWay(LA))
-    Way->Valid = false;
+  if (LA == LastLineAddr)
+    LastLineAddr = kEmpty;
+  uint64_t *Set = Tags.data() + setBase(LA);
+  uint64_t *End = Set + Config.Ways;
+  uint64_t *Way = std::find(Set, End, LA);
+  if (Way == End)
+    return;
+  // Close the gap; the freed way joins the empty tail.
+  std::copy(Way + 1, End, Way);
+  End[-1] = kEmpty;
 }
 
 void Cache::flush() {
-  for (Line &L : Lines)
-    L.Valid = false;
-  LastLineAddr = ~0ULL;
-  LastLine = nullptr;
+  std::fill(Tags.begin(), Tags.end(), kEmpty);
+  LastLineAddr = kEmpty;
 }

@@ -109,3 +109,13 @@ void MemoryHierarchy::flushCaches(bool IncludeL3) {
   for (Tlb &T : Dtlbs)
     T.flush();
 }
+
+uint64_t MemoryHierarchy::memoryFootprint() const {
+  uint64_t Bytes = 0;
+  for (const std::vector<Cache> *Level : {&L1s, &L2s, &L3PerNode})
+    for (const Cache &C : *Level)
+      Bytes += C.memoryFootprint();
+  for (const Tlb &T : Dtlbs)
+    Bytes += T.memoryFootprint();
+  return Bytes;
+}

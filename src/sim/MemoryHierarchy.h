@@ -104,6 +104,10 @@ public:
   /// so a post-GC reload costs an L3 hit rather than a DRAM round trip.
   void flushCaches(bool IncludeL3 = true);
 
+  /// Bytes of cache and TLB tag storage allocated so far. Caches allocate
+  /// on first access, so this counts only the CPUs and nodes touched.
+  uint64_t memoryFootprint() const;
+
   NumaTopology &numa() { return Numa; }
   const NumaTopology &numa() const { return Numa; }
   const HierarchyStats &stats() const { return Stats; }

@@ -8,19 +8,19 @@
 /// Fully-associative data TLB with LRU replacement. DTLB_LOAD_MISSES is one
 /// of the precise events DJXPerf can sample (§4.1).
 ///
-/// Hot-path design: page extraction is a precomputed shift, and an MRU
-/// memo answers repeat accesses to the last-translated page without
-/// scanning the entry array (a 4 KiB page covers 512 word accesses, so
-/// sequential sweeps hit the memo almost always). Statistics are
-/// byte-identical to the plain scan.
+/// The TLB is a one-set, Entries-way Cache whose lines are pages, so it
+/// shares the cache's rank-ordered tag set, MRU memo (a 4 KiB page covers
+/// 512 word accesses, so sequential sweeps almost never scan) and
+/// allocation on first use.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef DJX_SIM_TLB_H
 #define DJX_SIM_TLB_H
 
+#include "sim/Cache.h"
+
 #include <cstdint>
-#include <vector>
 
 namespace djx {
 
@@ -33,35 +33,27 @@ struct TlbConfig {
 /// Fully-associative LRU TLB.
 class Tlb {
 public:
-  explicit Tlb(const TlbConfig &Config);
+  /// \throws VmError(Internal) for zero entries or a page size that is not
+  /// a power of two.
+  explicit Tlb(const TlbConfig &Cfg)
+      : Config(Cfg),
+        Pages(CacheConfig{static_cast<uint64_t>(Cfg.Entries) * Cfg.PageBytes,
+                          Cfg.PageBytes, Cfg.Entries}) {}
 
   /// Translates \p Addr; fills on miss. \returns true on hit.
-  bool access(uint64_t Addr);
+  bool access(uint64_t Addr) { return Pages.access(Addr); }
 
-  void flush();
+  void flush() { Pages.flush(); }
 
-  uint64_t hits() const { return Hits; }
-  uint64_t misses() const { return Misses; }
+  uint64_t hits() const { return Pages.hits(); }
+  uint64_t misses() const { return Pages.misses(); }
   const TlbConfig &config() const { return Config; }
-
-  uint64_t pageOf(uint64_t Addr) const { return Addr >> PageShift; }
+  /// Bytes of entry storage allocated: 0 until the first access().
+  uint64_t memoryFootprint() const { return Pages.memoryFootprint(); }
 
 private:
-  struct Entry {
-    uint64_t Page = ~0ULL;
-    uint64_t LastUse = 0;
-    bool Valid = false;
-  };
-
   TlbConfig Config;
-  uint32_t PageShift; ///< log2(PageBytes).
-  std::vector<Entry> Entries;
-  /// MRU memo: entry translated by the last access.
-  uint64_t LastPage = ~0ULL;
-  Entry *LastEntry = nullptr;
-  uint64_t Clock = 0;
-  uint64_t Hits = 0;
-  uint64_t Misses = 0;
+  Cache Pages; ///< One set of Entries ways, one page per line.
 };
 
 } // namespace djx

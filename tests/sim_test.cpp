@@ -8,8 +8,13 @@
 #include "sim/MemoryHierarchy.h"
 #include "sim/NumaTopology.h"
 #include "sim/Tlb.h"
+#include "support/Bits.h"
+#include "support/Random.h"
+#include "support/VmError.h"
 
 #include <gtest/gtest.h>
+
+#include <vector>
 
 #include "harness/TestModule.h"
 
@@ -17,12 +22,11 @@ using namespace djx;
 
 namespace {
 
-DJX_TEST_MODULE(sim_test, 90.0, 66.0,
+DJX_TEST_MODULE(sim_test, 97.0, 71.0,
     "src/sim/Cache.cpp",
     "src/sim/Cache.h",
     "src/sim/MemoryHierarchy.cpp",
     "src/sim/MemoryHierarchy.h",
-    "src/sim/Tlb.cpp",
     "src/sim/Tlb.h");
 
 // --- Cache -------------------------------------------------------------------
@@ -98,6 +102,172 @@ INSTANTIATE_TEST_SUITE_P(Sweep, CacheCapacityTest,
                          ::testing::Combine(::testing::Values(4, 32, 256),
                                             ::testing::Values(1, 2, 8)));
 
+/// Reference true-LRU cache: every line carries a last-use timestamp and a
+/// miss scans the set for an invalid way or the least-recently-used one.
+/// This is the model Cache used to implement directly; the rank-ordered
+/// Cache must agree with it on every return value and counter.
+class LruOracle {
+public:
+  explicit LruOracle(const CacheConfig &Cfg)
+      : Cfg(Cfg), NumSets(Cfg.numSets()), LineShift(floorLog2(Cfg.LineBytes)),
+        Lines(NumSets * Cfg.Ways) {}
+
+  bool access(uint64_t Addr) {
+    uint64_t LA = Addr >> LineShift;
+    ++Clock;
+    if (Line *Hit = findWay(LA)) {
+      Hit->LastUse = Clock;
+      ++Hits;
+      return true;
+    }
+    Line *Base = &Lines[(LA % NumSets) * Cfg.Ways];
+    Line *Victim = nullptr;
+    for (uint32_t W = 0; W < Cfg.Ways; ++W) {
+      Line &Way = Base[W];
+      if (!Victim || !Way.Valid ||
+          (Victim->Valid && Way.LastUse < Victim->LastUse))
+        Victim = &Way;
+    }
+    ++Misses;
+    if (Victim->Valid)
+      ++Evictions;
+    *Victim = Line{LA, Clock, true};
+    return false;
+  }
+  bool contains(uint64_t Addr) { return findWay(Addr >> LineShift); }
+  void invalidate(uint64_t Addr) {
+    if (Line *Way = findWay(Addr >> LineShift))
+      Way->Valid = false;
+  }
+  void flush() {
+    for (Line &L : Lines)
+      L.Valid = false;
+  }
+
+  uint64_t Hits = 0, Misses = 0, Evictions = 0;
+
+private:
+  struct Line {
+    uint64_t Tag = 0;
+    uint64_t LastUse = 0;
+    bool Valid = false;
+  };
+  Line *findWay(uint64_t LA) {
+    Line *Base = &Lines[(LA % NumSets) * Cfg.Ways];
+    for (uint32_t W = 0; W < Cfg.Ways; ++W)
+      if (Base[W].Valid && Base[W].Tag == LA)
+        return &Base[W];
+    return nullptr;
+  }
+
+  CacheConfig Cfg;
+  uint64_t NumSets;
+  uint32_t LineShift;
+  std::vector<Line> Lines;
+  uint64_t Clock = 0;
+};
+
+/// Differential test: seeded random streams of access/contains/invalidate/
+/// flush over a line pool four times the cache's capacity, with repeats of
+/// the previous address (the MRU memo) and of recent lines (hits deep in a
+/// set), compared op by op against LruOracle.
+class CacheOracleTest : public ::testing::TestWithParam<CacheConfig> {};
+
+TEST_P(CacheOracleTest, MatchesTimestampLruOnRandomStreams) {
+  const CacheConfig Cfg = GetParam();
+  const uint64_t PoolLines = 4 * Cfg.SizeBytes / Cfg.LineBytes;
+  for (uint64_t Seed : {1, 2, 3}) {
+    Cache C(Cfg);
+    LruOracle Ref(Cfg);
+    Random Rng(Seed);
+    std::vector<uint64_t> Recent(8, 0);
+    uint64_t Prev = 0;
+    for (int Op = 0; Op < 20000; ++Op) {
+      uint64_t Addr;
+      double Pick = Rng.nextDouble();
+      if (Pick < 0.2)
+        Addr = Prev;
+      else if (Pick < 0.5)
+        Addr = Recent[Rng.nextBelow(Recent.size())];
+      else
+        Addr = Rng.nextBelow(PoolLines) * Cfg.LineBytes;
+      Addr += Rng.nextBelow(Cfg.LineBytes);
+      Prev = Addr;
+      Recent[Op % Recent.size()] = Addr;
+
+      double Kind = Rng.nextDouble();
+      if (Kind < 0.75) {
+        ASSERT_EQ(C.access(Addr), Ref.access(Addr))
+            << "seed " << Seed << " op " << Op;
+      } else if (Kind < 0.87) {
+        ASSERT_EQ(C.contains(Addr), Ref.contains(Addr))
+            << "seed " << Seed << " op " << Op;
+      } else if (Kind < 0.997) {
+        C.invalidate(Addr);
+        Ref.invalidate(Addr);
+      } else {
+        C.flush();
+        Ref.flush();
+      }
+      ASSERT_EQ(C.hits(), Ref.Hits) << "seed " << Seed << " op " << Op;
+      ASSERT_EQ(C.misses(), Ref.Misses) << "seed " << Seed << " op " << Op;
+      ASSERT_EQ(C.evictions(), Ref.Evictions)
+          << "seed " << Seed << " op " << Op;
+    }
+    // The stream must have exercised every outcome.
+    EXPECT_GT(C.hits(), 0u);
+    EXPECT_GT(C.evictions(), 0u);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Geometries, CacheOracleTest,
+    ::testing::Values(CacheConfig{1024, 64, 1},          // Direct-mapped.
+                      CacheConfig{1024, 64, 2},          // 2-way, 8 sets.
+                      CacheConfig{32 * 1024, 64, 8},     // L1 shape.
+                      CacheConfig{16 * 1024, 64, 16},    // L3 ways.
+                      CacheConfig{64 * 4096, 4096, 64}), // TLB shape.
+    [](const ::testing::TestParamInfo<CacheConfig> &Info) {
+      return std::to_string(Info.param.numSets()) + "sets_" +
+             std::to_string(Info.param.Ways) + "ways";
+    });
+
+TEST(Cache, UntouchedCacheAllocatesNothingAndIsEmpty) {
+  Cache C(CacheConfig{32 * 1024, 64, 8});
+  EXPECT_EQ(C.memoryFootprint(), 0u);
+  EXPECT_FALSE(C.contains(0));
+  C.invalidate(0);
+  C.flush();
+  EXPECT_EQ(C.memoryFootprint(), 0u);
+  EXPECT_EQ(C.hits() + C.misses() + C.evictions(), 0u);
+  EXPECT_FALSE(C.access(0));
+  EXPECT_EQ(C.memoryFootprint(), 32u * 1024 / 64 * sizeof(uint64_t));
+  EXPECT_TRUE(C.contains(0));
+}
+
+TEST(Cache, InvalidGeometryThrowsInEveryBuildMode) {
+  auto ExpectInternal = [](const CacheConfig &Cfg) {
+    try {
+      Cache C(Cfg);
+      ADD_FAILURE() << Cfg.SizeBytes << "/" << Cfg.LineBytes << "/"
+                    << Cfg.Ways << " accepted";
+    } catch (const VmError &E) {
+      EXPECT_EQ(E.Kind, VmErrorKind::Internal);
+      EXPECT_NE(E.Message.find("invalid cache geometry"), std::string::npos);
+    }
+  };
+  ExpectInternal(CacheConfig{1024, 48, 2});   // Line not a power of two.
+  ExpectInternal(CacheConfig{1024, 1, 2});    // 1-byte line.
+  ExpectInternal(CacheConfig{1024, 64, 0});   // No ways: zero sets.
+  ExpectInternal(CacheConfig{64, 64, 2});     // Too small: zero sets.
+  ExpectInternal(CacheConfig{384, 64, 2});    // Three sets.
+  EXPECT_THROW(Tlb T(TlbConfig{0, 4096}), VmError);
+  EXPECT_THROW(Tlb T(TlbConfig{64, 3000}), VmError);
+  MachineConfig M;
+  M.L2 = CacheConfig{3 * 64 * 8, 64, 8};
+  EXPECT_THROW(MemoryHierarchy H(M), VmError);
+}
+
 // --- TLB ----------------------------------------------------------------------
 
 TEST(Tlb, HitOnSamePage) {
@@ -123,6 +293,18 @@ TEST(Tlb, FlushDropsAll) {
   T.access(0);
   T.flush();
   EXPECT_FALSE(T.access(0));
+}
+
+TEST(Tlb, NonPowerOfTwoEntryCountIsOneSet) {
+  // 48 entries: one 48-way set, every page in the same LRU order.
+  Tlb T(TlbConfig{48, 4096});
+  for (uint64_t P = 0; P < 48; ++P)
+    EXPECT_FALSE(T.access(P * 4096));
+  for (uint64_t P = 0; P < 48; ++P)
+    EXPECT_TRUE(T.access(P * 4096));
+  EXPECT_FALSE(T.access(48 * 4096)); // Evicts page 0, the LRU.
+  EXPECT_FALSE(T.access(0));
+  EXPECT_EQ(T.memoryFootprint(), 48u * sizeof(uint64_t));
 }
 
 // --- NumaTopology ---------------------------------------------------------------
@@ -302,6 +484,26 @@ TEST(MemoryHierarchy, FlushKeepingL3) {
   EXPECT_FALSE(R.L3Miss) << "L3 should stay warm";
   M.flushCaches(/*IncludeL3=*/true);
   EXPECT_TRUE(M.accessMemory(0, 0x40000).L3Miss);
+}
+
+TEST(MemoryHierarchy, AllocatesOnlyTouchedCpusAndNodes) {
+  MachineConfig Cfg = tinyMachine();
+  MemoryHierarchy M(Cfg);
+  EXPECT_EQ(M.memoryFootprint(), 0u);
+  M.invalidateLine(0x40000);
+  M.flushCaches();
+  EXPECT_EQ(M.memoryFootprint(), 0u);
+  M.accessMemory(1, 0x40000);
+  uint64_t OneCpu = (Cfg.L1.SizeBytes + Cfg.L2.SizeBytes + Cfg.L3.SizeBytes) /
+                        64 * sizeof(uint64_t) +
+                    Cfg.Dtlb.Entries * sizeof(uint64_t);
+  EXPECT_EQ(M.memoryFootprint(), OneCpu);
+  M.accessMemory(1, 0x80000); // Same CPU: nothing new.
+  M.flushCaches();
+  EXPECT_EQ(M.memoryFootprint(), OneCpu);
+  M.accessMemory(0, 0x40000); // Same node: new L1/L2/TLB, shared L3.
+  EXPECT_EQ(M.memoryFootprint(),
+            2 * OneCpu - Cfg.L3.SizeBytes / 64 * sizeof(uint64_t));
 }
 
 TEST(MemoryHierarchy, InvalidateLineEverywhere) {
