@@ -14,28 +14,16 @@ using namespace djx;
 
 namespace {
 
-bool isTerminal(Opcode Op) {
-  return Op == Opcode::Return || Op == Opcode::IReturn ||
-         Op == Opcode::AReturn;
-}
-
 /// Flat successors of the instruction at \p Pc, clamped to the code.
 void flatSuccessors(const std::vector<Instruction> &Code, uint32_t Pc,
                     std::vector<uint32_t> &Out) {
   Out.clear();
   const Instruction &I = Code[Pc];
   uint32_t N = static_cast<uint32_t>(Code.size());
-  if (isTerminal(I.Op))
-    return;
-  if (I.Op == Opcode::Goto) {
-    if (I.A >= 0 && static_cast<uint32_t>(I.A) < N)
-      Out.push_back(static_cast<uint32_t>(I.A));
-    return;
-  }
-  if (Pc + 1 < N)
+  if (!isTerminal(I.Op) && Pc + 1 < N)
     Out.push_back(Pc + 1);
   if (isBranch(I.Op) && I.A >= 0 && static_cast<uint32_t>(I.A) < N &&
-      static_cast<uint32_t>(I.A) != Pc + 1)
+      (Out.empty() || Out[0] != static_cast<uint32_t>(I.A)))
     Out.push_back(static_cast<uint32_t>(I.A));
 }
 
@@ -54,12 +42,9 @@ Cfg Cfg::build(const BytecodeMethod &M) {
   Leader[0] = true;
   for (uint32_t Pc = 0; Pc < N; ++Pc) {
     const Instruction &I = Code[Pc];
-    bool Transfer = isTerminal(I.Op) || I.Op == Opcode::Goto ||
-                    isBranch(I.Op);
-    if (Transfer && Pc + 1 < N)
+    if ((isTerminal(I.Op) || isBranch(I.Op)) && Pc + 1 < N)
       Leader[Pc + 1] = true;
-    if ((I.Op == Opcode::Goto || isBranch(I.Op)) && I.A >= 0 &&
-        static_cast<uint32_t>(I.A) < N)
+    if (isBranch(I.Op) && I.A >= 0 && static_cast<uint32_t>(I.A) < N)
       Leader[I.A] = true;
   }
 

@@ -7,7 +7,6 @@
 #include "analysis/Liveness.h"
 
 #include "analysis/Dataflow.h"
-#include "bytecode/Verifier.h"
 
 #include <cassert>
 

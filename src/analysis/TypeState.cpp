@@ -164,28 +164,19 @@ struct AbsInterp {
 
     // Local indices are the structural verifier's job; hand-built code
     // reaching the analysis directly still must not fault it.
-    switch (I.Op) {
-    case Opcode::ILoad:
-    case Opcode::IStore:
-    case Opcode::ALoad:
-    case Opcode::AStore:
-      if (I.A < 0 || static_cast<size_t>(I.A) >= F.Locals.size()) {
-        error(Pc, std::string(Op) + " local slot out of range");
-        return false;
-      }
-      break;
-    default:
-      break;
+    if (opcodeInfo(I.Op).Format == OperandFormat::Local &&
+        (I.A < 0 || static_cast<size_t>(I.A) >= F.Locals.size())) {
+      error(Pc, std::string(Op) + " local slot out of range");
+      return false;
     }
 
-    auto Underflow = [&](size_t Pops) {
-      if (F.Stack.size() >= Pops)
-        return false;
+    const StackEffect E = instructionStackEffect(I);
+    if (F.Stack.size() < E.Pops) {
       error(Pc, std::string("stack underflow: ") + Op + " pops " +
-                    std::to_string(Pops) + " with " +
+                    std::to_string(E.Pops) + " with " +
                     std::to_string(F.Stack.size()) + " on the stack");
-      return true;
-    };
+      return false;
+    }
     auto Pop = [&]() {
       AbsValue V = F.Stack.back();
       F.Stack.pop_back();
@@ -204,11 +195,6 @@ struct AbsInterp {
     };
 
     switch (I.Op) {
-    case Opcode::Nop:
-    case Opcode::Goto:
-    case Opcode::Return:
-    case Opcode::AllocHookPre:
-      break;
     case Opcode::IConst:
       Push(AbsValue::intConst(I.A));
       break;
@@ -233,8 +219,6 @@ struct AbsInterp {
       break;
     }
     case Opcode::IStore: {
-      if (Underflow(1))
-        return false;
       AbsValue V = Pop();
       if (!V.mayInt())
         error(Pc, "istore of a reference into L" + std::to_string(I.A) +
@@ -244,8 +228,6 @@ struct AbsInterp {
       break;
     }
     case Opcode::AStore: {
-      if (Underflow(1))
-        return false;
       AbsValue V = Pop();
       if (!V.mayRefTagged())
         error(Pc, "astore of a non-reference into L" + std::to_string(I.A) +
@@ -255,75 +237,16 @@ struct AbsInterp {
       break;
     }
     case Opcode::Pop:
-      if (Underflow(1))
-        return false;
       Pop();
       break;
     case Opcode::Dup:
-      if (Underflow(1))
-        return false;
       Push(F.Stack.back());
       break;
     case Opcode::Swap:
-      if (Underflow(2))
-        return false;
       std::swap(F.Stack[F.Stack.size() - 1], F.Stack[F.Stack.size() - 2]);
       break;
-    case Opcode::IAdd:
-    case Opcode::ISub:
-    case Opcode::IMul:
-    case Opcode::IDiv:
-    case Opcode::IRem:
-    case Opcode::IAnd:
-    case Opcode::IOr:
-    case Opcode::IXor:
-    case Opcode::IShl:
-    case Opcode::IShr: {
-      if (Underflow(2))
-        return false;
-      AbsValue B = Pop();
-      AbsValue A = Pop();
-      NeedInt(B, std::string(Op) + " on a reference operand");
-      NeedInt(A, std::string(Op) + " on a reference operand");
-      Push(AbsValue::intAny());
-      break;
-    }
-    case Opcode::INeg: {
-      if (Underflow(1))
-        return false;
-      AbsValue V = Pop();
-      NeedInt(V, "ineg on a reference operand");
-      Push(AbsValue::intAny());
-      break;
-    }
-    case Opcode::IfEq:
-    case Opcode::IfNe:
-    case Opcode::IfLt:
-    case Opcode::IfGe: {
-      if (Underflow(1))
-        return false;
-      AbsValue V = Pop();
-      NeedInt(V, std::string(Op) + " on a reference operand");
-      break;
-    }
-    case Opcode::IfICmpEq:
-    case Opcode::IfICmpNe:
-    case Opcode::IfICmpLt:
-    case Opcode::IfICmpGe:
-    case Opcode::IfICmpGt:
-    case Opcode::IfICmpLe: {
-      if (Underflow(2))
-        return false;
-      AbsValue B = Pop();
-      AbsValue A = Pop();
-      NeedInt(B, std::string(Op) + " on a reference operand");
-      NeedInt(A, std::string(Op) + " on a reference operand");
-      break;
-    }
     case Opcode::IfNull:
     case Opcode::IfNonNull: {
-      if (Underflow(1))
-        return false;
       AbsValue V = Pop();
       if (!V.mayRefTagged() && !(V.Tags & AbsValue::kIntZero))
         error(Pc, std::string(Op) + " on an integer operand (value: " +
@@ -335,18 +258,13 @@ struct AbsInterp {
       break;
     case Opcode::NewArray:
     case Opcode::ANewArray: {
-      if (Underflow(1))
-        return false;
       AbsValue Len = Pop();
       NeedInt(Len, std::string(Op) + " length must be an integer");
       Push(AbsValue::make(AbsValue::kArr, siteBit(Pc)));
       break;
     }
     case Opcode::MultiANewArray: {
-      size_t NDims = I.B > 0 ? static_cast<size_t>(I.B) : 0;
-      if (Underflow(NDims))
-        return false;
-      for (size_t D = 0; D < NDims; ++D) {
+      for (unsigned D = 0; D < E.Pops; ++D) {
         AbsValue Len = Pop();
         NeedInt(Len, "multianewarray dimension must be an integer");
       }
@@ -355,8 +273,6 @@ struct AbsInterp {
     }
     case Opcode::PALoad:
     case Opcode::AALoad: {
-      if (Underflow(2))
-        return false;
       AbsValue Idx = Pop();
       AbsValue Arr = Pop();
       NeedInt(Idx, std::string(Op) + " index must be an integer");
@@ -367,8 +283,6 @@ struct AbsInterp {
       break;
     }
     case Opcode::PAStore: {
-      if (Underflow(3))
-        return false;
       AbsValue V = Pop();
       AbsValue Idx = Pop();
       AbsValue Arr = Pop();
@@ -380,8 +294,6 @@ struct AbsInterp {
       break;
     }
     case Opcode::AAStore: {
-      if (Underflow(3))
-        return false;
       AbsValue V = Pop();
       AbsValue Idx = Pop();
       AbsValue Arr = Pop();
@@ -396,8 +308,6 @@ struct AbsInterp {
       break;
     }
     case Opcode::ArrayLength: {
-      if (Underflow(1))
-        return false;
       AbsValue Arr = Pop();
       if (!Arr.mayArray())
         error(Pc, "arraylength on a non-array operand (operand: " +
@@ -407,8 +317,6 @@ struct AbsInterp {
     }
     case Opcode::GetField:
     case Opcode::GetRefField: {
-      if (Underflow(1))
-        return false;
       AbsValue Obj = Pop();
       if (!Obj.mayObject())
         error(Pc, std::string(Op) + " on a non-object operand (operand: " +
@@ -418,8 +326,6 @@ struct AbsInterp {
       break;
     }
     case Opcode::PutField: {
-      if (Underflow(2))
-        return false;
       AbsValue V = Pop();
       AbsValue Obj = Pop();
       NeedInt(V, "putfield value must be an integer");
@@ -429,8 +335,6 @@ struct AbsInterp {
       break;
     }
     case Opcode::PutRefField: {
-      if (Underflow(2))
-        return false;
       AbsValue V = Pop();
       AbsValue Obj = Pop();
       if (!V.mayRefTagged())
@@ -443,15 +347,12 @@ struct AbsInterp {
       break;
     }
     case Opcode::Invoke: {
-      size_t NArgs = I.B > 0 ? static_cast<size_t>(I.B) : 0;
-      if (Underflow(NArgs))
-        return false;
       const BytecodeMethod *Callee = Resolve ? Resolve(I) : nullptr;
       if (!Callee) {
         R.Incomplete = true;
         return false;
       }
-      for (size_t A = 0; A < NArgs; ++A) {
+      for (unsigned A = 0; A < E.Pops; ++A) {
         AbsValue V = Pop();
         escape(V, kEscCall);
       }
@@ -471,15 +372,11 @@ struct AbsInterp {
       break;
     }
     case Opcode::IReturn: {
-      if (Underflow(1))
-        return false;
       AbsValue V = Pop();
       NeedInt(V, "ireturn of a reference");
       break;
     }
     case Opcode::AReturn: {
-      if (Underflow(1))
-        return false;
       AbsValue V = Pop();
       if (!V.mayRefTagged())
         error(Pc, "areturn of a non-reference (value: " + V.str() + ")");
@@ -487,12 +384,23 @@ struct AbsInterp {
       break;
     }
     case Opcode::AllocHookPost: {
-      if (Underflow(1))
-        return false;
       // Peeks (and requires) the freshly allocated ref on TOS.
       if (!F.Stack.back().mayRefTagged())
         error(Pc, "allochook_post without a reference on TOS (" +
                       renderStack(F) + ")");
+      break;
+    }
+    default: {
+      // Integer operators and compares, and the operand-free opcodes:
+      // every operand must be an int, every result is one.
+      assert(E.Pops <= 2 && "no int operator pops more than two");
+      AbsValue Operands[2];
+      for (unsigned K = 0; K < E.Pops; ++K)
+        Operands[K] = Pop();
+      for (unsigned K = 0; K < E.Pops; ++K)
+        NeedInt(Operands[K], Op + " on a reference operand");
+      for (unsigned K = 0; K < E.Pushes; ++K)
+        Push(AbsValue::intAny());
       break;
     }
     }

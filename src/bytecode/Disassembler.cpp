@@ -78,32 +78,14 @@ std::string djx::disassemble(const BytecodeMethod &M) {
     }
     const Instruction &I = M.Code[Bci];
     OS << "  " << Bci << ": " << opcodeName(I.Op);
-    switch (I.Op) {
-    case Opcode::Nop:
-    case Opcode::Pop:
-    case Opcode::Dup:
-    case Opcode::Swap:
-    case Opcode::IAdd:
-    case Opcode::ISub:
-    case Opcode::IMul:
-    case Opcode::IDiv:
-    case Opcode::IRem:
-    case Opcode::INeg:
-    case Opcode::IAnd:
-    case Opcode::IOr:
-    case Opcode::IXor:
-    case Opcode::IShl:
-    case Opcode::IShr:
-    case Opcode::PALoad:
-    case Opcode::PAStore:
-    case Opcode::AALoad:
-    case Opcode::AAStore:
-    case Opcode::ArrayLength:
-    case Opcode::Return:
-    case Opcode::IReturn:
-    case Opcode::AReturn:
+    switch (opcodeInfo(I.Op).Format) {
+    case OperandFormat::None:
       break;
-    case Opcode::Invoke:
+    case OperandFormat::Imm:
+    case OperandFormat::Local:
+      OS << " " << I.A;
+      break;
+    case OperandFormat::Callee:
       if (M.RegistryId == kInvalidMethod &&
           static_cast<size_t>(I.A) < M.CalleeRefs.size())
         OS << " " << M.CalleeRefs[I.A];
@@ -111,19 +93,14 @@ std::string djx::disassemble(const BytecodeMethod &M) {
         OS << " #" << I.A;
       OS << " args=" << I.B;
       break;
-    case Opcode::GetField:
-    case Opcode::PutField:
+    case OperandFormat::Field:
       OS << " off=" << I.A << " width=" << I.B;
       break;
-    case Opcode::GetRefField:
-    case Opcode::PutRefField:
+    case OperandFormat::RefField:
       OS << " off=" << I.A;
       break;
-    case Opcode::MultiANewArray:
+    case OperandFormat::Dims:
       OS << " leaf-type=" << I.A << " dims=" << I.B;
-      break;
-    default:
-      OS << " " << I.A;
       break;
     }
     OS << "\n";

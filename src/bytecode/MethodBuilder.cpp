@@ -36,6 +36,7 @@ MethodBuilder &MethodBuilder::line(uint32_t L) {
   return *this;
 }
 
+MethodBuilder &MethodBuilder::nop() { return emit(Opcode::Nop); }
 MethodBuilder &MethodBuilder::iconst(int64_t V) {
   return emit(Opcode::IConst, V);
 }
@@ -107,10 +108,7 @@ MethodBuilder &MethodBuilder::ifGe(Label L) {
   return emitBranch(Opcode::IfGe, L);
 }
 MethodBuilder &MethodBuilder::ifICmp(Opcode CmpOp, Label L) {
-  assert((CmpOp == Opcode::IfICmpEq || CmpOp == Opcode::IfICmpNe ||
-          CmpOp == Opcode::IfICmpLt || CmpOp == Opcode::IfICmpGe ||
-          CmpOp == Opcode::IfICmpGt || CmpOp == Opcode::IfICmpLe) &&
-         "not a compare-branch opcode");
+  assert(isICmpBranch(CmpOp) && "not a compare-branch opcode");
   return emitBranch(CmpOp, L);
 }
 MethodBuilder &MethodBuilder::ifNull(Label L) {

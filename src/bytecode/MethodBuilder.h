@@ -37,6 +37,7 @@ public:
   MethodBuilder &line(uint32_t L);
 
   // Constants, locals, stack.
+  MethodBuilder &nop();
   MethodBuilder &iconst(int64_t V);
   MethodBuilder &iload(uint32_t Slot);
   MethodBuilder &istore(uint32_t Slot);

@@ -7,10 +7,8 @@
 #include "bytecode/TraceCompiler.h"
 
 #include "analysis/MethodAnalysis.h"
-#include "bytecode/Verifier.h"
 
 #include <algorithm>
-#include <cassert>
 
 using namespace djx;
 
@@ -32,38 +30,15 @@ bool djx::parseExecTier(const std::string &Name, ExecTier &Out) {
 
 namespace {
 
-/// Opcodes a trace must stop before: frame switches and agent hook
-/// dispatches execute only in the flat loop (hooks may re-enter run()).
-bool endsTrace(Opcode Op) {
-  switch (Op) {
-  case Opcode::Invoke:
-  case Opcode::Return:
-  case Opcode::IReturn:
-  case Opcode::AReturn:
-  case Opcode::AllocHookPre:
-  case Opcode::AllocHookPost:
-    return true;
-  default:
-    return false;
-  }
-}
-
-bool isICmpBranch(Opcode Op) {
-  switch (Op) {
-  case Opcode::IfICmpEq:
-  case Opcode::IfICmpNe:
-  case Opcode::IfICmpLt:
-  case Opcode::IfICmpGe:
-  case Opcode::IfICmpGt:
-  case Opcode::IfICmpLe:
-    return true;
-  default:
-    return false;
-  }
-}
+/// The base (unfused) SuperOp encoding of each opcode.
+constexpr SuperOp kBaseEncoding[] = {
+#define OPCODE(Name, Mnemonic, Pops, Pushes, Format, Super, Flags)           \
+  SuperOp::Super,
+#include "bytecode/Opcodes.def"
+};
 
 /// Running operand-stack depth relative to trace entry, tracked at
-/// constituent granularity via the Verifier's stack-effect table. Min
+/// constituent granularity via the opcode table's stack effects. Min
 /// bounds the operands the trace consumes below its entry depth; Max
 /// bounds its peak growth (both conservative for fused ops, which skip
 /// the intermediate pushes entirely).
@@ -116,6 +91,10 @@ std::optional<CompiledTrace> djx::compileTrace(const BytecodeMethod &M,
     Pc += Len;
     Steps += Len;
   };
+  auto emitBase = [&] {
+    const Instruction &I = Code[Pc];
+    emit(kBaseEncoding[static_cast<size_t>(I.Op)], I.Op, 1, I.A, I.B);
+  };
 
   while (!Ended && Pc < N && Steps < Cfg.MaxTraceLength) {
     const Instruction &I = Code[Pc];
@@ -135,11 +114,9 @@ std::optional<CompiledTrace> djx::compileTrace(const BytecodeMethod &M,
         MA->Types.reachable(Pc + 1)) {
       const AllocSiteFact *Site = MA->Types.siteAtPc(Pc + 1);
       if (Site && !Site->escapes()) {
-        emit(SuperOp::HookPre, Opcode::AllocHookPre, 1, I.A);
-        const Instruction &AI = Code[Pc]; // emit() advanced to the alloc.
-        emit(SuperOp::Alloc, AI.Op, 1, AI.A,
-             AI.Op == Opcode::MultiANewArray ? AI.B : 0);
-        emit(SuperOp::HookPost, Opcode::AllocHookPost, 1, Code[Pc].A);
+        emitBase(); // allochook_pre
+        emitBase(); // the allocation
+        emitBase(); // allochook_post
         continue;
       }
     }
@@ -167,8 +144,10 @@ std::optional<CompiledTrace> djx::compileTrace(const BytecodeMethod &M,
         (Code[Pc + 2].Op == Opcode::IAdd ||
          Code[Pc + 2].Op == Opcode::ISub) &&
         Code[Pc + 3].Op == Opcode::IStore && Code[Pc + 3].A == I.A) {
-      int64_t Delta = Code[Pc + 2].Op == Opcode::IAdd ? Code[Pc + 1].A
-                                                      : -Code[Pc + 1].A;
+      // Wrapping negation: isub of INT64_MIN adds INT64_MIN.
+      const uint64_t K = static_cast<uint64_t>(Code[Pc + 1].A);
+      int64_t Delta = static_cast<int64_t>(
+          Code[Pc + 2].Op == Opcode::IAdd ? K : 0 - K);
       emit(SuperOp::IncLocal, Code[Pc + 2].Op, 4, I.A, Delta);
       continue;
     }
@@ -205,96 +184,8 @@ std::optional<CompiledTrace> djx::compileTrace(const BytecodeMethod &M,
       continue;
     }
 
-    switch (I.Op) {
-    case Opcode::Nop:
-      emit(SuperOp::Nop, I.Op, 1);
-      break;
-    case Opcode::IConst:
-      emit(SuperOp::IConst, I.Op, 1, I.A);
-      break;
-    case Opcode::ILoad:
-      emit(SuperOp::ILoad, I.Op, 1, I.A);
-      break;
-    case Opcode::ALoad:
-      emit(SuperOp::ALoad, I.Op, 1, I.A);
-      break;
-    case Opcode::IStore:
-      emit(SuperOp::IStore, I.Op, 1, I.A);
-      break;
-    case Opcode::AStore:
-      emit(SuperOp::AStore, I.Op, 1, I.A);
-      break;
-    case Opcode::Pop:
-      emit(SuperOp::PopV, I.Op, 1);
-      break;
-    case Opcode::Dup:
-      emit(SuperOp::DupV, I.Op, 1);
-      break;
-    case Opcode::Swap:
-      emit(SuperOp::SwapV, I.Op, 1);
-      break;
-    case Opcode::IAdd:
-    case Opcode::ISub:
-    case Opcode::IMul:
-    case Opcode::IDiv:
-    case Opcode::IRem:
-    case Opcode::IAnd:
-    case Opcode::IOr:
-    case Opcode::IXor:
-    case Opcode::IShl:
-    case Opcode::IShr:
-      emit(SuperOp::Alu, I.Op, 1);
-      break;
-    case Opcode::INeg:
-      emit(SuperOp::INeg, I.Op, 1);
-      break;
-    case Opcode::Goto:
-      emit(SuperOp::GotoExit, I.Op, 1, I.A);
-      Ended = true;
-      break;
-    case Opcode::IfEq:
-    case Opcode::IfNe:
-    case Opcode::IfLt:
-    case Opcode::IfGe:
-    case Opcode::IfICmpEq:
-    case Opcode::IfICmpNe:
-    case Opcode::IfICmpLt:
-    case Opcode::IfICmpGe:
-    case Opcode::IfICmpGt:
-    case Opcode::IfICmpLe:
-    case Opcode::IfNull:
-    case Opcode::IfNonNull:
-      emit(SuperOp::Br, I.Op, 1, I.A);
-      break;
-    case Opcode::New:
-    case Opcode::NewArray:
-    case Opcode::ANewArray:
-      emit(SuperOp::Alloc, I.Op, 1, I.A);
-      break;
-    case Opcode::MultiANewArray:
-      emit(SuperOp::Alloc, I.Op, 1, I.A, I.B);
-      break;
-    case Opcode::PALoad:
-    case Opcode::PAStore:
-    case Opcode::AALoad:
-    case Opcode::AAStore:
-    case Opcode::ArrayLength:
-    case Opcode::GetField:
-    case Opcode::PutField:
-    case Opcode::GetRefField:
-    case Opcode::PutRefField:
-      emit(SuperOp::Access, I.Op, 1, I.A, I.B);
-      break;
-    case Opcode::Invoke:
-    case Opcode::Return:
-    case Opcode::IReturn:
-    case Opcode::AReturn:
-    case Opcode::AllocHookPre:
-    case Opcode::AllocHookPost:
-      assert(false && "endsTrace() filtered these");
-      Ended = true;
-      break;
-    }
+    Ended = isTerminal(I.Op);
+    emitBase();
   }
 
   if (Steps < kMinTraceSteps)

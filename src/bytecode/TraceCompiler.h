@@ -8,8 +8,8 @@
 /// The second execution tier's compiler: turns a hot straight-line
 /// bytecode region (a superblock starting at one entry pc) into a
 /// sequence of superinstructions the interpreter executes without
-/// per-opcode dispatch overhead. Shape analysis reuses the Verifier's
-/// stack-effect table to compute the trace's operand floor and peak
+/// per-opcode dispatch overhead. Shape analysis reuses the opcode
+/// table's stack effects to compute the trace's operand floor and peak
 /// stack growth, so the executing tier can do one arena headroom check
 /// per trace instead of one per push.
 ///

@@ -6,11 +6,12 @@
 
 #include "bytecode/Verifier.h"
 
+#include "analysis/Dataflow.h"
 #include "analysis/TypeState.h"
 
 #include <algorithm>
 #include <cstdio>
-#include <deque>
+#include <optional>
 #include <unordered_map>
 
 using namespace djx;
@@ -21,162 +22,88 @@ static void addError(VerifyResult &R, size_t Bci, const std::string &Msg) {
   R.Errors.push_back(Buf + Msg);
 }
 
-StackEffect djx::instructionStackEffect(const Instruction &Inst) {
-  switch (Inst.Op) {
-  case Opcode::Nop:
-  case Opcode::Goto:
-  case Opcode::Return:
-  case Opcode::AllocHookPre:
-    return {0, 0};
-  case Opcode::IConst:
-  case Opcode::ILoad:
-  case Opcode::ALoad:
-  case Opcode::New:
-    return {0, 1};
-  case Opcode::IStore:
-  case Opcode::AStore:
-  case Opcode::Pop:
-  case Opcode::IfEq:
-  case Opcode::IfNe:
-  case Opcode::IfLt:
-  case Opcode::IfGe:
-  case Opcode::IfNull:
-  case Opcode::IfNonNull:
-  case Opcode::IReturn:
-  case Opcode::AReturn:
-    return {1, 0};
-  case Opcode::Dup:
-    return {1, 2};
-  case Opcode::Swap:
-    return {2, 2};
-  case Opcode::INeg:
-  case Opcode::NewArray:
-  case Opcode::ANewArray:
-  case Opcode::ArrayLength:
-  case Opcode::GetField:
-  case Opcode::GetRefField:
-    return {1, 1};
-  case Opcode::IAdd:
-  case Opcode::ISub:
-  case Opcode::IMul:
-  case Opcode::IDiv:
-  case Opcode::IRem:
-  case Opcode::IAnd:
-  case Opcode::IOr:
-  case Opcode::IXor:
-  case Opcode::IShl:
-  case Opcode::IShr:
-    return {2, 1};
-  case Opcode::IfICmpEq:
-  case Opcode::IfICmpNe:
-  case Opcode::IfICmpLt:
-  case Opcode::IfICmpGe:
-  case Opcode::IfICmpGt:
-  case Opcode::IfICmpLe:
-    return {2, 0};
-  case Opcode::PALoad:
-  case Opcode::AALoad:
-    return {2, 1};
-  case Opcode::PutField:
-  case Opcode::PutRefField:
-    return {2, 0};
-  case Opcode::PAStore:
-  case Opcode::AAStore:
-    return {3, 0};
-  case Opcode::MultiANewArray:
-    return {Inst.B > 0 ? static_cast<unsigned>(Inst.B) : 0u, 1};
-  case Opcode::AllocHookPost:
-    return {1, 1}; // Peeks the freshly allocated ref.
-  case Opcode::Invoke:
-    // Pops handled here; pushes resolved by the caller.
-    return {Inst.B > 0 ? static_cast<unsigned>(Inst.B) : 0u, 0};
-  }
-  return {0, 0};
-}
-
 namespace {
 
-bool isTerminal(Opcode Op) {
-  return Op == Opcode::Return || Op == Opcode::IReturn ||
-         Op == Opcode::AReturn;
-}
-
-/// Abstract operand-stack depth interval at one bci. The only source of
-/// uncertainty is an Invoke whose callee return kind is unresolved
-/// (verifyMethod on a lone method): it may push 0 or 1. With a resolver
-/// (verifyProgram) the interval stays exact.
+/// Abstract operand-stack depth interval at a block entry. The only
+/// source of uncertainty is an Invoke, whose callee return kind a lone
+/// method cannot resolve: it may push 0 or 1.
 struct DepthRange {
   unsigned Lo = 0;
   unsigned Hi = 0;
-  bool Visited = false;
+  bool Reached = false;
 };
 
 /// Depth cap: deeper means an unbalanced loop is pumping the stack.
 constexpr unsigned kMaxTrackedDepth = 1 << 16;
 
-/// Worklist dataflow over depth intervals. \p InvokePush returns 0 or 1
-/// for a resolved callee, -1 for unknown. Reports definite underflow
-/// (even the maximal depth cannot feed the instruction's pops) — the
-/// "bad operand count" class of malformed programs — without false
-/// positives on valid code.
-void verifyStackDepths(const BytecodeMethod &M,
-                       int (*InvokePush)(const void *, const Instruction &),
-                       const void *Ctx, VerifyResult &R) {
-  size_t N = M.Code.size();
-  std::vector<DepthRange> At(N);
-  std::deque<size_t> Work;
-  At[0] = {0, 0, true};
-  Work.push_back(0);
-  while (!Work.empty()) {
-    size_t I = Work.front();
-    Work.pop_front();
-    const Instruction &Inst = M.Code[I];
-    DepthRange Cur = At[I];
+/// Depth intervals as a forward dataflow problem. Reports definite
+/// underflow (even the maximal depth cannot feed the instruction's pops)
+/// -- the "bad operand count" class of malformed programs -- without
+/// false positives on valid code.
+struct DepthProblem {
+  using State = DepthRange;
+  const BytecodeMethod &M;
+  const Cfg &G;
+  /// Null while solving; the reporting pass replays blocks into it.
+  VerifyResult *R = nullptr;
+
+  State initial() { return {}; }
+  State boundary() { return {0, 0, true}; }
+
+  /// Applies the instruction at \p Pc; false when the state broke (its
+  /// successors would only cascade noise).
+  bool step(State &D, uint32_t Pc) {
+    const Instruction &Inst = M.Code[Pc];
     StackEffect E = instructionStackEffect(Inst);
-    if (Cur.Hi < E.Pops) {
-      addError(R, I,
-               "stack underflow: pops " + std::to_string(E.Pops) +
-                   " with at most " + std::to_string(Cur.Hi) +
-                   " on the stack");
-      continue; // Successors of a broken state would cascade noise.
-    }
-    unsigned PushLo = E.Pushes;
-    unsigned PushHi = E.Pushes;
-    if (Inst.Op == Opcode::Invoke) {
-      int P = InvokePush ? InvokePush(Ctx, Inst) : -1;
-      PushLo = P < 0 ? 0 : static_cast<unsigned>(P);
-      PushHi = P < 0 ? 1 : static_cast<unsigned>(P);
+    if (D.Hi < E.Pops) {
+      if (R)
+        addError(*R, Pc,
+                 "stack underflow: pops " + std::to_string(E.Pops) +
+                     " with at most " + std::to_string(D.Hi) +
+                     " on the stack");
+      return false;
     }
     // Lo may dip below the pops when the uncertainty came from earlier
     // unresolved pushes; clamp at zero rather than flag a maybe.
-    unsigned NextLo = Cur.Lo > E.Pops ? Cur.Lo - E.Pops + PushLo : PushLo;
-    unsigned NextHi = Cur.Hi - E.Pops + PushHi;
-    if (NextHi > kMaxTrackedDepth) {
-      addError(R, I, "stack depth grows without bound (unbalanced loop?)");
-      continue;
+    D.Lo = (D.Lo > E.Pops ? D.Lo - E.Pops : 0) + E.Pushes;
+    D.Hi = D.Hi - E.Pops + E.Pushes + (Inst.Op == Opcode::Invoke ? 1 : 0);
+    if (D.Hi > kMaxTrackedDepth) {
+      if (R)
+        addError(*R, Pc, "stack depth grows without bound (unbalanced loop?)");
+      return false;
     }
-    auto Flow = [&](size_t Succ) {
-      if (Succ >= N)
-        return; // Range errors are reported by the structural pass.
-      DepthRange &D = At[Succ];
-      if (D.Visited && D.Lo <= NextLo && D.Hi >= NextHi)
-        return;
-      D.Lo = D.Visited ? std::min(D.Lo, NextLo) : NextLo;
-      D.Hi = D.Visited ? std::max(D.Hi, NextHi) : NextHi;
-      D.Visited = true;
-      Work.push_back(Succ);
-    };
-    if (isTerminal(Inst.Op))
-      continue;
-    if (Inst.Op == Opcode::Goto) {
-      if (Inst.A >= 0)
-        Flow(static_cast<size_t>(Inst.A));
-      continue;
-    }
-    Flow(I + 1);
-    if (isBranch(Inst.Op) && Inst.A >= 0)
-      Flow(static_cast<size_t>(Inst.A));
+    return true;
   }
+
+  State transfer(uint32_t Block, const State &In) {
+    State D = In;
+    const BasicBlock &B = G.blocks()[Block];
+    for (uint32_t Pc = B.Start; D.Reached && Pc < B.End; ++Pc)
+      D.Reached = step(D, Pc);
+    return D;
+  }
+
+  bool join(State &Dest, const State &Src) {
+    if (!Src.Reached ||
+        (Dest.Reached && Dest.Lo <= Src.Lo && Dest.Hi >= Src.Hi))
+      return false;
+    Dest.Lo = Dest.Reached ? std::min(Dest.Lo, Src.Lo) : Src.Lo;
+    Dest.Hi = Dest.Reached ? std::max(Dest.Hi, Src.Hi) : Src.Hi;
+    Dest.Reached = true;
+    return true;
+  }
+};
+
+/// Solves the depth intervals to fixpoint, then replays each reached
+/// block once from its fixpoint entry state to report errors.
+void verifyStackDepths(const BytecodeMethod &M, const Cfg &G,
+                       VerifyResult &R) {
+  DepthProblem P{M, G};
+  std::vector<DepthRange> In =
+      solveDataflow(G, DataflowDirection::Forward, P);
+  P.R = &R;
+  for (uint32_t B : G.rpo())
+    P.transfer(B, In[B]);
 }
 
 /// Program-level context for resolving Invoke callees by qualified name
@@ -201,9 +128,9 @@ struct ProgramContext {
   }
 };
 
-} // namespace
-
-VerifyResult djx::verifyMethod(const BytecodeMethod &M) {
+/// verifyMethod(); when the structure is sound, also leaves the CFG its
+/// depth pass ran on in \p G for verifyProgram's type-state pass.
+VerifyResult verifyBody(const BytecodeMethod &M, std::optional<Cfg> &G) {
   VerifyResult R;
   if (M.Code.empty()) {
     R.Errors.push_back("empty code");
@@ -218,14 +145,10 @@ VerifyResult djx::verifyMethod(const BytecodeMethod &M) {
       if (Inst.A < 0 || static_cast<size_t>(Inst.A) >= N)
         addError(R, I, "branch target out of range");
     }
+    if (opcodeInfo(Inst.Op).Format == OperandFormat::Local &&
+        (Inst.A < 0 || static_cast<size_t>(Inst.A) >= M.NumLocals))
+      addError(R, I, "local slot out of range");
     switch (Inst.Op) {
-    case Opcode::ILoad:
-    case Opcode::IStore:
-    case Opcode::ALoad:
-    case Opcode::AStore:
-      if (Inst.A < 0 || static_cast<size_t>(Inst.A) >= M.NumLocals)
-        addError(R, I, "local slot out of range");
-      break;
     case Opcode::Invoke:
       if (Inst.B < 0)
         addError(R, I, "negative argument count");
@@ -243,19 +166,26 @@ VerifyResult djx::verifyMethod(const BytecodeMethod &M) {
       break;
     }
   }
-  Opcode LastOp = M.Code.back().Op;
-  if (LastOp != Opcode::Return && LastOp != Opcode::IReturn &&
-      LastOp != Opcode::AReturn && LastOp != Opcode::Goto)
+  if (!isTerminal(M.Code.back().Op))
     R.Errors.push_back("code does not end with a return or goto");
   for (size_t I = 1; I < M.LineTable.size(); ++I)
     if (M.LineTable[I - 1].Bci >= M.LineTable[I].Bci)
       R.Errors.push_back("line table not sorted by BCI");
   // Operand-count / stack-shape pass, only once the structure is sound
-  // (the dataflow assumes in-range branch targets). Without a program,
+  // (the CFG assumes in-range branch targets). Without a program,
   // Invoke pushes are unknown; the interval analysis stays conservative.
-  if (R.ok())
-    verifyStackDepths(M, nullptr, nullptr, R);
+  if (R.ok()) {
+    G = Cfg::build(M);
+    verifyStackDepths(M, *G, R);
+  }
   return R;
+}
+
+} // namespace
+
+VerifyResult djx::verifyMethod(const BytecodeMethod &M) {
+  std::optional<Cfg> G;
+  return verifyBody(M, G);
 }
 
 VerifyResult djx::verifyProgram(const BytecodeProgram &P) {
@@ -270,7 +200,8 @@ VerifyResult djx::verifyProgram(const BytecodeProgram &P) {
     }
   for (const ClassFile &C : P.classes())
     for (const BytecodeMethod &M : C.Methods) {
-      VerifyResult R = verifyMethod(M);
+      std::optional<Cfg> G;
+      VerifyResult R = verifyBody(M, G);
       // Cross-method checks: Invoke operand counts against the callee's
       // declared arity, and a second depth pass with callee return
       // kinds resolved (exact where verifyMethod's was conservative).
@@ -305,12 +236,11 @@ VerifyResult djx::verifyProgram(const BytecodeProgram &P) {
         // exact depth-only second pass; verifyMethod's conservative
         // interval pass already rejected definite underflow, so this
         // only runs on structurally sound methods.
-        Cfg G = Cfg::build(M);
         CalleeResolver Resolve =
             [&Ctx, &M](const Instruction &Inst) -> const BytecodeMethod * {
           return Ctx.callee(M, Inst);
         };
-        TypeStateResult TS = inferTypeStates(M, G, Resolve);
+        TypeStateResult TS = inferTypeStates(M, *G, Resolve);
         for (const TypeStateError &E : TS.Errors)
           addError(R, E.Pc, E.Msg);
       }

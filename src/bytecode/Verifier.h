@@ -28,19 +28,6 @@ struct VerifyResult {
   bool ok() const { return Errors.empty(); }
 };
 
-/// Static stack effect of one instruction: operands popped and results
-/// pushed. Invoke is the one opcode whose push count depends on the
-/// callee (void vs value return) and is handled by the caller.
-struct StackEffect {
-  unsigned Pops = 0;
-  unsigned Pushes = 0;
-};
-
-/// The stack effect table behind the verifier's depth dataflow; also the
-/// legality oracle for the trace compiler's shape analysis (a trace's
-/// operand floor and peak growth are running sums of these).
-StackEffect instructionStackEffect(const Instruction &Inst);
-
 /// Verifies one method body.
 VerifyResult verifyMethod(const BytecodeMethod &M);
 

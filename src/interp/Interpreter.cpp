@@ -6,6 +6,7 @@
 
 #include "interp/Interpreter.h"
 
+#include "interp/Semantics.h"
 #include "support/VmError.h"
 
 #include <algorithm>
@@ -30,12 +31,15 @@ void Interpreter::setPublishVmAllocationEvents(bool On) {
   Vm.setAllocationEventsEnabled(On);
 }
 
-void Interpreter::setTier(const TierConfig &Cfg) {
-  assert(Steps == 0 && CallStack.empty() &&
-         "the tier must be selected before any instruction executes");
-  Traces.reset();
-  if (Cfg.Tier == ExecTier::Super)
-    Traces = std::make_unique<TraceCache>(Cfg, &Program);
+void Interpreter::callHook(Opcode Op, int64_t Site, const Value *S,
+                           uint32_t Sp) {
+  if (Op == Opcode::AllocHookPre) {
+    Hooks.Pre(static_cast<uint64_t>(Site));
+    return;
+  }
+  assert(Sp > 0 && S[Sp - 1].IsRef &&
+         "allochook_post expects the fresh ref on TOS");
+  Hooks.Post(static_cast<uint64_t>(Site), S[Sp - 1].asRef());
 }
 
 void Interpreter::collectRoots(std::vector<ObjectRef *> &Slots) {
@@ -231,21 +235,8 @@ bool Interpreter::loop(size_t BaseDepth, uint32_t BaseTop,
       throw E;
     }
     if (TraceSites) {
-      TraceCache::Site &TS = TraceSites[Pc];
-      const bool SkipBump = GcRetryPending;
-      GcRetryPending = false;
-      const CompiledTrace *T = nullptr;
-      if (TS.St == TraceCache::Site::Compiled)
-        T = TS.Trace.get();
-      else if (TS.St == TraceCache::Site::Cold && !SkipBump)
-        T = Traces->bump(TS, *F->M, Pc);
-      // Admission is all-or-nothing against both budgets: the full trace
-      // must fit, else it runs flat this quantum — observationally
-      // identical, since a trace is the same instruction stream.
-      if (T && Steps + T->NumSteps <= QuantumEnd &&
-          Steps + T->NumSteps <= StepDeadline) {
-        SyncTop();
-        execTrace(*T, QuantumEnd);
+      SyncTop();
+      if (execTrace(TraceSites[Pc], QuantumEnd)) {
         Reload();
         continue;
       }
@@ -302,264 +293,57 @@ bool Interpreter::loop(size_t BaseDepth, uint32_t BaseTop,
     case Opcode::IMul:
     case Opcode::IDiv:
     case Opcode::IRem:
+    case Opcode::INeg:
     case Opcode::IAnd:
     case Opcode::IOr:
     case Opcode::IXor:
     case Opcode::IShl:
-    case Opcode::IShr: {
-      int64_t B = Pop().asInt();
-      int64_t A = Pop().asInt();
-      int64_t R = 0;
-      switch (I.Op) {
-      case Opcode::IAdd:
-        R = A + B;
-        break;
-      case Opcode::ISub:
-        R = A - B;
-        break;
-      case Opcode::IMul:
-        R = A * B;
-        break;
-      case Opcode::IDiv:
-        assert(B != 0 && "division by zero");
-        R = A / B;
-        break;
-      case Opcode::IRem:
-        assert(B != 0 && "remainder by zero");
-        R = A % B;
-        break;
-      case Opcode::IAnd:
-        R = A & B;
-        break;
-      case Opcode::IOr:
-        R = A | B;
-        break;
-      case Opcode::IXor:
-        R = A ^ B;
-        break;
-      case Opcode::IShl:
-        R = A << (B & 63);
-        break;
-      case Opcode::IShr:
-        R = A >> (B & 63);
-        break;
-      default:
-        assert(false && "unreachable");
-      }
-      Push(Value::fromInt(R));
-      break;
-    }
-    case Opcode::INeg:
-      Push(Value::fromInt(-Pop().asInt()));
+    case Opcode::IShr:
+      applyAlu(I.Op, S, Sp);
       break;
     case Opcode::Goto:
       NextPc = static_cast<uint32_t>(I.A);
       break;
     case Opcode::IfEq:
-      if (Pop().asInt() == 0)
-        NextPc = static_cast<uint32_t>(I.A);
-      break;
     case Opcode::IfNe:
-      if (Pop().asInt() != 0)
-        NextPc = static_cast<uint32_t>(I.A);
-      break;
     case Opcode::IfLt:
-      if (Pop().asInt() < 0)
-        NextPc = static_cast<uint32_t>(I.A);
-      break;
     case Opcode::IfGe:
-      if (Pop().asInt() >= 0)
-        NextPc = static_cast<uint32_t>(I.A);
-      break;
     case Opcode::IfICmpEq:
     case Opcode::IfICmpNe:
     case Opcode::IfICmpLt:
     case Opcode::IfICmpGe:
     case Opcode::IfICmpGt:
-    case Opcode::IfICmpLe: {
-      int64_t B = Pop().asInt();
-      int64_t A = Pop().asInt();
-      bool Taken = false;
-      switch (I.Op) {
-      case Opcode::IfICmpEq:
-        Taken = A == B;
-        break;
-      case Opcode::IfICmpNe:
-        Taken = A != B;
-        break;
-      case Opcode::IfICmpLt:
-        Taken = A < B;
-        break;
-      case Opcode::IfICmpGe:
-        Taken = A >= B;
-        break;
-      case Opcode::IfICmpGt:
-        Taken = A > B;
-        break;
-      case Opcode::IfICmpLe:
-        Taken = A <= B;
-        break;
-      default:
-        assert(false && "unreachable");
-      }
-      if (Taken)
-        NextPc = static_cast<uint32_t>(I.A);
-      break;
-    }
+    case Opcode::IfICmpLe:
     case Opcode::IfNull:
-      if (Pop().asRef() == kNullRef)
-        NextPc = static_cast<uint32_t>(I.A);
-      break;
     case Opcode::IfNonNull:
-      if (Pop().asRef() != kNullRef)
+      if (popBranch(I.Op, S, Sp))
         NextPc = static_cast<uint32_t>(I.A);
       break;
-    case Opcode::New: {
-      SyncTop();
-      ObjectRef Obj = Vm.allocateObject(Thread, static_cast<TypeId>(I.A));
-      // Reload: an allocation-event observer may have re-entered run()
-      // and grown the arena under the cached pointers.
-      Reload();
-      Push(Value::fromRef(Obj));
-      break;
-    }
+    case Opcode::New:
     case Opcode::NewArray:
-    case Opcode::ANewArray: {
-      // Peek the length and pop only after the allocation commits: a
-      // GcRequest unwind (executor mode) must leave the operand stack
-      // intact so this instruction re-executes after the safepoint GC.
-      assert(Sp > 0 && "operand stack underflow");
-      int64_t Len = S[Sp - 1].asInt();
-      assert(Len >= 0 && "negative array length");
-      SyncTop();
-      ObjectRef Obj = Vm.allocateArray(Thread, static_cast<TypeId>(I.A),
-                                       static_cast<uint64_t>(Len));
-      Reload();
-      --Sp;
-      Push(Value::fromRef(Obj));
-      break;
-    }
+    case Opcode::ANewArray:
     case Opcode::MultiANewArray: {
-      // Same peek-then-commit discipline as NewArray (dims are ints, so
-      // leaving them on the stack adds no GC roots).
-      uint32_t NDims = static_cast<uint32_t>(I.B);
-      assert(Sp >= NDims && "operand stack underflow");
-      std::vector<uint64_t> Dims(NDims);
-      for (uint32_t D = 0; D < NDims; ++D) {
-        int64_t Len = S[Sp - NDims + D].asInt();
-        assert(Len >= 0 && "negative array length");
-        Dims[D] = static_cast<uint64_t>(Len);
-      }
+      // Peek-then-commit: the operands stay on the stack until the
+      // allocation succeeds. Reload afterwards: an allocation-event
+      // observer may have re-entered run() and grown the arena.
       SyncTop();
-      ObjectRef Obj = Vm.allocateMultiArray(
-          Thread, static_cast<TypeId>(I.A), Dims);
+      ObjectRef Obj = allocateFor(Vm, Thread, I.Op, I.A, I.B, S, Sp);
       Reload();
-      Sp -= NDims;
+      Sp -= opcodePops(I.Op, I.B);
       Push(Value::fromRef(Obj));
       break;
     }
-    case Opcode::PALoad: {
-      int64_t Idx = Pop().asInt();
-      ObjectRef Arr = Pop().asRef();
-      const ObjectInfo &Info = Vm.objectInfo(Thread, Arr);
-      const TypeDescriptor &Desc = Vm.objectType(Thread, Arr);
-      assert(Desc.IsArray && !Desc.ElemIsRef && "paload needs a prim array");
-      assert(Idx >= 0 && static_cast<uint64_t>(Idx) < Info.Length &&
-             "array index out of bounds");
-      (void)Info;
-      uint64_t Off = static_cast<uint64_t>(Idx) * Desc.ElemSize;
-      uint64_t V = 0;
-      if (Desc.ElemSize == 1)
-        V = Vm.readU8(Thread, Arr, Off);
-      else if (Desc.ElemSize == 4)
-        V = Vm.readU32(Thread, Arr, Off);
-      else
-        V = Vm.readWord(Thread, Arr, Off);
-      Push(Value::fromInt(static_cast<int64_t>(V)));
+    case Opcode::PALoad:
+    case Opcode::PAStore:
+    case Opcode::AALoad:
+    case Opcode::AAStore:
+    case Opcode::ArrayLength:
+    case Opcode::GetField:
+    case Opcode::PutField:
+    case Opcode::GetRefField:
+    case Opcode::PutRefField:
+      execAccess(Vm, Thread, I.Op, I.A, I.B, S, Sp);
       break;
-    }
-    case Opcode::PAStore: {
-      uint64_t V = static_cast<uint64_t>(Pop().asInt());
-      int64_t Idx = Pop().asInt();
-      ObjectRef Arr = Pop().asRef();
-      const ObjectInfo &Info = Vm.objectInfo(Thread, Arr);
-      const TypeDescriptor &Desc = Vm.objectType(Thread, Arr);
-      assert(Desc.IsArray && !Desc.ElemIsRef && "pastore needs a prim array");
-      assert(Idx >= 0 && static_cast<uint64_t>(Idx) < Info.Length &&
-             "array index out of bounds");
-      (void)Info;
-      uint64_t Off = static_cast<uint64_t>(Idx) * Desc.ElemSize;
-      if (Desc.ElemSize == 1)
-        Vm.writeU8(Thread, Arr, Off, static_cast<uint8_t>(V));
-      else if (Desc.ElemSize == 4)
-        Vm.writeU32(Thread, Arr, Off, static_cast<uint32_t>(V));
-      else
-        Vm.writeWord(Thread, Arr, Off, V);
-      break;
-    }
-    case Opcode::AALoad: {
-      int64_t Idx = Pop().asInt();
-      ObjectRef Arr = Pop().asRef();
-#ifndef NDEBUG
-      const ObjectInfo &Info = Vm.objectInfo(Thread, Arr);
-      assert(Vm.objectType(Thread, Arr).ElemIsRef && "aaload needs ref array");
-      assert(Idx >= 0 && static_cast<uint64_t>(Idx) < Info.Length &&
-             "array index out of bounds");
-#endif
-      Push(Value::fromRef(
-          Vm.readRef(Thread, Arr, static_cast<uint64_t>(Idx) * 8)));
-      break;
-    }
-    case Opcode::AAStore: {
-      ObjectRef V = Pop().asRef();
-      int64_t Idx = Pop().asInt();
-      ObjectRef Arr = Pop().asRef();
-#ifndef NDEBUG
-      const ObjectInfo &Info = Vm.objectInfo(Thread, Arr);
-      assert(Vm.objectType(Thread, Arr).ElemIsRef && "aastore needs ref array");
-      assert(Idx >= 0 && static_cast<uint64_t>(Idx) < Info.Length &&
-             "array index out of bounds");
-#endif
-      Vm.writeRef(Thread, Arr, static_cast<uint64_t>(Idx) * 8, V);
-      break;
-    }
-    case Opcode::ArrayLength: {
-      ObjectRef Arr = Pop().asRef();
-      // Length lives in the header word; touching it is a real access.
-      Vm.readWord(Thread, Arr, 0);
-      Push(Value::fromInt(static_cast<int64_t>(Vm.objectInfo(Thread, Arr).Length)));
-      break;
-    }
-    case Opcode::GetField: {
-      ObjectRef Obj = Pop().asRef();
-      uint64_t V = I.B == 4
-                       ? Vm.readU32(Thread, Obj, static_cast<uint64_t>(I.A))
-                       : Vm.readWord(Thread, Obj, static_cast<uint64_t>(I.A));
-      Push(Value::fromInt(static_cast<int64_t>(V)));
-      break;
-    }
-    case Opcode::PutField: {
-      uint64_t V = static_cast<uint64_t>(Pop().asInt());
-      ObjectRef Obj = Pop().asRef();
-      if (I.B == 4)
-        Vm.writeU32(Thread, Obj, static_cast<uint64_t>(I.A),
-                    static_cast<uint32_t>(V));
-      else
-        Vm.writeWord(Thread, Obj, static_cast<uint64_t>(I.A), V);
-      break;
-    }
-    case Opcode::GetRefField: {
-      ObjectRef Obj = Pop().asRef();
-      Push(Value::fromRef(
-          Vm.readRef(Thread, Obj, static_cast<uint64_t>(I.A))));
-      break;
-    }
-    case Opcode::PutRefField: {
-      ObjectRef V = Pop().asRef();
-      ObjectRef Obj = Pop().asRef();
-      Vm.writeRef(Thread, Obj, static_cast<uint64_t>(I.A), V);
-      break;
-    }
     case Opcode::Invoke: {
       size_t Callee = static_cast<size_t>(I.A);
       const BytecodeMethod &CM = Program.method(Callee);
@@ -604,575 +388,17 @@ bool Interpreter::loop(size_t BaseDepth, uint32_t BaseTop,
       continue;
     }
     case Opcode::AllocHookPre:
-      if (Hooks.Pre) {
+    case Opcode::AllocHookPost:
+      if (hasHook(I.Op)) {
         // Sync/reload around the dispatch: a hook may re-enter run() (the
         // old recursive interpreter allowed it), which needs fresh frame
         // state and may grow the arena under our cached pointers.
         SyncTop();
-        Hooks.Pre(static_cast<uint64_t>(I.A));
-        Reload();
-      }
-      break;
-    case Opcode::AllocHookPost:
-      if (Hooks.Post) {
-        assert(Sp > 0 && "operand stack underflow");
-        assert(S[Sp - 1].IsRef &&
-               "allochook_post expects the fresh ref on TOS");
-        ObjectRef Fresh = S[Sp - 1].asRef();
-        SyncTop();
-        Hooks.Post(static_cast<uint64_t>(I.A), Fresh);
+        callHook(I.Op, I.A, S, Sp);
         Reload();
       }
       break;
     }
     Pc = NextPc;
   }
-}
-
-void Interpreter::execTrace(const CompiledTrace &T, uint64_t QuantumEnd) {
-  Frame *F = &CallStack.back();
-  assert(F->Pc == T.EntryPc && "trace entered at the wrong pc");
-  assert(F->Sp >= T.MinStackDepth &&
-         "trace entered below its operand floor");
-  // One arena headroom check for the whole trace replaces the flat loop's
-  // per-push check: every slot the trace can touch is reserved up front,
-  // so pushes below are single stores. (Arena growth is host memory
-  // management — nothing simulated observes it.)
-  size_t Peak = static_cast<size_t>(F->StackBase) + F->Sp + T.MaxStackGrowth;
-  if (Peak > Arena.size())
-    growArena(Peak);
-  Value *L = Arena.data() + F->LocalsBase;
-  Value *S = Arena.data() + F->StackBase;
-  uint32_t Sp = F->Sp;
-
-  // Steps and dispatch ticks are batched: Pending counts retired
-  // constituent instructions and is flushed before anything that can
-  // observe the step counter or the simulated clock — memory accesses
-  // (PMU sampling reads both, plus Bci), allocations, and every exit.
-  uint64_t Pending = 0;
-  auto Flush = [&] {
-    Steps += Pending;
-    Vm.tick(Thread, Pending);
-    Pending = 0;
-  };
-  auto Exit = [&](uint32_t Pc) {
-    F->Pc = Pc;
-    F->Sp = Sp;
-    ArenaTop = F->StackBase + Sp;
-  };
-
-  for (const TraceOp &O : T.Ops) {
-    Pending += O.NumSteps;
-    switch (O.Kind) {
-    case SuperOp::Nop:
-      break;
-    case SuperOp::IConst:
-      S[Sp++] = Value::fromInt(O.A);
-      break;
-    case SuperOp::ILoad:
-      assert(!L[O.A].IsRef && "iload of a reference slot");
-      S[Sp++] = L[O.A];
-      break;
-    case SuperOp::ALoad:
-      assert((L[O.A].IsRef || L[O.A].Bits == kNullRef) &&
-             "aload of a non-reference slot");
-      S[Sp++] = Value::fromRef(L[O.A].Bits);
-      break;
-    case SuperOp::IStore:
-      assert(Sp > 0 && "operand stack underflow");
-      assert(!S[Sp - 1].IsRef && "istore of a reference");
-      L[O.A] = S[--Sp];
-      break;
-    case SuperOp::AStore:
-      assert(Sp > 0 && "operand stack underflow");
-      assert(S[Sp - 1].IsRef && "astore of a non-reference");
-      L[O.A] = S[--Sp];
-      break;
-    case SuperOp::PopV:
-      assert(Sp > 0 && "operand stack underflow");
-      --Sp;
-      break;
-    case SuperOp::DupV:
-      assert(Sp > 0 && "operand stack underflow");
-      S[Sp] = S[Sp - 1];
-      ++Sp;
-      break;
-    case SuperOp::SwapV:
-      assert(Sp > 1 && "operand stack underflow");
-      std::swap(S[Sp - 1], S[Sp - 2]);
-      break;
-    case SuperOp::Alu: {
-      assert(Sp > 1 && "operand stack underflow");
-      int64_t B = S[--Sp].asInt();
-      int64_t A = S[Sp - 1].asInt();
-      int64_t R = 0;
-      switch (O.Src) {
-      case Opcode::IAdd:
-        R = A + B;
-        break;
-      case Opcode::ISub:
-        R = A - B;
-        break;
-      case Opcode::IMul:
-        R = A * B;
-        break;
-      case Opcode::IDiv:
-        assert(B != 0 && "division by zero");
-        R = A / B;
-        break;
-      case Opcode::IRem:
-        assert(B != 0 && "remainder by zero");
-        R = A % B;
-        break;
-      case Opcode::IAnd:
-        R = A & B;
-        break;
-      case Opcode::IOr:
-        R = A | B;
-        break;
-      case Opcode::IXor:
-        R = A ^ B;
-        break;
-      case Opcode::IShl:
-        R = A << (B & 63);
-        break;
-      case Opcode::IShr:
-        R = A >> (B & 63);
-        break;
-      default:
-        assert(false && "unreachable");
-      }
-      S[Sp - 1] = Value::fromInt(R);
-      break;
-    }
-    case SuperOp::INeg:
-      assert(Sp > 0 && "operand stack underflow");
-      S[Sp - 1] = Value::fromInt(-S[Sp - 1].asInt());
-      break;
-    case SuperOp::GotoExit:
-      Flush();
-      Exit(static_cast<uint32_t>(O.A));
-      return;
-    case SuperOp::Br: {
-      bool Taken = false;
-      switch (O.Src) {
-      case Opcode::IfEq:
-        Taken = S[--Sp].asInt() == 0;
-        break;
-      case Opcode::IfNe:
-        Taken = S[--Sp].asInt() != 0;
-        break;
-      case Opcode::IfLt:
-        Taken = S[--Sp].asInt() < 0;
-        break;
-      case Opcode::IfGe:
-        Taken = S[--Sp].asInt() >= 0;
-        break;
-      case Opcode::IfNull:
-        Taken = S[--Sp].asRef() == kNullRef;
-        break;
-      case Opcode::IfNonNull:
-        Taken = S[--Sp].asRef() != kNullRef;
-        break;
-      case Opcode::IfICmpEq:
-      case Opcode::IfICmpNe:
-      case Opcode::IfICmpLt:
-      case Opcode::IfICmpGe:
-      case Opcode::IfICmpGt:
-      case Opcode::IfICmpLe: {
-        assert(Sp > 1 && "operand stack underflow");
-        int64_t B = S[--Sp].asInt();
-        int64_t A = S[--Sp].asInt();
-        switch (O.Src) {
-        case Opcode::IfICmpEq:
-          Taken = A == B;
-          break;
-        case Opcode::IfICmpNe:
-          Taken = A != B;
-          break;
-        case Opcode::IfICmpLt:
-          Taken = A < B;
-          break;
-        case Opcode::IfICmpGe:
-          Taken = A >= B;
-          break;
-        case Opcode::IfICmpGt:
-          Taken = A > B;
-          break;
-        case Opcode::IfICmpLe:
-          Taken = A <= B;
-          break;
-        default:
-          assert(false && "unreachable");
-        }
-        break;
-      }
-      default:
-        assert(false && "unreachable");
-      }
-      if (Taken) {
-        Flush();
-        Exit(static_cast<uint32_t>(O.A));
-        return;
-      }
-      break;
-    }
-    case SuperOp::CmpBranchLL: {
-      assert(!L[O.A].IsRef && !L[O.B].IsRef &&
-             "icmp branch of a reference slot");
-      int64_t A = L[O.A].asInt();
-      int64_t B = L[O.B].asInt();
-      bool Taken = false;
-      switch (O.Src) {
-      case Opcode::IfICmpEq:
-        Taken = A == B;
-        break;
-      case Opcode::IfICmpNe:
-        Taken = A != B;
-        break;
-      case Opcode::IfICmpLt:
-        Taken = A < B;
-        break;
-      case Opcode::IfICmpGe:
-        Taken = A >= B;
-        break;
-      case Opcode::IfICmpGt:
-        Taken = A > B;
-        break;
-      case Opcode::IfICmpLe:
-        Taken = A <= B;
-        break;
-      default:
-        assert(false && "unreachable");
-      }
-      if (Taken) {
-        Flush();
-        Exit(static_cast<uint32_t>(O.C));
-        return;
-      }
-      break;
-    }
-    case SuperOp::IncLocal:
-      assert(!L[O.A].IsRef && "iinc of a reference slot");
-      L[O.A] = Value::fromInt(L[O.A].asInt() + O.B);
-      break;
-    case SuperOp::AccumLocal:
-      assert(Sp > 0 && "operand stack underflow");
-      assert(!S[Sp - 1].IsRef && !L[O.A].IsRef &&
-             "accumulate of a reference");
-      L[O.A] = Value::fromInt(L[O.A].asInt() + S[--Sp].asInt());
-      break;
-    case SuperOp::PALoadLL: {
-      // The access constituent is the fused run's last instruction; the
-      // sample a PMU overflow captures must carry its bci and the exact
-      // pre-access step/cycle counts, as in flat dispatch.
-      Flush();
-      Thread.setBci(O.Pc + O.NumSteps - 1);
-      assert((L[O.A].IsRef || L[O.A].Bits == kNullRef) &&
-             "aload of a non-reference slot");
-      assert(!L[O.B].IsRef && "iload of a reference slot");
-      ObjectRef Arr = L[O.A].Bits;
-      int64_t Idx = L[O.B].asInt();
-      const ObjectInfo &Info = Vm.objectInfo(Thread, Arr);
-      const TypeDescriptor &Desc = Vm.objectType(Thread, Arr);
-      assert(Desc.IsArray && !Desc.ElemIsRef && "paload needs a prim array");
-      assert(Idx >= 0 && static_cast<uint64_t>(Idx) < Info.Length &&
-             "array index out of bounds");
-      (void)Info;
-      uint64_t Off = static_cast<uint64_t>(Idx) * Desc.ElemSize;
-      uint64_t V = 0;
-      if (Desc.ElemSize == 1)
-        V = Vm.readU8(Thread, Arr, Off);
-      else if (Desc.ElemSize == 4)
-        V = Vm.readU32(Thread, Arr, Off);
-      else
-        V = Vm.readWord(Thread, Arr, Off);
-      S[Sp++] = Value::fromInt(static_cast<int64_t>(V));
-      break;
-    }
-    case SuperOp::PAStoreLLL: {
-      Flush();
-      Thread.setBci(O.Pc + O.NumSteps - 1);
-      assert((L[O.A].IsRef || L[O.A].Bits == kNullRef) &&
-             "aload of a non-reference slot");
-      assert(!L[O.B].IsRef && !L[O.C].IsRef &&
-             "iload of a reference slot");
-      ObjectRef Arr = L[O.A].Bits;
-      int64_t Idx = L[O.B].asInt();
-      uint64_t V = static_cast<uint64_t>(L[O.C].asInt());
-      const ObjectInfo &Info = Vm.objectInfo(Thread, Arr);
-      const TypeDescriptor &Desc = Vm.objectType(Thread, Arr);
-      assert(Desc.IsArray && !Desc.ElemIsRef && "pastore needs a prim array");
-      assert(Idx >= 0 && static_cast<uint64_t>(Idx) < Info.Length &&
-             "array index out of bounds");
-      (void)Info;
-      uint64_t Off = static_cast<uint64_t>(Idx) * Desc.ElemSize;
-      if (Desc.ElemSize == 1)
-        Vm.writeU8(Thread, Arr, Off, static_cast<uint8_t>(V));
-      else if (Desc.ElemSize == 4)
-        Vm.writeU32(Thread, Arr, Off, static_cast<uint32_t>(V));
-      else
-        Vm.writeWord(Thread, Arr, Off, V);
-      break;
-    }
-    case SuperOp::Access: {
-      Flush();
-      Thread.setBci(O.Pc);
-      switch (O.Src) {
-      case Opcode::PALoad: {
-        assert(Sp > 1 && "operand stack underflow");
-        int64_t Idx = S[--Sp].asInt();
-        ObjectRef Arr = S[--Sp].asRef();
-        const ObjectInfo &Info = Vm.objectInfo(Thread, Arr);
-        const TypeDescriptor &Desc = Vm.objectType(Thread, Arr);
-        assert(Desc.IsArray && !Desc.ElemIsRef &&
-               "paload needs a prim array");
-        assert(Idx >= 0 && static_cast<uint64_t>(Idx) < Info.Length &&
-               "array index out of bounds");
-        (void)Info;
-        uint64_t Off = static_cast<uint64_t>(Idx) * Desc.ElemSize;
-        uint64_t V = 0;
-        if (Desc.ElemSize == 1)
-          V = Vm.readU8(Thread, Arr, Off);
-        else if (Desc.ElemSize == 4)
-          V = Vm.readU32(Thread, Arr, Off);
-        else
-          V = Vm.readWord(Thread, Arr, Off);
-        S[Sp++] = Value::fromInt(static_cast<int64_t>(V));
-        break;
-      }
-      case Opcode::PAStore: {
-        assert(Sp > 2 && "operand stack underflow");
-        uint64_t V = static_cast<uint64_t>(S[--Sp].asInt());
-        int64_t Idx = S[--Sp].asInt();
-        ObjectRef Arr = S[--Sp].asRef();
-        const ObjectInfo &Info = Vm.objectInfo(Thread, Arr);
-        const TypeDescriptor &Desc = Vm.objectType(Thread, Arr);
-        assert(Desc.IsArray && !Desc.ElemIsRef &&
-               "pastore needs a prim array");
-        assert(Idx >= 0 && static_cast<uint64_t>(Idx) < Info.Length &&
-               "array index out of bounds");
-        (void)Info;
-        uint64_t Off = static_cast<uint64_t>(Idx) * Desc.ElemSize;
-        if (Desc.ElemSize == 1)
-          Vm.writeU8(Thread, Arr, Off, static_cast<uint8_t>(V));
-        else if (Desc.ElemSize == 4)
-          Vm.writeU32(Thread, Arr, Off, static_cast<uint32_t>(V));
-        else
-          Vm.writeWord(Thread, Arr, Off, V);
-        break;
-      }
-      case Opcode::AALoad: {
-        assert(Sp > 1 && "operand stack underflow");
-        int64_t Idx = S[--Sp].asInt();
-        ObjectRef Arr = S[--Sp].asRef();
-#ifndef NDEBUG
-        const ObjectInfo &Info = Vm.objectInfo(Thread, Arr);
-        assert(Vm.objectType(Thread, Arr).ElemIsRef &&
-               "aaload needs ref array");
-        assert(Idx >= 0 && static_cast<uint64_t>(Idx) < Info.Length &&
-               "array index out of bounds");
-#endif
-        S[Sp++] = Value::fromRef(
-            Vm.readRef(Thread, Arr, static_cast<uint64_t>(Idx) * 8));
-        break;
-      }
-      case Opcode::AAStore: {
-        assert(Sp > 2 && "operand stack underflow");
-        ObjectRef V = S[--Sp].asRef();
-        int64_t Idx = S[--Sp].asInt();
-        ObjectRef Arr = S[--Sp].asRef();
-#ifndef NDEBUG
-        const ObjectInfo &Info = Vm.objectInfo(Thread, Arr);
-        assert(Vm.objectType(Thread, Arr).ElemIsRef &&
-               "aastore needs ref array");
-        assert(Idx >= 0 && static_cast<uint64_t>(Idx) < Info.Length &&
-               "array index out of bounds");
-#endif
-        Vm.writeRef(Thread, Arr, static_cast<uint64_t>(Idx) * 8, V);
-        break;
-      }
-      case Opcode::ArrayLength: {
-        assert(Sp > 0 && "operand stack underflow");
-        ObjectRef Arr = S[--Sp].asRef();
-        Vm.readWord(Thread, Arr, 0);
-        S[Sp++] = Value::fromInt(
-            static_cast<int64_t>(Vm.objectInfo(Thread, Arr).Length));
-        break;
-      }
-      case Opcode::GetField: {
-        assert(Sp > 0 && "operand stack underflow");
-        ObjectRef Obj = S[--Sp].asRef();
-        uint64_t V =
-            O.B == 4
-                ? Vm.readU32(Thread, Obj, static_cast<uint64_t>(O.A))
-                : Vm.readWord(Thread, Obj, static_cast<uint64_t>(O.A));
-        S[Sp++] = Value::fromInt(static_cast<int64_t>(V));
-        break;
-      }
-      case Opcode::PutField: {
-        assert(Sp > 1 && "operand stack underflow");
-        uint64_t V = static_cast<uint64_t>(S[--Sp].asInt());
-        ObjectRef Obj = S[--Sp].asRef();
-        if (O.B == 4)
-          Vm.writeU32(Thread, Obj, static_cast<uint64_t>(O.A),
-                      static_cast<uint32_t>(V));
-        else
-          Vm.writeWord(Thread, Obj, static_cast<uint64_t>(O.A), V);
-        break;
-      }
-      case Opcode::GetRefField: {
-        assert(Sp > 0 && "operand stack underflow");
-        ObjectRef Obj = S[--Sp].asRef();
-        S[Sp++] = Value::fromRef(
-            Vm.readRef(Thread, Obj, static_cast<uint64_t>(O.A)));
-        break;
-      }
-      case Opcode::PutRefField: {
-        assert(Sp > 1 && "operand stack underflow");
-        ObjectRef V = S[--Sp].asRef();
-        ObjectRef Obj = S[--Sp].asRef();
-        Vm.writeRef(Thread, Obj, static_cast<uint64_t>(O.A), V);
-        break;
-      }
-      default:
-        assert(false && "unreachable");
-      }
-      break;
-    }
-    case SuperOp::Alloc: {
-      // The allocation observes Steps/cycles/Bci, can fault (GcRequest)
-      // and can re-enter run() from an allocation observer: flush and
-      // fully sync first, with the operands still on the stack
-      // (peek-then-commit, exactly as the flat loop), so an unwind
-      // re-executes this constituent flat after the safepoint GC.
-      Flush();
-      Thread.setBci(O.Pc);
-      F->Pc = O.Pc;
-      F->Sp = Sp;
-      ArenaTop = F->StackBase + Sp;
-      ObjectRef Obj = kNullRef;
-      uint32_t NPops = 0;
-      switch (O.Src) {
-      case Opcode::New:
-        Obj = Vm.allocateObject(Thread, static_cast<TypeId>(O.A));
-        break;
-      case Opcode::NewArray:
-      case Opcode::ANewArray: {
-        assert(Sp > 0 && "operand stack underflow");
-        int64_t Len = S[Sp - 1].asInt();
-        assert(Len >= 0 && "negative array length");
-        Obj = Vm.allocateArray(Thread, static_cast<TypeId>(O.A),
-                               static_cast<uint64_t>(Len));
-        NPops = 1;
-        break;
-      }
-      case Opcode::MultiANewArray: {
-        uint32_t NDims = static_cast<uint32_t>(O.B);
-        assert(Sp >= NDims && "operand stack underflow");
-        std::vector<uint64_t> Dims(NDims);
-        for (uint32_t D = 0; D < NDims; ++D) {
-          int64_t Len = S[Sp - NDims + D].asInt();
-          assert(Len >= 0 && "negative array length");
-          Dims[D] = static_cast<uint64_t>(Len);
-        }
-        Obj = Vm.allocateMultiArray(Thread, static_cast<TypeId>(O.A), Dims);
-        NPops = NDims;
-        break;
-      }
-      default:
-        assert(false && "unreachable");
-      }
-      // An allocation observer may have re-entered run() and moved the
-      // arena: re-derive every cached pointer before committing.
-      F = &CallStack.back();
-      L = Arena.data() + F->LocalsBase;
-      S = Arena.data() + F->StackBase;
-      Sp -= NPops;
-      S[Sp++] = Value::fromRef(Obj);
-      // A nested re-entry burns shared Steps: deopt when the remainder no
-      // longer fits a budget, so the flat loop pauses (or hits the step
-      // limit) at exactly the instruction it would have anyway.
-      if (Steps + O.StepsAfter > QuantumEnd ||
-          Steps + O.StepsAfter > StepDeadline) {
-        Exit(O.Pc + 1);
-        return;
-      }
-      break;
-    }
-    case SuperOp::CmpBranchLI: {
-      assert(!L[O.A].IsRef && "icmp branch of a reference slot");
-      int64_t A = L[O.A].asInt();
-      int64_t B = O.B;
-      bool Taken = false;
-      switch (O.Src) {
-      case Opcode::IfICmpEq:
-        Taken = A == B;
-        break;
-      case Opcode::IfICmpNe:
-        Taken = A != B;
-        break;
-      case Opcode::IfICmpLt:
-        Taken = A < B;
-        break;
-      case Opcode::IfICmpGe:
-        Taken = A >= B;
-        break;
-      case Opcode::IfICmpGt:
-        Taken = A > B;
-        break;
-      case Opcode::IfICmpLe:
-        Taken = A <= B;
-        break;
-      default:
-        assert(false && "unreachable");
-      }
-      if (Taken) {
-        Flush();
-        Exit(static_cast<uint32_t>(O.C));
-        return;
-      }
-      break;
-    }
-    case SuperOp::HookPre:
-    case SuperOp::HookPost: {
-      // Agent hook dispatch mid-trace, exactly as the flat loop: flush
-      // the batched steps (the flat loop ticks before dispatching), set
-      // the bci and sync the frame (the hook records contexts and may
-      // re-enter run()), then re-derive the cached pointers.
-      const bool IsPost = O.Kind == SuperOp::HookPost;
-      if (IsPost ? Hooks.Post != nullptr : Hooks.Pre != nullptr) {
-        ObjectRef Fresh = kNullRef;
-        if (IsPost) {
-          assert(Sp > 0 && "operand stack underflow");
-          assert(S[Sp - 1].IsRef &&
-                 "allochook_post expects the fresh ref on TOS");
-          Fresh = S[Sp - 1].asRef();
-        }
-        Flush();
-        Thread.setBci(O.Pc);
-        F->Pc = O.Pc;
-        F->Sp = Sp;
-        ArenaTop = F->StackBase + Sp;
-        if (IsPost)
-          Hooks.Post(static_cast<uint64_t>(O.A), Fresh);
-        else
-          Hooks.Pre(static_cast<uint64_t>(O.A));
-        F = &CallStack.back();
-        L = Arena.data() + F->LocalsBase;
-        S = Arena.data() + F->StackBase;
-        // A hook re-entry burns shared Steps, like an allocation
-        // observer: deopt when the trace remainder no longer fits.
-        if (Steps + O.StepsAfter > QuantumEnd ||
-            Steps + O.StepsAfter > StepDeadline) {
-          Exit(O.Pc + 1);
-          return;
-        }
-      }
-      break;
-    }
-    }
-  }
-  Flush();
-  Exit(T.EndPc);
 }

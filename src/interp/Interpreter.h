@@ -197,12 +197,29 @@ private:
   /// Grows the arena to hold at least \p Needed slots (geometric).
   void growArena(size_t Needed);
 
-  /// Executes one compiled trace end-to-end or to an exit. Entry
-  /// contract: the caller synced the top frame and admitted the trace's
-  /// full NumSteps against QuantumEnd and StepDeadline. Exit contract:
-  /// frame state (Pc, Sp, ArenaTop) is synced and Steps/cycles charged
-  /// for exactly the constituents retired.
-  void execTrace(const CompiledTrace &T, uint64_t QuantumEnd);
+  /// Whether the agent installed a hook for allocation-hook opcode \p Op.
+  bool hasHook(Opcode Op) const {
+    return Op == Opcode::AllocHookPre ? bool(Hooks.Pre) : bool(Hooks.Post);
+  }
+
+  /// Dispatches the hook of allocation-hook opcode \p Op for site \p Site
+  /// (the post hook receives the fresh reference on top of [S, S + Sp)).
+  /// The caller syncs the frame first: a hook may re-enter run().
+  void callHook(Opcode Op, int64_t Site, const Value *S, uint32_t Sp);
+
+  // --- Super tier (SuperTier.cpp) -----------------------------------------
+  /// Runs the compiled trace at the top frame's pc, whose hot site is
+  /// \p Site, end-to-end or to an exit; false (nothing executed) to
+  /// dispatch flat instead. Each call is one flat visit of the site: it
+  /// counts toward the hot threshold, except the re-dispatch of an
+  /// instruction a GcRequest unwound. Admission is all-or-nothing
+  /// against both budgets: a trace whose full length does not fit runs
+  /// flat this quantum -- observationally identical, since a trace is
+  /// the same instruction stream. Entry contract: the caller synced the
+  /// top frame. Exit contract (true): frame state (Pc, Sp, ArenaTop) is
+  /// synced and Steps/cycles charged for exactly the constituents
+  /// retired.
+  bool execTrace(TraceCache::Site &Site, uint64_t QuantumEnd);
 
   [[noreturn]] void fatalStepLimit() const;
 

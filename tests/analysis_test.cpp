@@ -45,7 +45,7 @@ using namespace djx;
 
 namespace {
 
-DJX_TEST_MODULE(analysis_test, 84.0, 50.0,
+DJX_TEST_MODULE(analysis_test, 87.0, 53.0,
     "src/analysis/Cfg.cpp",
     "src/analysis/Cfg.h",
     "src/analysis/Dataflow.h",

@@ -4,6 +4,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "analysis/TypeState.h"
 #include "bytecode/Disassembler.h"
 #include "bytecode/MethodBuilder.h"
 #include "bytecode/Verifier.h"
@@ -12,21 +13,23 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+
 #include "harness/TestModule.h"
 
 using namespace djx;
 
 namespace {
 
-DJX_TEST_MODULE(bytecode_test, 50.0, 28.0,
+DJX_TEST_MODULE(bytecode_test, 60.0, 35.0,
     "src/bytecode/ClassFile.cpp",
     "src/bytecode/ClassFile.h",
     "src/bytecode/Disassembler.cpp",
     "src/bytecode/Disassembler.h",
     "src/bytecode/MethodBuilder.cpp",
     "src/bytecode/MethodBuilder.h",
-    "src/bytecode/Opcode.cpp",
     "src/bytecode/Opcode.h",
+    "src/bytecode/Opcodes.def",
     "src/bytecode/Verifier.cpp",
     "src/bytecode/Verifier.h");
 
@@ -54,6 +57,121 @@ TEST(Opcode, AllocationClassification) {
   EXPECT_TRUE(isAllocation(Opcode::MultiANewArray));
   EXPECT_FALSE(isAllocation(Opcode::ALoad));
   EXPECT_FALSE(isAllocation(Opcode::AllocHookPre));
+}
+
+/// Every opcode, in enum order.
+std::vector<Opcode> allOpcodes() {
+  std::vector<Opcode> Out;
+  for (size_t K = 0; K < kNumOpcodes; ++K)
+    Out.push_back(static_cast<Opcode>(K));
+  return Out;
+}
+
+TEST(Opcode, TableMnemonicsAreUniqueAndDisassembleWithTheirFormat) {
+  std::set<std::string> Seen;
+  for (Opcode Op : allOpcodes()) {
+    const std::string Name = opcodeName(Op);
+    EXPECT_TRUE(Seen.insert(Name).second) << "duplicate mnemonic " << Name;
+
+    BytecodeMethod M;
+    M.ClassName = "C";
+    M.MethodName = "m";
+    M.CalleeRefs.assign(8, "X.other");
+    M.CalleeRefs[7] = "X.y";
+    M.Code.push_back(Instruction{Op, 7, 2});
+    std::string Operands;
+    switch (opcodeInfo(Op).Format) {
+    case OperandFormat::None:
+      break;
+    case OperandFormat::Imm:
+    case OperandFormat::Local:
+      Operands = " 7";
+      break;
+    case OperandFormat::Callee:
+      Operands = " X.y args=2";
+      break;
+    case OperandFormat::Field:
+      Operands = " off=7 width=2";
+      break;
+    case OperandFormat::RefField:
+      Operands = " off=7";
+      break;
+    case OperandFormat::Dims:
+      Operands = " leaf-type=7 dims=2";
+      break;
+    }
+    EXPECT_EQ(disassemble(M), "C.m (args=0, locals=0)\n  0: " + Name +
+                                  Operands + "\n");
+  }
+  EXPECT_EQ(Seen.size(), kNumOpcodes);
+}
+
+/// Infers type states over `iconst 1` x \p Operands, then \p Inst, then
+/// `return`, with \p Callee resolving any Invoke.
+TypeStateResult inferAfterOperands(const Instruction &Inst, unsigned Operands,
+                                   const BytecodeMethod *Callee) {
+  BytecodeMethod M;
+  M.ClassName = "C";
+  M.MethodName = "m";
+  M.NumLocals = 2;
+  for (unsigned K = 0; K < Operands; ++K)
+    M.Code.push_back(Instruction{Opcode::IConst, 1, 0});
+  M.Code.push_back(Inst);
+  M.Code.push_back(Instruction{Opcode::Return, 0, 0});
+  Cfg G = Cfg::build(M);
+  return inferTypeStates(
+      M, G, [Callee](const Instruction &) { return Callee; });
+}
+
+TEST(Opcode, TableStackEffectsMatchTypeState) {
+  BytecodeMethod VoidCallee = MethodBuilder("D", "v", 0, 0).ret().build();
+  BytecodeMethod IntCallee =
+      MethodBuilder("D", "i", 0, 0).iconst(1).iret().build();
+  for (Opcode Op : allOpcodes()) {
+    const std::string Name = opcodeName(Op);
+    // B = 2: multianewarray dimensions / invoke arguments.
+    const StackEffect E = instructionStackEffect(Instruction{Op, 0, 2});
+    // Branches target the instruction after themselves.
+    const Instruction Inst{Op, isBranch(Op) ? E.Pops + 1 : 0, 2};
+    for (const BytecodeMethod *Callee : {&VoidCallee, &IntCallee}) {
+      if (Callee == &IntCallee && Op != Opcode::Invoke)
+        continue;
+      SCOPED_TRACE(Name + " with callee " + Callee->qualifiedName());
+      TypeStateResult R = inferAfterOperands(Inst, E.Pops, Callee);
+      for (const TypeStateError &Err : R.Errors)
+        EXPECT_EQ(Err.Msg.find("stack underflow"), std::string::npos)
+            << Err.Msg;
+      if (isTerminal(Op) && !isBranch(Op)) {
+        EXPECT_EQ(E.Pushes, 0u);
+        continue;
+      }
+      // Invoke's push is the callee's return value; the table says 0.
+      const int Pushes =
+          static_cast<int>(E.Pushes) + (Callee == &IntCallee ? 1 : 0);
+      EXPECT_EQ(R.depthAt(E.Pops + 1) - R.depthAt(E.Pops),
+                Pushes - static_cast<int>(E.Pops));
+    }
+    if (E.Pops == 0)
+      continue;
+    // One operand short: TypeState reports the table's pop count.
+    TypeStateResult Short = inferAfterOperands(Inst, E.Pops - 1, &VoidCallee);
+    ASSERT_FALSE(Short.Errors.empty()) << Name;
+    EXPECT_EQ(Short.Errors[0].Msg,
+              "stack underflow: " + Name + " pops " + std::to_string(E.Pops) +
+                  " with " + std::to_string(E.Pops - 1) + " on the stack");
+  }
+}
+
+TEST(Opcode, TerminalAndTraceEndingClassification) {
+  EXPECT_TRUE(isTerminal(Opcode::Goto));
+  EXPECT_TRUE(isTerminal(Opcode::AReturn));
+  EXPECT_FALSE(isTerminal(Opcode::IfEq));
+  EXPECT_FALSE(isTerminal(Opcode::Invoke));
+  EXPECT_TRUE(endsTrace(Opcode::Invoke));
+  EXPECT_TRUE(endsTrace(Opcode::AllocHookPost));
+  EXPECT_FALSE(endsTrace(Opcode::Goto));
+  EXPECT_TRUE(isICmpBranch(Opcode::IfICmpLe));
+  EXPECT_FALSE(isICmpBranch(Opcode::IfLt));
 }
 
 TEST(MethodBuilder, EmitsInstructionsInOrder) {
@@ -225,6 +343,38 @@ TEST(Verifier, RejectsStackUnderflow) {
   VerifyResult R = verifyMethod(M);
   ASSERT_FALSE(R.ok());
   EXPECT_NE(R.Errors[0].find("stack underflow"), std::string::npos);
+}
+
+TEST(Verifier, DepthDiagnosticsKeepTheirExactText) {
+  auto Errors = [](std::vector<Instruction> Code) {
+    BytecodeMethod M;
+    M.ClassName = "C";
+    M.MethodName = "m";
+    M.NumLocals = 1;
+    M.CalleeRefs = {"X.y"};
+    M.Code = std::move(Code);
+    return verifyMethod(M).Errors;
+  };
+  using Errs = std::vector<std::string>;
+  // A loop that pumps one value onto the stack every trip.
+  EXPECT_EQ(Errors({{Opcode::IConst, 1, 0}, {Opcode::Goto, 0, 0}}),
+            Errs{"bci 0: stack depth grows without bound (unbalanced loop?)"});
+  // An unresolved invoke may push 0 or 1 values: one pop is a maybe, the
+  // second a definite underflow.
+  EXPECT_EQ(Errors({{Opcode::Invoke, 0, 0},
+                    {Opcode::Pop, 0, 0},
+                    {Opcode::Pop, 0, 0},
+                    {Opcode::Return, 0, 0}}),
+            Errs{"bci 2: stack underflow: pops 1 with at most 0 on the stack"});
+  // Both arms of a branch underflow: one diagnostic each.
+  EXPECT_EQ(Errors({{Opcode::ILoad, 0, 0},
+                    {Opcode::IfEq, 3, 0},
+                    {Opcode::Pop, 0, 0},
+                    {Opcode::Pop, 0, 0},
+                    {Opcode::Return, 0, 0}}),
+            (Errs{"bci 2: stack underflow: pops 1 with at most 0 on the stack",
+                  "bci 3: stack underflow: pops 1 with at most 0 on the "
+                  "stack"}));
 }
 
 TEST(Verifier, RejectsArgCountExceedingLocals) {

@@ -16,9 +16,10 @@ using namespace djx;
 
 namespace {
 
-DJX_TEST_MODULE(interp_test, 76.0, 45.0,
+DJX_TEST_MODULE(interp_test, 87.0, 56.0,
     "src/interp/Interpreter.cpp",
-    "src/interp/Interpreter.h");
+    "src/interp/Interpreter.h",
+    "src/interp/Semantics.h");
 
 /// Builds, loads and runs a single 0-arg method, returning its result.
 std::optional<Value> runSingle(JavaVm &Vm,
@@ -73,6 +74,44 @@ TEST(Interpreter, NegationAndLocals) {
     B.iload(0).ineg().iret();
   });
   EXPECT_EQ(R->asInt(), 42);
+}
+
+TEST(Interpreter, JvmWrappingArithmetic) {
+  // 64-bit long semantics: overflow wraps, MIN / -1 is MIN, MIN % -1 is
+  // 0, shift counts are taken mod 64.
+  struct Case {
+    int64_t A, B;
+    MethodBuilder &(MethodBuilder::*Op)();
+    int64_t Want;
+  };
+  const Case Cases[] = {
+      {INT64_MAX, 1, &MethodBuilder::iadd, INT64_MIN},
+      {INT64_MIN, 1, &MethodBuilder::isub, INT64_MAX},
+      {INT64_MAX, 2, &MethodBuilder::imul, -2},
+      {INT64_MIN, -1, &MethodBuilder::imul, INT64_MIN},
+      {INT64_MIN, -1, &MethodBuilder::idiv, INT64_MIN},
+      {INT64_MIN, -1, &MethodBuilder::irem, 0},
+      {-7, 2, &MethodBuilder::idiv, -3},
+      {-7, 2, &MethodBuilder::irem, -1},
+      {-1, 63, &MethodBuilder::ishl, INT64_MIN},
+      {1, 64, &MethodBuilder::ishl, 1},
+      {-8, 65, &MethodBuilder::ishr, -4},
+  };
+  VmConfig Small;
+  Small.HeapBytes = 1 << 20;
+  for (const Case &C : Cases) {
+    JavaVm Vm(Small);
+    auto R = runSingle(Vm, [&](MethodBuilder &B) {
+      (B.iconst(C.A).iconst(C.B).*C.Op)();
+      B.iret();
+    });
+    EXPECT_EQ(R->asInt(), C.Want) << C.A << " op " << C.B;
+  }
+  JavaVm Vm(Small);
+  auto R = runSingle(Vm, [](MethodBuilder &B) {
+    B.iconst(INT64_MIN).ineg().iret();
+  });
+  EXPECT_EQ(R->asInt(), INT64_MIN);
 }
 
 TEST(Interpreter, StackOps) {
@@ -260,6 +299,43 @@ TEST(Interpreter, RecursionFactorial) {
   JavaThread &T = Vm.startThread("t", 0);
   Interpreter I(Vm, P, T);
   EXPECT_EQ(I.run("R.fact", {Value::fromInt(10)})->asInt(), 3628800);
+}
+
+TEST(Interpreter, DeepRecursionGrowsTheArenaAcrossQuanta) {
+  // sum(n) = n == 0 ? 0 : n + sum(n - 1), 500 frames deep: the frames
+  // outgrow the initial arena mid-call. Driven in odd-sized quanta, the
+  // paused and resumed call must match an uninterrupted run() exactly.
+  JavaVm Vm;
+  BytecodeProgram P;
+  MethodBuilder B("R", "sum", 1, 1);
+  Label Base = B.newLabel();
+  B.iload(0).ifEq(Base);
+  B.iload(0).iload(0).iconst(1).isub().invoke("R.sum", 1).iadd().iret();
+  B.bind(Base);
+  B.iconst(0).iret();
+  ClassFile C;
+  C.Name = "R";
+  C.Methods.push_back(B.build());
+  P.addClass(std::move(C));
+  P.load(Vm);
+  JavaThread &T = Vm.startThread("t", 0);
+  uint64_t RunSteps = 0;
+  {
+    Interpreter I(Vm, P, T);
+    EXPECT_EQ(I.run("R.sum", {Value::fromInt(500)})->asInt(), 125250);
+    RunSteps = I.stepsExecuted();
+  }
+  Interpreter I(Vm, P, T);
+  I.startCall("R.sum", {Value::fromInt(500)});
+  unsigned Pauses = 0;
+  while (I.resume(97) == RunState::Paused) {
+    EXPECT_EQ(I.stepsExecuted(), 97u * ++Pauses);
+    EXPECT_TRUE(I.hasPendingCall());
+  }
+  EXPECT_FALSE(I.hasPendingCall());
+  EXPECT_EQ(I.takeResult()->asInt(), 125250);
+  EXPECT_EQ(I.stepsExecuted(), RunSteps);
+  EXPECT_GT(Pauses, 20u);
 }
 
 TEST(Interpreter, VoidMethodsReturnNothing) {

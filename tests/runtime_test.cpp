@@ -18,6 +18,7 @@
 #include "core/DjxPerf.h"
 #include "core/Report.h"
 #include "runtime/Executor.h"
+#include "support/FaultInjector.h"
 #include "workloads/BytecodePrograms.h"
 #include "workloads/Parallel.h"
 
@@ -29,7 +30,7 @@ using namespace djx;
 
 namespace {
 
-DJX_TEST_MODULE(runtime_test, 68.0, 45.0,
+DJX_TEST_MODULE(runtime_test, 77.0, 50.0,
     "src/runtime/Executor.cpp",
     "src/runtime/Executor.h",
     "src/runtime/Safepoint.cpp",
@@ -333,6 +334,123 @@ TEST(Executor, ProfiledOutcomeInvariantAcrossJobs) {
   EXPECT_EQ(std::get<2>(A), std::get<2>(B));
   EXPECT_EQ(std::get<3>(A), std::get<3>(B));
   EXPECT_EQ(std::get<4>(A), std::get<4>(B));
+}
+
+// --- Session-ending paths ---------------------------------------------------
+
+/// Runs two tasks of smallConfig's worker program on \p Jobs host
+/// workers, after \p Tune adjusts the executor config and \p Arm the
+/// fresh executor. Returns the executor's captured error, if any, and
+/// the rounds it ran.
+std::pair<std::optional<VmError>, uint64_t>
+runSession(unsigned Jobs, const std::function<void(ExecutorConfig &)> &Tune,
+           const std::function<void(Executor &)> &Arm = nullptr) {
+  ParallelConfig Pc = smallConfig(Jobs);
+  Pc.SimThreads = 2;
+  JavaVm Vm(parallelVmConfig(Pc));
+  BytecodeProgram Program = buildParallelWorkerProgram(Vm.types());
+  Program.load(Vm);
+  ExecutorConfig Ec;
+  Ec.Jobs = Jobs;
+  Ec.QuantumSteps = Pc.QuantumSteps;
+  Tune(Ec);
+  Executor Ex(Vm, Ec);
+  for (unsigned I = 0; I < Pc.SimThreads; ++I)
+    Ex.addThread(Program, "Main.run",
+                 {Value::fromInt(Pc.Iters), Value::fromInt(Pc.Nlen),
+                  Value::fromInt(Pc.HotElems)},
+                 "w" + std::to_string(I));
+  if (Arm)
+    Arm(Ex);
+  Ex.run();
+  for (size_t I = 0; I < Ex.numTasks(); ++I)
+    Vm.endThread(Ex.thread(I));
+  return {Ex.error(), Ex.rounds()};
+}
+
+TEST(Executor, CapturesTheFirstErrorOnBothDrivers) {
+  // An allocation observer fails on task 1's first allocation past 5000
+  // steps -- a fixed logical point, so both drivers end the session in
+  // the same round. The worker session attributes the bare error to the
+  // task whose quantum raised it.
+  for (unsigned Jobs : {1u, 2u}) {
+    uint64_t FailingThread = 0;
+    uint64_t FailingSteps = 0;
+    auto [Err, Rounds] = runSession(
+        Jobs, [](ExecutorConfig &) {},
+        [&](Executor &Ex) {
+          FailingThread = Ex.thread(1).id();
+          Ex.interpreter(1).vm().jvmti().onAllocation(
+              [&Ex, &FailingSteps](const AllocationEvent &E) {
+                if (E.Thread != &Ex.thread(1) || FailingSteps != 0 ||
+                    Ex.interpreter(1).stepsExecuted() <= 5000)
+                  return;
+                FailingSteps = Ex.interpreter(1).stepsExecuted();
+                throw VmError(VmErrorKind::Internal, "observer failed");
+              });
+        });
+    ASSERT_TRUE(Err.has_value()) << "jobs=" << Jobs;
+    EXPECT_EQ(Err->Kind, VmErrorKind::Internal);
+    EXPECT_NE(std::string(Err->what()).find("observer failed"),
+              std::string::npos);
+    EXPECT_EQ(Rounds, 3u) << "jobs=" << Jobs;
+    if (Jobs > 1) {
+      EXPECT_EQ(Err->ThreadId, FailingThread);
+      EXPECT_EQ(Err->Steps, FailingSteps);
+    }
+  }
+}
+
+TEST(Executor, RoundLimitsEndSessionsCleanlyOnBothDrivers) {
+  for (unsigned Jobs : {1u, 2u}) {
+    auto [Err, Rounds] = runSession(
+        Jobs, [](ExecutorConfig &Ec) { Ec.MaxRounds = 2; });
+    EXPECT_FALSE(Err.has_value());
+    EXPECT_EQ(Rounds, 2u) << "jobs=" << Jobs;
+    std::vector<uint64_t> Seen;
+    auto [HookErr, HookRounds] =
+        runSession(Jobs, [&](ExecutorConfig &Ec) {
+          Ec.OnRoundEnd = [&](uint64_t Round) {
+            Seen.push_back(Round);
+            return Round == 3;
+          };
+        });
+    EXPECT_FALSE(HookErr.has_value());
+    EXPECT_EQ(HookRounds, 3u) << "jobs=" << Jobs;
+    EXPECT_EQ(Seen, (std::vector<uint64_t>{1, 2, 3})) << "jobs=" << Jobs;
+  }
+}
+
+/// Clears the process-global injector on scope exit.
+struct InjectorGuard {
+  ~InjectorGuard() { FaultInjector::clear(); }
+};
+
+TEST(Executor, WatchdogStopsAStalledSessionOnBothDrivers) {
+  // Every quantum claim stalls; the watchdog must convert the hang into
+  // a WorkerStall naming the stalled task and the driver's state.
+  InjectorGuard Guard;
+  FaultPlan Plan;
+  Plan.Seed = 7;
+  Plan.rate(FaultSite::QuantumClaim) = 1.0;
+  for (unsigned Jobs : {1u, 2u}) {
+    FaultInjector::install(Plan);
+    auto [Err, Rounds] = runSession(
+        Jobs, [](ExecutorConfig &Ec) { Ec.StallTimeoutMs = 40; });
+    FaultInjector::clear();
+    ASSERT_TRUE(Err.has_value()) << "jobs=" << Jobs;
+    EXPECT_EQ(Err->Kind, VmErrorKind::WorkerStall);
+    const std::string What = Err->what();
+    EXPECT_NE(What.find("no forward progress for 40 ms"), std::string::npos)
+        << What;
+    EXPECT_NE(What.find("injected stall on task"), std::string::npos)
+        << What;
+    EXPECT_NE(What.find(Jobs == 1 ? "serial driver" : "worker 1: epoch"),
+              std::string::npos)
+        << What;
+    EXPECT_NE(Err->ThreadId, VmError::kNoThread);
+    EXPECT_EQ(Rounds, 1u);
+  }
 }
 
 } // namespace

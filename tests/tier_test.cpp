@@ -22,9 +22,11 @@
 #include "bytecode/TraceCompiler.h"
 #include "core/DjxPerf.h"
 #include "core/Report.h"
+#include "instrument/AllocationInstrumenter.h"
 #include "interp/Interpreter.h"
 #include "runtime/Executor.h"
 #include "support/FaultInjector.h"
+#include "support/Random.h"
 #include "support/VmError.h"
 #include "workloads/BytecodePrograms.h"
 #include "workloads/Parallel.h"
@@ -32,7 +34,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <numeric>
+#include <set>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -43,9 +47,10 @@ using namespace djx;
 
 namespace {
 
-DJX_TEST_MODULE(tier_test, 93.0, 70.0,
+DJX_TEST_MODULE(tier_test, 97.0, 74.0,
     "src/bytecode/TraceCompiler.cpp",
     "src/bytecode/TraceCompiler.h",
+    "src/interp/SuperTier.cpp",
     "src/interp/TraceCache.cpp",
     "src/interp/TraceCache.h");
 
@@ -774,6 +779,568 @@ TEST(TierParity, SafepointsInvalidateAndRecompileTraces) {
   }
   for (size_t Task = 0; Task < Ex.numTasks(); ++Task)
     Vm.endThread(Ex.thread(Task));
+}
+
+// --- Tier-differential semantics -------------------------------------------
+
+/// Loop trips per semantics run: the first visit of the loop head runs
+/// flat, the rest run inside its trace (hot threshold 2).
+constexpr int64_t kSemTrips = 6;
+
+/// T.main(a, b) for the semantics sweep. Locals: 0 = a, 1 = b,
+/// 2 = result, 3 = loop counter, 4 = array scratch. Runs \p Body
+/// kSemTrips times and returns local 2.
+BytecodeProgram semanticsProgram(
+    const std::function<void(MethodBuilder &)> &Prelude,
+    const std::function<void(MethodBuilder &)> &Body) {
+  MethodBuilder B("T", "main", 2, 5);
+  Prelude(B);
+  B.iconst(0).istore(3);
+  Label Head = B.newLabel(), End = B.newLabel();
+  B.bind(Head);
+  B.iload(3).iconst(kSemTrips).ifICmp(Opcode::IfICmpGe, End);
+  Body(B);
+  B.iload(3).iconst(1).iadd().istore(3);
+  B.jmp(Head);
+  B.bind(End);
+  B.iload(2).iret();
+  ClassFile C;
+  C.Name = "T";
+  C.Methods.push_back(B.build());
+  BytecodeProgram P;
+  P.addClass(std::move(C));
+  return P;
+}
+
+/// Edge operands of 64-bit JVM arithmetic -- zero, +-1, the extremes,
+/// shift counts at and past the width, negative dividends -- plus seeded
+/// random values.
+std::vector<int64_t> semanticsOperands() {
+  std::vector<int64_t> V = {0,  1,   -1,  2,         -7,
+                            7,  63,  64,  65,        127,
+                            INT64_MIN,    INT64_MIN + 1, INT64_MAX};
+  Random Rng(0x5E3A7C5);
+  for (int K = 0; K < 3; ++K)
+    V.push_back(static_cast<int64_t>(Rng.next()));
+  return V;
+}
+
+/// The JVM's long arithmetic, written independently of the interpreter.
+int64_t jvmAlu(Opcode Op, int64_t A, int64_t B) {
+  const uint64_t UA = static_cast<uint64_t>(A);
+  const uint64_t UB = static_cast<uint64_t>(B);
+  switch (Op) {
+  case Opcode::IAdd:
+    return static_cast<int64_t>(UA + UB);
+  case Opcode::ISub:
+    return static_cast<int64_t>(UA - UB);
+  case Opcode::IMul:
+    return static_cast<int64_t>(UA * UB);
+  case Opcode::IDiv:
+    return A == INT64_MIN && B == -1 ? INT64_MIN : A / B;
+  case Opcode::IRem:
+    return A == INT64_MIN && B == -1 ? 0 : A % B;
+  case Opcode::INeg:
+    return static_cast<int64_t>(~UA + 1);
+  case Opcode::IAnd:
+    return A & B;
+  case Opcode::IOr:
+    return A | B;
+  case Opcode::IXor:
+    return A ^ B;
+  case Opcode::IShl:
+    return static_cast<int64_t>(UA << (UB % 64));
+  case Opcode::IShr:
+    return A >> (UB % 64);
+  default:
+    ADD_FAILURE() << "not an ALU opcode";
+    return 0;
+  }
+}
+
+bool jvmTaken(Opcode Op, int64_t A, int64_t B) {
+  switch (Op) {
+  case Opcode::IfEq:
+    return A == 0;
+  case Opcode::IfNe:
+    return A != 0;
+  case Opcode::IfLt:
+    return A < 0;
+  case Opcode::IfGe:
+    return A >= 0;
+  case Opcode::IfICmpEq:
+    return A == B;
+  case Opcode::IfICmpNe:
+    return A != B;
+  case Opcode::IfICmpLt:
+    return A < B;
+  case Opcode::IfICmpGe:
+    return A >= B;
+  case Opcode::IfICmpGt:
+    return A > B;
+  case Opcode::IfICmpLe:
+    return A <= B;
+  default:
+    ADD_FAILURE() << "not a conditional branch";
+    return false;
+  }
+}
+
+struct SemOutcome {
+  int64_t Result = 0;
+  uint64_t Steps = 0;
+  uint64_t Cycles = 0;
+  bool operator==(const SemOutcome &O) const {
+    return Result == O.Result && Steps == O.Steps && Cycles == O.Cycles;
+  }
+};
+
+using SemArgs = std::vector<std::pair<int64_t, int64_t>>;
+
+/// Runs T.main(a, b) for every pair in \p Args on the program \p Build
+/// makes, flat and in the super tier, each tier in its own VM so the
+/// simulated caches see the same history. Checks the super tier
+/// reproduced every result, step count and cycle count, and that its
+/// traces contain each of \p SuperOps (--dump-traces text); returns the
+/// flat outcomes.
+std::vector<SemOutcome>
+runSemantics(const std::function<BytecodeProgram(TypeRegistry &)> &Build,
+             const SemArgs &Args, const std::vector<std::string> &SuperOps) {
+  std::vector<SemOutcome> PerTier[2];
+  for (int Super = 0; Super < 2; ++Super) {
+    VmConfig Cfg;
+    Cfg.HeapBytes = 1 << 18;
+    JavaVm Vm(Cfg);
+    BytecodeProgram P = Build(Vm.types());
+    P.load(Vm);
+    JavaThread &T = Vm.startThread("sem", 0);
+    std::string Traces;
+    for (const auto &[A, B] : Args) {
+      Interpreter I(Vm, P, T);
+      if (Super)
+        I.setTier(superTier(2));
+      const uint64_t Cycles0 = T.cycles();
+      std::optional<Value> R =
+          I.run("T.main", {Value::fromInt(A), Value::fromInt(B)});
+      PerTier[Super].push_back(
+          {R->asInt(), I.stepsExecuted(), T.cycles() - Cycles0});
+      Traces += I.renderTraces();
+    }
+    for (const std::string &Op : Super ? SuperOps : std::vector<std::string>())
+      EXPECT_NE(Traces.find(Op), std::string::npos)
+          << Op << " never compiled:\n"
+          << Traces;
+    Vm.endThread(T);
+  }
+  EXPECT_TRUE(PerTier[1] == PerTier[0]) << SuperOps.front();
+  return PerTier[0];
+}
+
+/// Wraps a body emitter into a program builder for runSemantics().
+std::function<BytecodeProgram(TypeRegistry &)>
+semBuild(std::function<void(MethodBuilder &)> Body,
+         std::function<void(MethodBuilder &, TypeRegistry &)> Prelude =
+             nullptr) {
+  return [Body, Prelude](TypeRegistry &Types) {
+    return semanticsProgram(
+        [&](MethodBuilder &B) {
+          if (Prelude)
+            Prelude(B, Types);
+        },
+        Body);
+  };
+}
+
+using Emitter = MethodBuilder &(MethodBuilder::*)();
+
+TEST(TierSemantics, AluOpsMatchJvmArithmeticInEveryForm) {
+  const std::vector<int64_t> V = semanticsOperands();
+  const std::pair<Opcode, Emitter> Ops[] = {
+      {Opcode::IAdd, &MethodBuilder::iadd},
+      {Opcode::ISub, &MethodBuilder::isub},
+      {Opcode::IMul, &MethodBuilder::imul},
+      {Opcode::IDiv, &MethodBuilder::idiv},
+      {Opcode::IRem, &MethodBuilder::irem},
+      {Opcode::IAnd, &MethodBuilder::iand},
+      {Opcode::IOr, &MethodBuilder::ior},
+      {Opcode::IXor, &MethodBuilder::ixor},
+      {Opcode::IShl, &MethodBuilder::ishl},
+      {Opcode::IShr, &MethodBuilder::ishr}};
+  // Every form below is six instructions, so steps and cycles must agree
+  // across forms as well as across tiers.
+  for (const auto &[Op, Emit] : Ops) {
+    const std::string Name = opcodeName(Op);
+    for (int64_t Rhs : V) {
+      if ((Op == Opcode::IDiv || Op == Opcode::IRem) && Rhs == 0)
+        continue; // Division by zero is outside the contract.
+      SCOPED_TRACE(Name + " rhs=" + std::to_string(Rhs));
+      SemArgs Args;
+      for (int64_t Lhs : V)
+        Args.emplace_back(Lhs, Rhs);
+      auto Base = runSemantics(semBuild([Emit = Emit](MethodBuilder &B) {
+                                 (B.iload(0).iload(1).*Emit)();
+                                 B.istore(2).nop().nop();
+                               }),
+                               Args, {"alu (" + Name + ")"});
+      for (size_t K = 0; K < Args.size(); ++K)
+        EXPECT_EQ(Base[K].Result, jvmAlu(Op, Args[K].first, Rhs))
+            << "lhs=" << Args[K].first;
+      if (Op == Opcode::IAdd || Op == Opcode::ISub) {
+        // iload; iconst; iadd/isub; istore => inc_local L2 += +-rhs.
+        auto Inc = runSemantics(
+            semBuild([Emit = Emit, Rhs](MethodBuilder &B) {
+              (B.iload(0).istore(2).iload(2).iconst(Rhs).*Emit)();
+              B.istore(2);
+            }),
+            Args, {"inc_local L2 += "});
+        EXPECT_TRUE(Inc == Base);
+      }
+      if (Op == Opcode::IAdd) {
+        // push b; iload; iadd; istore => accum_local L2 += b.
+        auto Accum = runSemantics(semBuild([](MethodBuilder &B) {
+                                    B.iload(0).istore(2).iload(1).iload(2);
+                                    B.iadd().istore(2);
+                                  }),
+                                  Args, {"accum_local L2"});
+        EXPECT_TRUE(Accum == Base);
+      }
+    }
+  }
+  SemArgs Args;
+  for (int64_t Lhs : V)
+    Args.emplace_back(Lhs, 0);
+  auto Neg = runSemantics(semBuild([](MethodBuilder &B) {
+                            B.iload(0).ineg().istore(2);
+                          }),
+                          Args, {"ineg"});
+  for (size_t K = 0; K < Args.size(); ++K)
+    EXPECT_EQ(Neg[K].Result, jvmAlu(Opcode::INeg, Args[K].first, 0));
+}
+
+using BranchEmitter = std::function<void(MethodBuilder &, Label)>;
+
+/// The body `<Branch> Taken; result = 1; goto Next; Taken: result = 2;
+/// Next:`, where \p Branch emits the conditional branch to Taken.
+std::function<void(MethodBuilder &)> branchDiamond(BranchEmitter Branch) {
+  return [Branch](MethodBuilder &B) {
+    Label Taken = B.newLabel(), Next = B.newLabel();
+    Branch(B, Taken);
+    B.iconst(1).istore(2).jmp(Next);
+    B.bind(Taken);
+    B.iconst(2).istore(2);
+    B.bind(Next);
+  };
+}
+
+TEST(TierSemantics, BranchesDecideAlikeInEveryFormAndDirection) {
+  const std::vector<int64_t> V = semanticsOperands();
+  const Opcode ICmps[] = {Opcode::IfICmpEq, Opcode::IfICmpNe,
+                          Opcode::IfICmpLt, Opcode::IfICmpGe,
+                          Opcode::IfICmpGt, Opcode::IfICmpLe};
+  for (Opcode Op : ICmps) {
+    const std::string Name = opcodeName(Op);
+    unsigned Taken = 0, NotTaken = 0;
+    for (int64_t Rhs : V) {
+      SCOPED_TRACE(Name + " rhs=" + std::to_string(Rhs));
+      SemArgs Args;
+      for (int64_t Lhs : V)
+        Args.emplace_back(Lhs, Rhs);
+      // Four instructions up to the branch in every form.
+      auto Base = runSemantics(
+          semBuild(branchDiamond([Op](MethodBuilder &B, Label L) {
+            B.iload(0).iload(1).nop().ifICmp(Op, L);
+          })),
+          Args, {"br (" + Name + ")"});
+      for (size_t K = 0; K < Args.size(); ++K) {
+        const bool Expect = jvmTaken(Op, Args[K].first, Rhs);
+        EXPECT_EQ(Base[K].Result, Expect ? 2 : 1) << "lhs=" << Args[K].first;
+        ++(Expect ? Taken : NotTaken);
+      }
+      auto LL = runSemantics(
+          semBuild(branchDiamond([Op](MethodBuilder &B, Label L) {
+            B.nop().iload(0).iload(1).ifICmp(Op, L);
+          })),
+          Args, {"cmp_branch_ll (" + Name + ") L0, L1"});
+      EXPECT_TRUE(LL == Base);
+      auto LI = runSemantics(
+          semBuild(branchDiamond([Op, Rhs](MethodBuilder &B, Label L) {
+            B.nop().iload(0).iconst(Rhs).ifICmp(Op, L);
+          })),
+          Args, {"cmp_branch_li (" + Name + ") L0, #" + std::to_string(Rhs)});
+      EXPECT_TRUE(LI == Base);
+    }
+    EXPECT_GT(Taken, 0u) << Name;
+    EXPECT_GT(NotTaken, 0u) << Name;
+  }
+
+  using UnaryEmitter = MethodBuilder &(MethodBuilder::*)(Label);
+  const std::pair<Opcode, UnaryEmitter> Unary[] = {
+      {Opcode::IfEq, &MethodBuilder::ifEq},
+      {Opcode::IfNe, &MethodBuilder::ifNe},
+      {Opcode::IfLt, &MethodBuilder::ifLt},
+      {Opcode::IfGe, &MethodBuilder::ifGe}};
+  SemArgs Args;
+  for (int64_t Lhs : V)
+    Args.emplace_back(Lhs, 0);
+  for (const auto &[Op, Emit] : Unary) {
+    const std::string Name = opcodeName(Op);
+    auto Out = runSemantics(
+        semBuild(branchDiamond([Emit = Emit](MethodBuilder &B, Label L) {
+          (B.iload(0).*Emit)(L);
+        })),
+        Args, {"br (" + Name + ")"});
+    std::set<int64_t> Seen;
+    for (size_t K = 0; K < Args.size(); ++K) {
+      EXPECT_EQ(Out[K].Result, jvmTaken(Op, Args[K].first, 0) ? 2 : 1)
+          << Name << " " << Args[K].first;
+      Seen.insert(Out[K].Result);
+    }
+    EXPECT_EQ(Seen.size(), 2u) << Name << " took one direction only";
+  }
+
+  // ifnull / ifnonnull on local 4: null when a == 0, else a fresh array.
+  const std::pair<Opcode, UnaryEmitter> Refs[] = {
+      {Opcode::IfNull, &MethodBuilder::ifNull},
+      {Opcode::IfNonNull, &MethodBuilder::ifNonNull}};
+  auto MaybeAlloc = [](MethodBuilder &B, TypeRegistry &Types) {
+    Label Skip = B.newLabel();
+    B.iload(0).ifEq(Skip);
+    B.iconst(1).newArray(Types.intArray()).astore(4);
+    B.bind(Skip);
+  };
+  for (const auto &[Op, Emit] : Refs) {
+    const std::string Name = opcodeName(Op);
+    auto Out = runSemantics(
+        semBuild(branchDiamond([Emit = Emit](MethodBuilder &B, Label L) {
+                   (B.aload(4).*Emit)(L);
+                 }),
+                 MaybeAlloc),
+        Args, {"br (" + Name + ")"});
+    for (size_t K = 0; K < Args.size(); ++K) {
+      const bool IsNull = Args[K].first == 0;
+      EXPECT_EQ(Out[K].Result, IsNull == (Op == Opcode::IfNull) ? 2 : 1)
+          << Name << " " << Args[K].first;
+    }
+  }
+}
+
+TEST(TierSemantics, PrimitiveElementsRoundTripAtEveryWidth) {
+  const std::vector<int64_t> V = semanticsOperands();
+  SemArgs Args;
+  for (size_t K = 0; K < V.size(); ++K)
+    Args.emplace_back(V[K], static_cast<int64_t>(K % 8));
+  const std::pair<unsigned, TypeId (TypeRegistry::*)() const> Widths[] = {
+      {1, &TypeRegistry::byteArray},
+      {4, &TypeRegistry::intArray},
+      {8, &TypeRegistry::longArray}};
+  for (const auto &[Width, ArrayType] : Widths) {
+    SCOPED_TRACE("width " + std::to_string(Width));
+    auto Prelude = [ArrayType = ArrayType](MethodBuilder &B,
+                                           TypeRegistry &Types) {
+      B.iconst(8).newArray((Types.*ArrayType)()).astore(4);
+    };
+    // a[b] = a-operand, then result = a[b]; ten instructions either way.
+    auto Base = runSemantics(semBuild(
+                                 [](MethodBuilder &B) {
+                                   B.aload(4).iload(1).iload(0).nop();
+                                   B.paStore();
+                                   B.aload(4).iload(1).nop().paLoad();
+                                   B.istore(2);
+                                 },
+                                 Prelude),
+                             Args, {"access (pastore)", "access (paload)"});
+    auto Fused = runSemantics(semBuild(
+                                  [](MethodBuilder &B) {
+                                    B.nop().aload(4).iload(1).iload(0);
+                                    B.paStore();
+                                    B.nop().aload(4).iload(1).paLoad();
+                                    B.istore(2);
+                                  },
+                                  Prelude),
+                              Args, {"pa_store_lll", "pa_load_ll"});
+    EXPECT_TRUE(Fused == Base);
+    const uint64_t Mask = Width == 8 ? ~0ULL : (1ULL << (8 * Width)) - 1;
+    for (size_t K = 0; K < Args.size(); ++K)
+      EXPECT_EQ(static_cast<uint64_t>(Base[K].Result),
+                static_cast<uint64_t>(Args[K].first) & Mask);
+  }
+}
+
+// --- Re-entry mid-trace ----------------------------------------------------
+
+/// R.main: 200 trips, each allocating an int[4] that never escapes the
+/// method. R.spin(n): counts n down without allocating -- the body an
+/// allocation hook or observer re-enters the interpreter with.
+BytecodeProgram reentryProgram(TypeRegistry &Types) {
+  ClassFile C;
+  C.Name = "R";
+  {
+    MethodBuilder B("R", "main", 0, 2);
+    B.iconst(0).istore(0);
+    Label Head = B.newLabel(), End = B.newLabel();
+    B.bind(Head);
+    B.iload(0).iconst(200).ifICmp(Opcode::IfICmpGe, End);
+    B.iconst(4).newArray(Types.intArray()).astore(1);
+    B.aload(1).iconst(0).iload(0).paStore();
+    B.iload(0).iconst(1).iadd().istore(0);
+    B.jmp(Head);
+    B.bind(End);
+    B.iload(0).iret();
+    C.Methods.push_back(B.build());
+  }
+  {
+    MethodBuilder B("R", "spin", 1, 1);
+    Label Head = B.newLabel(), End = B.newLabel();
+    B.bind(Head);
+    B.iload(0).ifEq(End);
+    B.iload(0).iconst(1).isub().istore(0);
+    B.jmp(Head);
+    B.bind(End);
+    B.ret();
+    C.Methods.push_back(B.build());
+  }
+  BytecodeProgram P;
+  P.addClass(std::move(C));
+  return P;
+}
+
+/// Everything a re-entrant run observes: the pause trajectory (or the
+/// step at which the step limit fired), the result and the clock.
+struct ReentryOutcome {
+  std::vector<uint64_t> Pauses;
+  int64_t Result = -1;
+  uint64_t LimitSteps = 0;
+  uint64_t Cycles = 0;
+  std::string Traces;
+  bool operator==(const ReentryOutcome &O) const {
+    return Pauses == O.Pauses && Result == O.Result &&
+           LimitSteps == O.LimitSteps && Cycles == O.Cycles;
+  }
+};
+
+/// Runs R.main with every allocation re-entering the interpreter to run
+/// R.spin(7) -- through the agent hooks (\p ViaHooks, instrumented
+/// program) or through a VM allocation observer. Drives it in quanta
+/// of \p Quantum steps, or with run() under \p StepLimit when Quantum
+/// is 0.
+ReentryOutcome runReentrant(ExecTier Tier, bool ViaHooks, uint64_t Quantum,
+                            uint64_t StepLimit) {
+  VmConfig Cfg;
+  Cfg.HeapBytes = 4 << 20;
+  JavaVm Vm(Cfg);
+  BytecodeProgram P = reentryProgram(Vm.types());
+  P.load(Vm);
+  if (ViaHooks) {
+    AllocationSiteTable Sites;
+    instrumentProgram(P, Sites);
+  }
+  JavaThread &T = Vm.startThread("reentry", 0);
+  Interpreter I(Vm, P, T);
+  if (Tier == ExecTier::Super)
+    I.setTier(superTier());
+  auto Spin = [&I] { I.run("R.spin", {Value::fromInt(7)}); };
+  if (ViaHooks) {
+    AllocationHooks Hooks;
+    Hooks.Pre = [&](uint64_t) { Spin(); };
+    Hooks.Post = [&](uint64_t, ObjectRef) { Spin(); };
+    I.setAllocationHooks(std::move(Hooks));
+  } else {
+    Vm.jvmti().onAllocation([&](const AllocationEvent &) { Spin(); });
+  }
+  ReentryOutcome O;
+  if (Quantum == 0) {
+    I.setStepLimit(StepLimit);
+    try {
+      O.Result = I.run("R.main")->asInt();
+    } catch (const VmError &E) {
+      EXPECT_EQ(E.Kind, VmErrorKind::StepLimit);
+      O.LimitSteps = E.Steps;
+    }
+  } else {
+    I.startCall("R.main");
+    while (I.resume(Quantum) == RunState::Paused)
+      O.Pauses.push_back(I.stepsExecuted());
+    O.Result = I.takeResult()->asInt();
+  }
+  O.Cycles = T.cycles();
+  O.Traces = I.renderTraces();
+  return O;
+}
+
+/// A hook or allocation observer that re-enters the interpreter burns
+/// steps in the middle of a trace. When the trace's remainder no longer
+/// fits the quantum or the step limit, the trace must deopt so the flat
+/// loop stops at exactly the instruction the interp tier stops at.
+TEST(TierParity, ReentryMidTraceDeoptsWhenTheRemainderNoLongerFits) {
+  for (bool ViaHooks : {false, true}) {
+    const char *SuperOp = ViaHooks ? "hook_pre" : "alloc (newarray)";
+    for (uint64_t Quantum : {13u, 29u, 64u, 101u}) {
+      SCOPED_TRACE(std::string(SuperOp) + " q=" + std::to_string(Quantum));
+      ReentryOutcome Interp =
+          runReentrant(ExecTier::Interp, ViaHooks, Quantum, 0);
+      ReentryOutcome Super =
+          runReentrant(ExecTier::Super, ViaHooks, Quantum, 0);
+      EXPECT_TRUE(Super == Interp);
+      EXPECT_EQ(Interp.Result, 200);
+      EXPECT_NE(Super.Traces.find(SuperOp), std::string::npos)
+          << Super.Traces;
+    }
+    for (uint64_t Limit = 3000; Limit < 3040; Limit += 3) {
+      SCOPED_TRACE(std::string(SuperOp) + " limit=" + std::to_string(Limit));
+      ReentryOutcome Interp = runReentrant(ExecTier::Interp, ViaHooks, 0,
+                                           Limit);
+      ReentryOutcome Super = runReentrant(ExecTier::Super, ViaHooks, 0,
+                                          Limit);
+      EXPECT_TRUE(Super == Interp);
+      EXPECT_EQ(Interp.LimitSteps, Limit + 1);
+    }
+  }
+}
+
+/// Deep recursion whose every frame runs a hot loop: near the arena's
+/// end, trace entry itself must grow the arena for the trace's peak
+/// operand growth, invisibly to every observable.
+TEST(TierParity, TraceEntryGrowsTheArenaInDeepRecursion) {
+  auto Run = [](ExecTier Tier) {
+    VmConfig Cfg;
+    Cfg.HeapBytes = 1 << 20;
+    JavaVm Vm(Cfg);
+    // f(n) = (sum of 0..3 computed in a loop) + (n == 0 ? 0 : f(n - 1)).
+    MethodBuilder B("D", "f", 1, 3);
+    B.iconst(0).istore(1).iconst(0).istore(2);
+    Label Head = B.newLabel(), Done = B.newLabel(), Base = B.newLabel();
+    B.bind(Head);
+    B.iload(2).iconst(4).ifICmp(Opcode::IfICmpGe, Done);
+    B.iload(1).iload(2).iconst(0).iadd().iadd().istore(1);
+    B.iload(2).iconst(1).iadd().istore(2);
+    B.jmp(Head);
+    B.bind(Done);
+    B.iload(0).ifEq(Base);
+    B.iload(1).iload(0).iconst(1).isub().invoke("D.f", 1).iadd().iret();
+    B.bind(Base);
+    B.iload(1).iret();
+    ClassFile C;
+    C.Name = "D";
+    C.Methods.push_back(B.build());
+    BytecodeProgram P;
+    P.addClass(std::move(C));
+    P.load(Vm);
+    JavaThread &T = Vm.startThread("deep", 0);
+    Interpreter I(Vm, P, T);
+    if (Tier == ExecTier::Super)
+      I.setTier(superTier(2));
+    int64_t R = I.run("D.f", {Value::fromInt(400)})->asInt();
+    EXPECT_EQ(R, 6 * 401);
+    return std::make_tuple(R, I.stepsExecuted(), T.cycles(),
+                           I.traceCache() ? I.traceCache()->stats().Compiles
+                                          : 0);
+  };
+  auto Interp = Run(ExecTier::Interp);
+  auto Super = Run(ExecTier::Super);
+  EXPECT_EQ(std::get<0>(Super), std::get<0>(Interp));
+  EXPECT_EQ(std::get<1>(Super), std::get<1>(Interp));
+  EXPECT_EQ(std::get<2>(Super), std::get<2>(Interp));
+  EXPECT_GT(std::get<3>(Super), 0u);
 }
 
 } // namespace
