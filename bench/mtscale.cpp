@@ -8,8 +8,8 @@
 /// Wall-clock scaling of the parallel profiling runtime: the same
 /// 4-simulated-thread workload (identical logical schedule, byte-identical
 /// results) is driven with 1, 2, and 4 host workers, and the benchmark
-/// reports aggregate interpreter steps per second plus speedup versus the
-/// serial --jobs 1 path. Results are written to BENCH_mtscale.json so CI
+/// reports aggregate interpreter steps per second plus speedup versus
+/// --jobs 1, where the calling thread is the only worker. Results are written to BENCH_mtscale.json so CI
 /// can archive the trajectory next to BENCH_simspeed.json. Speedups only
 /// carry meaning on hosts with at least as many cores as workers — on a
 /// single-core container every jobs value collapses to ~1x.

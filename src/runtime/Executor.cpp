@@ -59,17 +59,17 @@ uint64_t Executor::quantumFor(size_t TaskIndex) const {
   if (!F.Enabled)
     return Config.QuantumSteps;
   uint64_t Span = F.MaxQuantumSteps - F.MinQuantumSteps + 1;
-  // Key 1: the per-round quantum draw. Rounds is read pre-increment at
-  // every call site (both schedules assign budgets before bumping it).
+  // Key 1: the per-round quantum draw. Rounds is read pre-increment
+  // (nextIteration assigns budgets before bumping it).
   return F.MinQuantumSteps +
          fuzzMix(F.Seed, Rounds, TaskIndex, 1) % Span;
 }
 
 void Executor::maybeFuzzForcedGc(uint64_t Round) {
   const FuzzSchedule &F = Config.Fuzz;
-  // Key 2: the forced-GC draw. Runs with the world stopped (the serial
-  // loop's barrier, or the MT closer with every peer quiesced on the
-  // ticket), exactly where a park-triggered safepoint would run. An empty
+  // Key 2: the forced-GC draw. Runs with the world stopped (on the
+  // iteration closer, with every peer quiesced on the ticket), exactly
+  // where a park-triggered safepoint would run. An empty
   // requester list charges no pause, but the collection itself — moves,
   // frees, index relocations, hierarchy flushes — is real, which is the
   // point: GC timing becomes a seed draw instead of a shard-occupancy
@@ -87,13 +87,10 @@ void Executor::invalidateTraces() {
 }
 
 Executor::~Executor() {
-  // run() joins its own workers; this only matters if run() never ran or
-  // unwound exceptionally. The empty lock/unlock rendezvous mirrors
-  // publishIteration: a worker mid-predicate cannot miss the store and
-  // then sleep through the notify.
+  // run() joins its own workers; this only matters if run() unwound
+  // exceptionally.
   SessionDone.store(true, std::memory_order_release);
-  { std::lock_guard<std::mutex> L(WakeMutex); }
-  WakeCv.notify_all();
+  wakeWaiters();
   for (std::thread &W : Workers)
     if (W.joinable())
       W.join();
@@ -265,10 +262,9 @@ void Executor::runChunk(Task &T, uint64_t Budget, bool &Parked) {
 }
 
 bool Executor::roundBarrierStop() {
-  // Runs on the single thread driving the barrier (serial driver or MT
-  // closer with peers quiesced), so the hook may read every task's
-  // profile race-free. Hook first, then MaxRounds: a journal flush for
-  // round N must land even when N is the last round.
+  // Runs on the iteration closer with peers quiesced, so the hook may read
+  // every task's profile race-free. Hook first, then MaxRounds: a journal
+  // flush for round N must land even when N is the last round.
   bool Stop = false;
   if (Config.OnRoundEnd)
     Stop = Config.OnRoundEnd(Rounds);
@@ -277,70 +273,32 @@ bool Executor::roundBarrierStop() {
   return Stop;
 }
 
-std::unique_ptr<Executor::IterBatch> Executor::nextIteration() {
-  auto Batch = std::make_unique<IterBatch>();
+bool Executor::nextIteration() {
   // Continue the current round: parked tasks that still owe quantum
   // budget (their peers already finished theirs, so StepsLeft > 0 only
   // survives an iteration via a park).
+  Work.clear();
   for (auto &T : Tasks)
     if (!T->Done && T->StepsLeft > 0)
-      Batch->Tasks.push_back(T.get());
-  if (Batch->Tasks.empty()) {
-    // Round barrier crossed (also true for the final barrier, where no
-    // task has budget left): fire the hook before opening the next
-    // round, at the same logical point as runSerialLoop's barrier.
-    if (Rounds > 0 && roundBarrierStop())
-      return nullptr; // Clean early end (hook request or MaxRounds).
-    // Open the next round. (Budgets are drawn against the
-    // pre-increment Rounds value, matching runSerial.)
-    for (auto &T : Tasks)
-      if (!T->Done) {
-        T->StepsLeft = quantumFor(T->Index);
-        T->Round = Rounds + 1;
-        Batch->Tasks.push_back(T.get());
-      }
-    if (Batch->Tasks.empty())
-      return nullptr; // Every task is done: session over.
-    ++Rounds;
-    maybeFuzzForcedGc(Rounds);
-  }
-  Batch->Remaining.store(Batch->Tasks.size(), std::memory_order_relaxed);
-  return Batch;
-}
-
-void Executor::publishIteration(std::unique_ptr<IterBatch> Batch) {
-  // Reclaim retired batches first: a batch whose generation precedes
-  // every worker's announced epoch can no longer be loaded or touched
-  // (a worker announces the ticket it observed *before* loading
-  // CurrentIter, and that load can only return batches at least that
-  // new; its touches of the old batch are sequenced before the next
-  // announce's release store, which this acquire read synchronizes
-  // with). Keeps retention at O(workers) across arbitrarily long runs.
-  if (WorkerEpochs) {
-    uint64_t MinEpoch = ~0ULL;
-    for (unsigned W = 0; W < NumWorkers; ++W)
-      MinEpoch = std::min(
-          MinEpoch, WorkerEpochs[W].load(std::memory_order_acquire));
-    while (!IterStorage.empty() && IterStorage.front()->Gen < MinEpoch)
-      IterStorage.pop_front();
-  }
-  // Every closer-side write — task state, Rounds, and this storage
-  // append — must be sequenced before the CurrentIter publication: the
-  // release/acquire pair on CurrentIter is what hands closership to
-  // whichever worker empties the new batch, and that worker may race
-  // ahead the instant the pointer is visible. (Publishing first and
-  // appending after would let two closers mutate IterStorage
-  // concurrently.)
-  IterBatch *Raw = Batch.get();
-  Raw->Gen = RoundTicket.load(std::memory_order_relaxed) + 1;
-  IterStorage.push_back(std::move(Batch));
-  CurrentIter.store(Raw, std::memory_order_release);
-  // Release the ticket, then rendezvous with any sleeper: taking the
-  // mutex after the bump guarantees a worker mid-wait either saw the new
-  // ticket in its predicate or is registered for this notify.
-  RoundTicket.fetch_add(1, std::memory_order_release);
-  { std::lock_guard<std::mutex> L(WakeMutex); }
-  WakeCv.notify_all();
+      Work.push_back(T.get());
+  if (!Work.empty())
+    return true;
+  // Round barrier crossed (also true for the final barrier, where no task
+  // has budget left): fire the hook before opening the next round.
+  if (Rounds > 0 && roundBarrierStop())
+    return false; // Clean early end (hook request or MaxRounds).
+  // Open the next round, drawing budgets against the pre-increment Rounds.
+  for (auto &T : Tasks)
+    if (!T->Done) {
+      T->StepsLeft = quantumFor(T->Index);
+      T->Round = Rounds + 1;
+      Work.push_back(T.get());
+    }
+  if (Work.empty())
+    return false; // Every task is done: session over.
+  ++Rounds;
+  maybeFuzzForcedGc(Rounds);
+  return true;
 }
 
 void Executor::closeIteration() {
@@ -348,37 +306,57 @@ void Executor::closeIteration() {
   // publish further work (peers are unwinding on SessionDone).
   if (SessionDone.load(std::memory_order_acquire))
     return;
-  // Reached by exactly one worker per iteration (its Remaining
-  // decrement hit zero), with every peer quiesced on the round ticket —
-  // the world is stopped by construction, without a handshake.
-  std::vector<JavaThread *> Requesters;
-  for (auto &T : Tasks)
-    if (T->Parked)
-      Requesters.push_back(T->Thread);
-  if (!Requesters.empty()) {
-    // The sense-reversing fallback: this quiescent point widens into a
-    // full stop-the-world safepoint, run right here on the last
-    // finisher.
-    Safepoint.stopTheWorldGc(Vm, Requesters);
-    // Deopt-at-safepoint: compiled traces die with the pause; the flat
-    // loop owns every resumed frame (hot sites recompile on next visit).
-    invalidateTraces();
-    // Re-bind after compaction: objects slid within their shard, and a
-    // future heap recycle may have released pages — placement must be
-    // restored before any post-GC access.
-    applyNumaPlacement();
+  // Reached by exactly one worker per iteration (its Remaining decrement
+  // hit zero, or it is the calling thread opening the session), with
+  // every peer quiesced on the round ticket — the world is stopped by
+  // construction, without a handshake.
+  try {
+    std::vector<JavaThread *> Requesters;
     for (auto &T : Tasks)
-      T->Parked = false;
-  }
-  std::unique_ptr<IterBatch> Next = nextIteration();
-  if (!Next) {
-    SessionDone.store(true, std::memory_order_release);
-    RoundTicket.fetch_add(1, std::memory_order_release);
-    { std::lock_guard<std::mutex> L(WakeMutex); }
-    WakeCv.notify_all();
+      if (T->Parked)
+        Requesters.push_back(T->Thread);
+    if (!Requesters.empty()) {
+      // The sense-reversing fallback: this quiescent point widens into a
+      // full stop-the-world safepoint, run right here on the last
+      // finisher.
+      Safepoint.stopTheWorldGc(Vm, Requesters);
+      // Deopt-at-safepoint: compiled traces die with the pause; the flat
+      // loop owns every resumed frame (hot sites recompile on next visit).
+      invalidateTraces();
+      // Re-bind after compaction: objects slid within their shard, and a
+      // future heap recycle may have released pages — placement must be
+      // restored before any post-GC access.
+      applyNumaPlacement();
+      for (auto &T : Tasks)
+        T->Parked = false;
+    }
+    if (nextIteration()) {
+      // Every closer-side write — task state, Rounds, Work, Remaining —
+      // is sequenced before this release store; a claimant's acquiring
+      // fetch_add of the fresh word sees them all, and may race ahead the
+      // instant it is visible.
+      Remaining.store(Work.size(), std::memory_order_relaxed);
+      Claim.store(static_cast<uint64_t>(Work.size()) << 32,
+                  std::memory_order_release);
+    } else {
+      SessionDone.store(true, std::memory_order_release);
+    }
+  } catch (VmError &E) {
+    // First-error capture for the barrier itself: the round hook, the
+    // safepoint GC or the fuzz-forced GC failed. Ends the session exactly
+    // like a failed quantum.
+    recordError(std::move(E));
     return;
   }
-  publishIteration(std::move(Next));
+  RoundTicket.fetch_add(1, std::memory_order_release);
+  wakeWaiters();
+}
+
+void Executor::wakeWaiters() {
+  // Empty lock/unlock rendezvous after the store: a worker mid-wait either
+  // saw the store in its predicate or is registered for this notify.
+  { std::lock_guard<std::mutex> L(WakeMutex); }
+  WakeCv.notify_all();
 }
 
 uint64_t Executor::waitForTicket(uint64_t Seen) {
@@ -418,97 +396,36 @@ void Executor::sessionLoop(unsigned Worker) {
       for (uint64_t I = 0; I < Spins; ++I)
         cpuRelax();
     }
-    // Epoch announcement: pins every batch published at or after the
-    // ticket value read here until the next announcement. Must precede
-    // the CurrentIter load (the load returns batches >= this epoch).
-    WorkerEpochs[Worker].store(RoundTicket.load(std::memory_order_acquire),
-                               std::memory_order_release);
-    IterBatch *B = CurrentIter.load(std::memory_order_acquire);
-    size_t I = B->Next.fetch_add(1, std::memory_order_relaxed);
-    if (I < B->Tasks.size()) {
-      Task &T = *B->Tasks[I];
-      WorkerClaims[Worker].store(T.Index + 1, std::memory_order_release);
-      try {
-        runQuantum(T);
-      } catch (VmError &E) {
-        // First-error capture: this worker's quantum failed. Attribute
-        // the error to its task where the throw site could not, record
-        // it, and unwind — peers observe SessionDone at their next claim
-        // or ticket check (the next round barrier, in effect).
-        if (E.ThreadId == VmError::kNoThread)
-          E.ThreadId = T.Thread->id();
-        if (E.Steps == 0)
-          E.Steps = T.Interp->stepsExecuted();
-        WorkerClaims[Worker].store(0, std::memory_order_release);
-        recordError(std::move(E));
-        return;
-      }
-      WorkerClaims[Worker].store(0, std::memory_order_release);
-      if (B->Remaining.fetch_sub(1, std::memory_order_acq_rel) == 1)
-        closeIteration();
+    uint64_t Word = Claim.fetch_add(1, std::memory_order_acquire);
+    uint32_t I = static_cast<uint32_t>(Word);
+    if (I >= (Word >> 32)) {
+      // Iteration exhausted: wait for the closer to publish the next.
+      // (Every exhausted claim is followed by a ticket wait, so a worker
+      // over-claims each published word at most twice and the index half
+      // never carries into the size half.)
+      Seen = waitForTicket(Seen);
       continue;
     }
-    // Batch exhausted (possibly a stale pointer from a previous
-    // iteration): wait for the ticket to move, then reload.
-    Seen = waitForTicket(Seen);
-  }
-}
-
-void Executor::runSerial() {
-  // The legacy serial path: the same logical schedule, driven inline in
-  // thread-id order on the calling host thread. A VmError from any
-  // quantum ends the session exactly like the MT path's first-error
-  // capture (there is only one driver, so it is trivially "first").
-  try {
-    runSerialLoop();
-  } catch (VmError &E) {
-    recordError(std::move(E));
-  }
-}
-
-void Executor::runSerialLoop() {
-  for (;;) {
-    bool AnyActive = false;
-    for (auto &T : Tasks)
-      if (!T->Done) {
-        T->StepsLeft = quantumFor(T->Index);
-        T->Round = Rounds + 1;
-        AnyActive = true;
-      }
-    if (!AnyActive)
-      break;
-    ++Rounds;
-    maybeFuzzForcedGc(Rounds);
-    for (;;) {
-      bool Ran = false;
-      for (auto &T : Tasks)
-        if (!T->Done && T->StepsLeft > 0 && !T->Parked) {
-          runQuantum(*T);
-          // A watchdog-declared stall (injected or real) ends the
-          // session while this driver is still inside its round.
-          if (SessionDone.load(std::memory_order_acquire))
-            return;
-          Ran = true;
-        }
-      std::vector<JavaThread *> Requesters;
-      for (auto &T : Tasks)
-        if (T->Parked)
-          Requesters.push_back(T->Thread);
-      if (Requesters.empty()) {
-        if (!Ran)
-          break;
-        continue;
-      }
-      Safepoint.stopTheWorldGc(Vm, Requesters);
-      invalidateTraces();
-      applyNumaPlacement();
-      for (auto &T : Tasks)
-        T->Parked = false;
-    }
-    // Round barrier: every task is Done or out of budget. Same logical
-    // point as the MT closer's empty continue-batch.
-    if (roundBarrierStop())
+    Task &T = *Work[I];
+    WorkerClaims[Worker].store(T.Index + 1, std::memory_order_release);
+    try {
+      runQuantum(T);
+    } catch (VmError &E) {
+      // First-error capture: this worker's quantum failed. Attribute the
+      // error to its task where the throw site could not, record it, and
+      // unwind — peers observe SessionDone at their next claim or ticket
+      // check (the next round barrier, in effect).
+      if (E.ThreadId == VmError::kNoThread)
+        E.ThreadId = T.Thread->id();
+      if (E.Steps == 0)
+        E.Steps = T.Interp->stepsExecuted();
+      WorkerClaims[Worker].store(0, std::memory_order_release);
+      recordError(std::move(E));
       return;
+    }
+    WorkerClaims[Worker].store(0, std::memory_order_release);
+    if (Remaining.fetch_sub(1, std::memory_order_acq_rel) == 1)
+      closeIteration();
   }
 }
 
@@ -519,11 +436,8 @@ void Executor::recordError(VmError &&E) {
       FirstError = std::move(E);
   }
   // End the session: peers unwind at their next claim or ticket check.
-  // The empty lock/unlock rendezvous mirrors publishIteration so a
-  // worker mid-predicate cannot miss the store and sleep forever.
   SessionDone.store(true, std::memory_order_release);
-  { std::lock_guard<std::mutex> L(WakeMutex); }
-  WakeCv.notify_all();
+  wakeWaiters();
 }
 
 void Executor::simulateStall(Task &T) {
@@ -544,18 +458,10 @@ VmError Executor::buildStallError() const {
   uint64_t Stalled = StalledTask.load(std::memory_order_acquire);
   if (Stalled)
     Dump += "; injected stall on task " + std::to_string(Stalled - 1);
-  if (NumWorkers == 0) {
-    Dump += "; serial driver";
-  } else {
-    for (unsigned W = 0; W < NumWorkers; ++W) {
-      uint64_t Claim =
-          WorkerClaims ? WorkerClaims[W].load(std::memory_order_acquire) : 0;
-      Dump += "; worker " + std::to_string(W) + ": epoch " +
-              std::to_string(
-                  WorkerEpochs[W].load(std::memory_order_acquire)) +
-              (Claim ? ", running task " + std::to_string(Claim - 1)
-                     : ", idle");
-    }
+  for (unsigned W = 0; W < NumWorkers; ++W) {
+    uint64_t Slot = WorkerClaims[W].load(std::memory_order_acquire);
+    Dump += "; worker " + std::to_string(W) +
+            (Slot ? ": running task " + std::to_string(Slot - 1) : ": idle");
   }
   VmError E(VmErrorKind::WorkerStall, Dump);
   if (Stalled)
@@ -606,6 +512,14 @@ void Executor::run() {
   // (every hierarchy, shared and worker-private, sees the same placement).
   applyNumaPlacement();
 
+  // Session state, set before the watchdog thread starts (its stall dump
+  // reads the claim slots).
+  NumWorkers = static_cast<unsigned>(std::min<size_t>(Jobs, Tasks.size()));
+  WorkerClaims.reset(new std::atomic<uint64_t>[NumWorkers]);
+  for (unsigned I = 0; I < NumWorkers; ++I)
+    WorkerClaims[I].store(0, std::memory_order_relaxed);
+  SessionDone.store(false, std::memory_order_relaxed);
+
   // Host-time watchdog: converts a hung session (a wedged worker, a
   // safepoint that can never complete) into a WorkerStall error.
   std::thread Watchdog;
@@ -616,32 +530,16 @@ void Executor::run() {
     Watchdog = std::thread([this] { watchdogLoop(); });
   }
 
-  if (Jobs == 1 || Tasks.size() == 1) {
-    runSerial();
-  } else {
-    SessionDone.store(false, std::memory_order_relaxed);
-    std::unique_ptr<IterBatch> First = nextIteration();
-    if (First) { // False only when every task already ran to completion.
-      unsigned N = static_cast<unsigned>(
-          std::min<size_t>(Jobs, Tasks.size()));
-      NumWorkers = N;
-      WorkerEpochs.reset(new std::atomic<uint64_t>[N]);
-      WorkerClaims.reset(new std::atomic<uint64_t>[N]);
-      for (unsigned I = 0; I < N; ++I) {
-        WorkerEpochs[I].store(0, std::memory_order_relaxed);
-        WorkerClaims[I].store(0, std::memory_order_relaxed);
-      }
-      publishIteration(std::move(First));
-      Workers.reserve(N);
-      for (unsigned I = 0; I < N; ++I)
-        Workers.emplace_back([this, I] { sessionLoop(I); });
-      for (std::thread &W : Workers)
-        W.join();
-      Workers.clear();
-      CurrentIter.store(nullptr, std::memory_order_relaxed);
-      IterStorage.clear();
-    }
-  }
+  // One session for every Jobs value: the calling thread opens the first
+  // iteration, then runs as worker 0 beside NumWorkers - 1 spawned peers.
+  closeIteration();
+  Workers.reserve(NumWorkers - 1);
+  for (unsigned I = 1; I < NumWorkers; ++I)
+    Workers.emplace_back([this, I] { sessionLoop(I); });
+  sessionLoop(0);
+  for (std::thread &W : Workers)
+    W.join();
+  Workers.clear();
 
   WatchdogArmed.store(false, std::memory_order_release);
   WatchdogStop.store(true, std::memory_order_release);

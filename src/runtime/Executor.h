@@ -19,23 +19,20 @@
 /// one stop-the-world collection in thread-id order over all shards, and
 /// parked threads finish their quantum budget. Because parking depends
 /// only on shard occupancy (logical state) and the barrier is jobs-
-/// independent, the merged profile is byte-identical for --jobs 1/2/4;
-/// --jobs 1 *is* the legacy serial path — the same schedule driven inline
-/// on the calling host thread with no workers spawned.
+/// independent, the merged profile is byte-identical for --jobs 1/2/4.
+/// Every Jobs value runs the same session: the calling thread is worker
+/// 0 and min(Jobs, tasks) - 1 more are spawned, so with --jobs 1 the
+/// calling thread is the only worker.
 ///
-/// Barrier elision: the round transition is coordinator-free in the
-/// common case. Workers claim quanta from an atomic cursor; the worker
-/// that completes an iteration's last quantum *is* the barrier — it
-/// checks for GC requests, publishes the next iteration's work list, and
+/// Barrier elision: the round transition is coordinator-free. Workers
+/// claim quanta from one atomic claim word; the worker that completes an
+/// iteration's last quantum *is* the barrier — it checks for GC
+/// requests, rewrites the work list, republishes the claim word and
 /// advances an atomic round ticket that its peers spin on (falling back
 /// to a condvar sleep after a bounded spin, so few-core hosts don't burn
 /// the GC's timeslice). Only when some task parked with GcRequest does
 /// the transition widen into the stop-the-world safepoint — run by that
 /// same last finisher, with every peer provably quiesced on the ticket.
-/// The logical schedule (round/quantum/park/GC placement) is unchanged
-/// from the handshake barrier, so results stay byte-identical; what
-/// disappears is the two mutex/condvar round-trips with a coordinator
-/// thread per round, which dominated small-quantum runs.
 ///
 /// Shared layers are made safe under this protocol rather than by locks on
 /// hot paths: registries are frozen for the duration of run() (immutable
@@ -56,7 +53,6 @@
 
 #include <atomic>
 #include <condition_variable>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <mutex>
@@ -106,9 +102,9 @@ struct FuzzSchedule {
 };
 
 struct ExecutorConfig {
-  /// Host worker threads. 0 = hardware concurrency; 1 = legacy serial
-  /// path (no workers spawned, quanta run inline in thread-id order).
-  /// Affects wall-clock only — never results.
+  /// Host worker threads. 0 = hardware concurrency; 1 = the calling
+  /// thread is the only worker (quanta run in thread-id order). Affects
+  /// wall-clock only — never results.
   unsigned Jobs = 0;
   /// Interpreter steps per simulated thread per round. Part of the
   /// *logical* schedule: changing it changes where GCs land, so it is a
@@ -137,12 +133,13 @@ struct ExecutorConfig {
   /// disables it (and disarms the QuantumClaim fault-injection site,
   /// which needs the watchdog to unwind the stall it creates).
   uint64_t StallTimeoutMs = 120000;
-  /// Round-barrier hook: fired once per completed round, on the single
-  /// thread driving the barrier (the serial driver, or the MT closer
-  /// with every peer quiesced on the ticket — a safe point to read
-  /// profiles or flush a journal). The argument is the just-completed
-  /// round (1-based). Return true to end the session cleanly after
-  /// this round. Fires at identical logical points for any Jobs value.
+  /// Round-barrier hook: fired once per completed round, on the worker
+  /// closing the iteration with every peer quiesced on the ticket (with
+  /// Jobs 1, the calling thread is the only worker) — a safe point to
+  /// read profiles or flush a journal. The argument is the just-completed
+  /// round (1-based). Return true to end the session cleanly after this
+  /// round. Fires at identical logical points for any Jobs value. A
+  /// VmError it throws is captured like a quantum's (see run()).
   std::function<bool(uint64_t)> OnRoundEnd;
   /// End the session cleanly once this many rounds completed (0 =
   /// unlimited). The reference oracle for journal recovery: a run
@@ -175,7 +172,8 @@ public:
   /// Runs every task to completion under the round/safepoint protocol.
   /// Never throws and never aborts the process: a VmError raised by any
   /// task (OOM after a fruitless safepoint GC, interpreter step limit,
-  /// a watchdog-detected stall) is captured first-error-wins, the
+  /// a watchdog-detected stall) or by the round barrier (the OnRoundEnd
+  /// hook, a safepoint GC) is captured first-error-wins, the
   /// session is ended (peers unwind at their next claim or ticket
   /// check), and the error is exposed via error() so callers can
   /// salvage the profile data collected so far.
@@ -259,13 +257,9 @@ private:
   /// (\p Parked set). Factored out of runQuantum so fuzzed chunking
   /// reuses the exact park/OOM bookkeeping of the unfuzzed path.
   void runChunk(Task &T, uint64_t Budget, bool &Parked);
-  /// The legacy serial schedule, driven inline on the calling thread.
-  /// Wraps runSerialLoop in the same first-error capture as the MT path.
-  void runSerial();
-  void runSerialLoop();
-  /// Round-barrier bookkeeping shared by both schedules: fires
-  /// Config.OnRoundEnd for the just-completed round and evaluates
-  /// MaxRounds. \returns true when the session should end cleanly.
+  /// Round-barrier bookkeeping: fires Config.OnRoundEnd for the
+  /// just-completed round and evaluates MaxRounds. \returns true when the
+  /// session should end cleanly.
   bool roundBarrierStop();
 
   // --- Failure capture and the stall watchdog ----------------------------
@@ -281,7 +275,7 @@ private:
   /// for Config.StallTimeoutMs host milliseconds.
   void watchdogLoop();
   /// WorkerStall error with a per-worker state dump built from atomics
-  /// only (epochs, claim slots, ticket) — never from racy task state.
+  /// only (claim slots, ticket) — never from racy task state.
   VmError buildStallError() const;
 
   // --- FuzzSchedule draws (pure hashes of Seed + logical state) -----------
@@ -293,39 +287,27 @@ private:
   /// construction). No-op when fuzz is off.
   void maybeFuzzForcedGc(uint64_t Round);
 
-  // --- Ticket-barrier session (Jobs > 1) ---------------------------------
-  /// One inner iteration's immutable work list. Workers claim indices
-  /// from Next; the worker that drops Remaining to zero owns the
-  /// iteration close. The Tasks vector never mutates after publication —
-  /// a laggard still holding a previous batch can only over-claim its
-  /// exhausted cursor, never race the next batch's construction.
-  struct IterBatch {
-    std::vector<Task *> Tasks;
-    std::atomic<size_t> Next{0};
-    std::atomic<size_t> Remaining{0};
-    /// RoundTicket value this batch was published under (its bump's
-    /// post-increment value); drives retired-batch reclamation.
-    uint64_t Gen = 0;
-  };
-
-  /// Publishes \p Batch as the current iteration and releases the round
-  /// ticket so waiting workers pick it up.
-  void publishIteration(std::unique_ptr<IterBatch> Batch);
-  /// Runs on the worker that finished an iteration's last quantum, with
-  /// every other worker quiesced (spinning or asleep on the ticket): the
-  /// elided round barrier. Performs the safepoint GC if any task parked,
-  /// then either continues the round, opens the next round, or ends the
-  /// session.
+  // --- Ticket-barrier session --------------------------------------------
+  /// Runs on the worker that finished an iteration's last quantum (and
+  /// once on the calling thread to open the first iteration), with every
+  /// other worker quiesced (spinning or asleep on the ticket): the elided
+  /// round barrier. Performs the safepoint GC if any task parked, then
+  /// publishes the next iteration or ends the session. A VmError raised
+  /// there (round hook, safepoint GC) goes to recordError.
   void closeIteration();
-  /// Builds the inner-iteration work list ({!Done, StepsLeft > 0}), or —
-  /// when that is empty — opens a new round. \returns nullptr when every
-  /// task is done.
-  std::unique_ptr<IterBatch> nextIteration();
-  /// Worker body: claim-run-close loop until the session ends.
-  /// \p Worker indexes this worker's epoch-announcement slot.
+  /// Rewrites Work with the inner-iteration work list ({!Done,
+  /// StepsLeft > 0}), or — when that is empty — opens a new round.
+  /// \returns false when the session should end (every task is done, or
+  /// the round barrier asked to stop).
+  bool nextIteration();
+  /// Worker body: claim-run-close loop until the session ends. \p Worker
+  /// indexes this worker's claim slot; worker 0 is the calling thread.
   void sessionLoop(unsigned Worker);
   /// Spin-then-sleep wait for the round ticket to move past \p Seen.
   uint64_t waitForTicket(uint64_t Seen);
+  /// Wakes ticket-waiters asleep on WakeCv after a RoundTicket or
+  /// SessionDone store.
+  void wakeWaiters();
 
   JavaVm &Vm;
   ExecutorConfig Config;
@@ -334,25 +316,23 @@ private:
   SafepointController Safepoint;
   uint64_t Rounds = 0;
 
-  // Session state. The common-case round transition is coordinator-free:
-  // the last finisher publishes the next batch and bumps RoundTicket
-  // (release); peers acquire it and claim from the new cursor — no
-  // stop-the-world handshake unless a GcRequest forces a safepoint.
+  // Session state. The round transition is coordinator-free: the last
+  // finisher rewrites Work, stores a fresh claim word (release) and bumps
+  // RoundTicket; peers acquire the claim word and take tasks from it.
   std::vector<std::thread> Workers;
-  std::atomic<IterBatch *> CurrentIter{nullptr};
-  std::atomic<uint64_t> RoundTicket{0};
+  /// The current iteration's tasks. Rewritten only by the closer, while
+  /// every claim of the previous iteration has completed.
+  std::vector<Task *> Work;
+  /// (Work.size() << 32) | next. Claimants fetch_add it; a claim at or
+  /// past the size never reads Work, so a late worker holding no task
+  /// can race the closer's rewrite harmlessly. On its own cache line,
+  /// with Remaining, away from the words waiting workers spin on.
+  alignas(64) std::atomic<uint64_t> Claim{0};
+  /// Unfinished quanta of the current iteration; the worker whose
+  /// decrement reaches zero is the closer.
+  std::atomic<size_t> Remaining{0};
+  alignas(64) std::atomic<uint64_t> RoundTicket{0};
   std::atomic<bool> SessionDone{false};
-  /// Published batches awaiting reclamation, oldest first. Mutated only
-  /// by iteration closers (serialized by the Remaining-drops-to-zero
-  /// handoff). A batch is freed once every worker's announced epoch has
-  /// moved past its generation: each worker release-stores the ticket it
-  /// last observed into its WorkerEpochs slot before loading CurrentIter,
-  /// and that acquire-load can only return batches at least as new as
-  /// the announced ticket — so min(WorkerEpochs) lower-bounds every
-  /// batch any worker may still touch. Keeps the retained set at
-  /// O(workers) instead of one batch per iteration for the whole run.
-  std::deque<std::unique_ptr<IterBatch>> IterStorage;
-  std::unique_ptr<std::atomic<uint64_t>[]> WorkerEpochs;
   unsigned NumWorkers = 0;
   std::mutex WakeMutex;
   std::condition_variable WakeCv; // Sleeping ticket-waiters.
@@ -360,11 +340,11 @@ private:
   // Failure capture + watchdog state.
   std::optional<VmError> FirstError;
   std::mutex ErrorLock;
-  /// Bumped on every completed chunk (serial and MT) — the watchdog's
-  /// forward-progress signal.
+  /// Bumped on every completed chunk — the watchdog's forward-progress
+  /// signal.
   std::atomic<uint64_t> Heartbeat{0};
   /// Per-worker claim slot: task index + 1 while a quantum runs, 0 when
-  /// idle. Watchdog dump input; MT sessions only.
+  /// idle. Watchdog dump input.
   std::unique_ptr<std::atomic<uint64_t>[]> WorkerClaims;
   /// Task index + 1 of an injected stall, 0 otherwise.
   std::atomic<uint64_t> StalledTask{0};

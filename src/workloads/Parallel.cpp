@@ -10,6 +10,7 @@
 #include "workloads/BytecodePrograms.h"
 
 #include <cassert>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -35,16 +36,16 @@ DjxPerfConfig djx::parallelAgentConfig(const ParallelConfig &Config,
   return Base;
 }
 
-ParallelOutcome djx::runParallelWorkload(JavaVm &Vm, DjxPerf *Prof,
-                                         const ParallelConfig &Config) {
-  BytecodeProgram Program = buildParallelWorkerProgram(Vm.types());
-  Program.load(Vm);
-  std::vector<StaticSiteFacts> StaticSites;
-  if (Prof && Config.Instrumented) {
-    Prof->instrument(Program);
-    StaticSites = collectStaticSiteFacts(Program, Prof->sites());
-  }
+namespace {
 
+/// Runs one Executor session configured from \p Config over the tasks
+/// \p AddTasks adds, then ends every task's thread in task (= thread-id)
+/// order. A failed session ends the threads first (their rings drain into
+/// the profile — the salvage substrate), then rethrows the captured
+/// error to the caller, who still holds the profiler with all pre-failure
+/// data.
+ParallelOutcome runSession(JavaVm &Vm, const ParallelConfig &Config,
+                           const std::function<void(Executor &)> &AddTasks) {
   ExecutorConfig Ec;
   Ec.Jobs = Config.Jobs;
   Ec.QuantumSteps = Config.QuantumSteps;
@@ -55,40 +56,55 @@ ParallelOutcome djx::runParallelWorkload(JavaVm &Vm, DjxPerf *Prof,
   Ec.OnRoundEnd = Config.OnRoundEnd;
   Ec.MaxRounds = Config.MaxRounds;
   Executor Ex(Vm, Ec);
-  for (unsigned I = 0; I < Config.SimThreads; ++I) {
-    size_t Task = Ex.addThread(
-        Program, "Main.run",
-        {Value::fromInt(Config.Iters), Value::fromInt(Config.Nlen),
-         Value::fromInt(Config.HotElems)},
-        "worker-" + std::to_string(I));
-    if (Prof && Config.Instrumented)
-      Prof->attachInterpreter(Ex.interpreter(Task));
-  }
+  AddTasks(Ex);
 
   Ex.run();
 
-  // Failed session: end threads first (their rings drain into the
-  // profile — the salvage substrate), then surface the captured error to
-  // the caller, who still holds the profiler with all pre-failure data.
-  if (Ex.error()) {
+  auto EndThreads = [&] {
     for (size_t I = 0; I < Ex.numTasks(); ++I)
       Vm.endThread(Ex.thread(I));
+  };
+  if (Ex.error()) {
+    EndThreads();
     throw *Ex.error();
   }
-
   ParallelOutcome Out;
   Out.Steps = Ex.totalSteps();
   Out.Safepoints = Ex.safepoints();
   Out.Rounds = Ex.rounds();
   Out.Machine = Ex.mergedMachineStats();
-  Out.StaticSites = std::move(StaticSites);
   if (Config.DumpTraces)
     for (size_t I = 0; I < Ex.numTasks(); ++I)
       Out.TraceDump += "== task " + std::to_string(I) + " ==\n" +
                        Ex.interpreter(I).renderTraces();
-  // End threads in task (= thread-id) order, deterministically.
-  for (size_t I = 0; I < Ex.numTasks(); ++I)
-    Vm.endThread(Ex.thread(I));
+  EndThreads();
+  return Out;
+}
+
+} // namespace
+
+ParallelOutcome djx::runParallelWorkload(JavaVm &Vm, DjxPerf *Prof,
+                                         const ParallelConfig &Config) {
+  BytecodeProgram Program = buildParallelWorkerProgram(Vm.types());
+  Program.load(Vm);
+  std::vector<StaticSiteFacts> StaticSites;
+  if (Prof && Config.Instrumented) {
+    Prof->instrument(Program);
+    StaticSites = collectStaticSiteFacts(Program, Prof->sites());
+  }
+
+  ParallelOutcome Out = runSession(Vm, Config, [&](Executor &Ex) {
+    for (unsigned I = 0; I < Config.SimThreads; ++I) {
+      size_t Task = Ex.addThread(
+          Program, "Main.run",
+          {Value::fromInt(Config.Iters), Value::fromInt(Config.Nlen),
+           Value::fromInt(Config.HotElems)},
+          "worker-" + std::to_string(I));
+      if (Prof && Config.Instrumented)
+        Prof->attachInterpreter(Ex.interpreter(Task));
+    }
+  });
+  Out.StaticSites = std::move(StaticSites);
   return Out;
 }
 
@@ -122,45 +138,16 @@ ParallelOutcome djx::runNumaRemoteWorkload(JavaVm &Vm, DjxPerf *Prof,
   Setup.setHeapShard(0);
   Vm.endThread(Setup);
 
-  ExecutorConfig Ec;
-  Ec.Jobs = Config.Jobs;
-  Ec.QuantumSteps = Config.QuantumSteps;
-  Ec.Policy = Config.Policy;
-  Ec.Tier = Config.Tier;
-  Ec.Fuzz = Config.Fuzz;
-  Ec.StallTimeoutMs = Config.StallTimeoutMs;
-  Ec.OnRoundEnd = Config.OnRoundEnd;
-  Ec.MaxRounds = Config.MaxRounds;
-  Executor Ex(Vm, Ec);
-  for (unsigned I = 0; I < Config.SimThreads; ++I) {
-    // Worker I sweeps its neighbour's array: the producer/consumer handoff
-    // that first-touch placement punishes with all-remote sweeps.
-    ObjectRef Neighbour = *Hot[(I + 1) % Config.SimThreads];
-    Ex.addThread(Program, "Main.run",
-                 {Value::fromInt(Config.Iters), Value::fromInt(Config.Nlen),
-                  Value::fromRef(Neighbour),
-                  Value::fromInt(Config.HotElems)},
-                 "numa-worker-" + std::to_string(I));
-  }
-
-  Ex.run();
-
-  if (Ex.error()) {
-    for (size_t I = 0; I < Ex.numTasks(); ++I)
-      Vm.endThread(Ex.thread(I));
-    throw *Ex.error();
-  }
-
-  ParallelOutcome Out;
-  Out.Steps = Ex.totalSteps();
-  Out.Safepoints = Ex.safepoints();
-  Out.Rounds = Ex.rounds();
-  Out.Machine = Ex.mergedMachineStats();
-  if (Config.DumpTraces)
-    for (size_t I = 0; I < Ex.numTasks(); ++I)
-      Out.TraceDump += "== task " + std::to_string(I) + " ==\n" +
-                       Ex.interpreter(I).renderTraces();
-  for (size_t I = 0; I < Ex.numTasks(); ++I)
-    Vm.endThread(Ex.thread(I));
-  return Out;
+  return runSession(Vm, Config, [&](Executor &Ex) {
+    for (unsigned I = 0; I < Config.SimThreads; ++I) {
+      // Worker I sweeps its neighbour's array: the producer/consumer
+      // handoff that first-touch placement punishes with all-remote sweeps.
+      ObjectRef Neighbour = *Hot[(I + 1) % Config.SimThreads];
+      Ex.addThread(Program, "Main.run",
+                   {Value::fromInt(Config.Iters), Value::fromInt(Config.Nlen),
+                    Value::fromRef(Neighbour),
+                    Value::fromInt(Config.HotElems)},
+                   "numa-worker-" + std::to_string(I));
+    }
+  });
 }

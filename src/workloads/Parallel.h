@@ -36,7 +36,8 @@ namespace djx {
 /// the *logical* workload (they change results); Jobs is host-side only.
 struct ParallelConfig {
   unsigned SimThreads = 4;
-  /// Host worker threads (0 = hardware concurrency, 1 = serial).
+  /// Host worker threads (0 = hardware concurrency, 1 = the calling
+  /// thread is the only worker).
   unsigned Jobs = 1;
   /// Interpreter steps per simulated thread per round.
   uint64_t QuantumSteps = 32768;

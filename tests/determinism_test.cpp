@@ -185,8 +185,9 @@ RunOutcome runFixedMtWorkload(unsigned Jobs, uint64_t *SafepointsOut) {
 }
 
 /// The tentpole guarantee of the parallel runtime: the merged profile and
-/// reports are byte-identical for any --jobs value (1 = legacy serial
-/// path), even with safepoint GCs and index relocation batches in play.
+/// reports are byte-identical for any --jobs value (at 1 the calling
+/// thread is the only worker), even with safepoint GCs and index
+/// relocation batches in play.
 TEST(GoldenDeterminism, MtWorkloadIsByteIdenticalAcrossJobs) {
   uint64_t Sp1 = 0, Sp2 = 0, Sp4 = 0;
   RunOutcome J1 = runFixedMtWorkload(1, &Sp1);

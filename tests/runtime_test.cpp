@@ -30,7 +30,7 @@ using namespace djx;
 
 namespace {
 
-DJX_TEST_MODULE(runtime_test, 77.0, 50.0,
+DJX_TEST_MODULE(runtime_test, 79.0, 50.0,
     "src/runtime/Executor.cpp",
     "src/runtime/Executor.h",
     "src/runtime/Safepoint.cpp",
@@ -370,9 +370,9 @@ runSession(unsigned Jobs, const std::function<void(ExecutorConfig &)> &Tune,
 
 TEST(Executor, CapturesTheFirstErrorOnBothDrivers) {
   // An allocation observer fails on task 1's first allocation past 5000
-  // steps -- a fixed logical point, so both drivers end the session in
-  // the same round. The worker session attributes the bare error to the
-  // task whose quantum raised it.
+  // steps -- a fixed logical point, so every jobs value ends the session
+  // in the same round. The session attributes the bare error to the task
+  // whose quantum raised it.
   for (unsigned Jobs : {1u, 2u}) {
     uint64_t FailingThread = 0;
     uint64_t FailingSteps = 0;
@@ -394,10 +394,28 @@ TEST(Executor, CapturesTheFirstErrorOnBothDrivers) {
     EXPECT_NE(std::string(Err->what()).find("observer failed"),
               std::string::npos);
     EXPECT_EQ(Rounds, 3u) << "jobs=" << Jobs;
-    if (Jobs > 1) {
-      EXPECT_EQ(Err->ThreadId, FailingThread);
-      EXPECT_EQ(Err->Steps, FailingSteps);
-    }
+    EXPECT_EQ(Err->ThreadId, FailingThread) << "jobs=" << Jobs;
+    EXPECT_EQ(Err->Steps, FailingSteps) << "jobs=" << Jobs;
+  }
+}
+
+TEST(Executor, RoundHookErrorIsCapturedOnEveryJobsValue) {
+  // The round barrier runs on whichever worker closes the iteration; a
+  // VmError from the hook there must end the session through first-error
+  // capture, not escape the worker.
+  for (unsigned Jobs : {1u, 2u}) {
+    auto [Err, Rounds] = runSession(Jobs, [](ExecutorConfig &Ec) {
+      Ec.OnRoundEnd = [](uint64_t Round) {
+        if (Round == 2)
+          throw VmError(VmErrorKind::Internal, "round hook failed");
+        return false;
+      };
+    });
+    ASSERT_TRUE(Err.has_value()) << "jobs=" << Jobs;
+    EXPECT_EQ(Err->Kind, VmErrorKind::Internal);
+    EXPECT_NE(std::string(Err->what()).find("round hook failed"),
+              std::string::npos);
+    EXPECT_EQ(Rounds, 2u) << "jobs=" << Jobs;
   }
 }
 
@@ -428,7 +446,7 @@ struct InjectorGuard {
 
 TEST(Executor, WatchdogStopsAStalledSessionOnBothDrivers) {
   // Every quantum claim stalls; the watchdog must convert the hang into
-  // a WorkerStall naming the stalled task and the driver's state.
+  // a WorkerStall naming the stalled task and every worker's state.
   InjectorGuard Guard;
   FaultPlan Plan;
   Plan.Seed = 7;
@@ -445,7 +463,13 @@ TEST(Executor, WatchdogStopsAStalledSessionOnBothDrivers) {
         << What;
     EXPECT_NE(What.find("injected stall on task"), std::string::npos)
         << What;
-    EXPECT_NE(What.find(Jobs == 1 ? "serial driver" : "worker 1: epoch"),
+    for (unsigned W = 0; W < Jobs; ++W) {
+      const std::string Worker = "; worker " + std::to_string(W) + ": ";
+      EXPECT_TRUE(What.find(Worker + "running task ") != std::string::npos ||
+                  What.find(Worker + "idle") != std::string::npos)
+          << What;
+    }
+    EXPECT_EQ(What.find("; worker " + std::to_string(Jobs) + ":"),
               std::string::npos)
         << What;
     EXPECT_NE(Err->ThreadId, VmError::kNoThread);

@@ -178,8 +178,8 @@ void usage(const char *Argv0) {
       "  --report <which>       object|code|both (default object)\n"
       "  --top <n>              groups to show (default 10)\n"
       "  --jobs <n>             host worker threads for mt workloads "
-      "(default: hardware concurrency; 1 = serial; results are identical "
-      "for any value)\n"
+      "(default: hardware concurrency; 1 = the calling thread is the only "
+      "worker; results are identical for any value)\n"
       "  --numa-policy <p>      shard placement for mt workloads: "
       "first-touch|bind|interleave (default: the workload's own; "
       "first-touch unless noted)\n"
