@@ -10,9 +10,7 @@
 #include "support/FaultInjector.h"
 
 #include <algorithm>
-#include <cassert>
 #include <filesystem>
-#include <fstream>
 
 using namespace djx;
 
@@ -23,12 +21,6 @@ const std::string kUnknownTypeName = "<unknown>";
 
 DjxPerf::DjxPerf(JavaVm &Vm, DjxPerfConfig Cfg)
     : Vm(Vm), Config(std::move(Cfg)) {
-  // Batched resolution requires the index to be mutation-quiescent
-  // between drain points; only the GC interpositions guarantee that
-  // (without them stale intervals linger and later inserts evict them
-  // mid-window, so a deferred lookup could diverge from an inline one).
-  Batching = Config.BatchedSampleResolution && Config.HandleGcMoves &&
-             Config.HandleGcFrees;
   if (Config.IndexShards > 1) {
     // Mirror the heap's shard geometry so a thread's inserts and lookups
     // land in "its" index shard (correct for any geometry; contention-free
@@ -54,16 +46,11 @@ DjxPerf::DjxPerf(JavaVm &Vm, DjxPerfConfig Cfg)
   // The world is stopped wherever a GC runs (the single mutator in
   // serial mode, a safepoint under the Executor), so draining all rings
   // here is race-free.
-  Jvmti.onGcStart([this] {
-    if (Batching)
-      drainAllRings();
-  });
+  Jvmti.onGcStart([this] { drainAllRings(); });
 
   // Executor quantum boundary: drain the thread's ring on the worker
   // that just ran it (the per-quantum batch point of the hot path).
   Jvmti.onQuantumEnd([this](JavaThread &T) {
-    if (!Batching)
-      return;
     auto *Ctx = static_cast<SampleCtx *>(T.agentData());
     if (Ctx && Ctx->Prof == this)
       drainSampleRing(*Ctx);
@@ -91,18 +78,20 @@ DjxPerf::DjxPerf(JavaVm &Vm, DjxPerfConfig Cfg)
   // Executor this fires at the stop-the-world safepoint — same code path,
   // same batch semantics.
   Jvmti.onGcFinish([this](const GcStats &) {
-    if (!Active || !Config.HandleGcMoves)
-      return;
-    LiveObject Unknown; // AllocThread 0 / root node = unknown provenance.
-    unsigned Applied = Index.applyRelocations(Unknown);
+    if (Active && Config.HandleGcMoves) {
+      LiveObject Unknown; // AllocThread 0 / root node = unknown provenance.
+      unsigned Applied = Index.applyRelocations(Unknown);
+      AuxCycles.fetch_add(static_cast<uint64_t>(Applied) *
+                              Config.GcBatchPerObjectCycles,
+                          std::memory_order_relaxed);
+    }
     // GC finish is the one point where the world is provably stopped
     // and every ring was drained (at GC start), so no snapshot reader
     // can be in flight: reclaim the epochs retired by the relocation
-    // batch and by this cycle's appends.
+    // batch, by evicting inserts and by this cycle's appends. Done in
+    // every config — without the move interposition, evictions of stale
+    // intervals would otherwise retain one epoch each for good.
     Index.reclaimRetiredSnapshots();
-    AuxCycles.fetch_add(static_cast<uint64_t>(Applied) *
-                            Config.GcBatchPerObjectCycles,
-                        std::memory_order_relaxed);
   });
 }
 
@@ -161,8 +150,7 @@ void DjxPerf::stop() {
   // Samples buffered since the last drain point still belong to the
   // profile; the world is quiescent by the stop() contract (no monitored
   // execution in flight).
-  if (Batching)
-    drainAllRings();
+  drainAllRings();
 }
 
 unsigned DjxPerf::instrument(BytecodeProgram &Program) {
@@ -225,16 +213,20 @@ void DjxPerf::recordAllocation(JavaThread &T, ObjectRef Obj, TypeId Type,
   ThreadProfile &P = profileOf(T);
   CctNodeId Node = P.cct().insertPath(Vm.asyncGetCallTrace(T));
   P.recordAllocation(Node, TypeName, Size);
-  // Allocation commit is a mutation batch point: samples this thread
-  // buffered so far (its own zero-fill stores included) predate the
-  // insert and must resolve against the pre-insert index — exactly what
-  // inline resolution would have seen. Other threads cannot hold
-  // pre-insert samples of this address: the object is unpublished until
-  // the hook returns.
-  if (Batching)
-    if (auto *Ctx = static_cast<SampleCtx *>(T.agentData()))
-      if (Ctx->Prof == this)
-        drainSampleRing(*Ctx);
+  // Allocation commit is a mutation batch point: buffered samples (this
+  // thread's zero-fill stores included) predate the insert and must
+  // resolve against the pre-insert index, as they would at sample time.
+  // Without the GC interpositions the insert can evict a stale interval
+  // that another thread's buffered samples fall in. With no Executor
+  // session running, one host thread runs every simulated thread and so
+  // owns every ring: drain them all. Under the Executor, other threads'
+  // rings are empty between their quanta, and a thread running on
+  // another worker races this insert at sample time too.
+  if (!Vm.deferGcToSafepoint())
+    drainAllRings();
+  else if (auto *Ctx = static_cast<SampleCtx *>(T.agentData()))
+    if (Ctx->Prof == this)
+      drainSampleRing(*Ctx);
   Index.insert(Obj, Size, LiveObject{T.id(), Node, Type, Size});
   Tracked.fetch_add(1, std::memory_order_relaxed);
 }
@@ -248,16 +240,11 @@ void DjxPerf::handleSample(SampleCtx &Ctx, const PerfSample &S) {
   ThreadProfile &P = profileOf(T);
   // The access context must be interned while the shadow stack is live —
   // and interning order defines CCT node ids — so it happens at sample
-  // time in both modes; the code-centric view needs nothing else.
+  // time; the code-centric view needs nothing else.
   CctNodeId AccessNode = P.cct().insertPath(Vm.asyncGetCallTrace(T));
   if (Config.CollectCodeCentric)
     P.recordCodeSample(AccessNode, S.Kind);
 
-  if (!Batching) {
-    resolveSampleInline(T, P, S.EffectiveAddress, AccessNode, S.Kind,
-                        S.Cpu);
-    return;
-  }
   // Injected ring overflow (FaultInjector): the sample is dropped and
   // counted instead of buffered. Keyed on (thread, per-ring append
   // ordinal) — logical coordinates, so the same samples drop for every
@@ -269,11 +256,10 @@ void DjxPerf::handleSample(SampleCtx &Ctx, const PerfSample &S) {
     RingDrops.fetch_add(1, std::memory_order_relaxed);
     return;
   }
-  // Batched: identity resolution and the NUMA query are deferred to the
-  // drain. A full ring drains in place on the owning worker, bounding
-  // memory for long GC-free windows. A capacity-forced self-drain is
-  // counted (it was previously silent) so overhead accounting can see
-  // how often the mid-quantum path fires.
+  // Identity resolution and the NUMA query are deferred to the drain. A
+  // full ring drains in place on the owning worker, bounding memory for
+  // long GC-free windows. A capacity-forced self-drain is counted so
+  // overhead accounting can see how often the mid-quantum path fires.
   if (Ctx.Ring.push(BufferedSample{S.EffectiveAddress, AccessNode, S.Cpu,
                                    S.Kind})) {
     Ctx.Ring.noteCapacityDrain();
@@ -281,35 +267,6 @@ void DjxPerf::handleSample(SampleCtx &Ctx, const PerfSample &S) {
     RingDrains.fetch_add(1, std::memory_order_relaxed);
     drainSampleRing(Ctx);
   }
-}
-
-void DjxPerf::resolveSampleInline(JavaThread &T, ThreadProfile &P,
-                                  uint64_t Addr, CctNodeId AccessNode,
-                                  PerfEventKind Kind, uint32_t Cpu) {
-  std::optional<LiveObject> Obj = Index.lookup(Addr);
-  if (!Obj) {
-    P.recordUnattributed(Kind);
-    return;
-  }
-  bool Remote = false;
-  NumaNodeId Home = kInvalidNode;
-  NumaNodeId CpuNode = kInvalidNode;
-  if (Config.TrackNuma) {
-    // §4.3: move_pages gives the page's home node; PERF_SAMPLE_CPU gives
-    // the accessing CPU's node. Resolved against the *thread's* hierarchy:
-    // the shared machine in serial mode, the worker-private one under the
-    // Executor.
-    T.addCycles(Config.NumaQueryCycles);
-    NumaTopology &Numa = T.machine().numa();
-    Home = Numa.nodeOfAddr(Addr);
-    CpuNode = Numa.nodeOfCpu(Cpu);
-    Remote = Home != kInvalidNode && Home != CpuNode;
-  }
-  bool Unknown = Obj->AllocThread == 0 && Obj->AllocNode == kCctRoot;
-  const std::string &TypeName =
-      Unknown ? kUnknownTypeName : Vm.types().get(Obj->Type).Name;
-  P.recordObjectSample(AllocKey{Obj->AllocThread, Obj->AllocNode}, TypeName,
-                       Kind, AccessNode, Remote, Home, CpuNode);
 }
 
 void DjxPerf::drainSampleRing(SampleCtx &Ctx) {
@@ -322,13 +279,14 @@ void DjxPerf::drainSampleRing(SampleCtx &Ctx) {
   // interval and page: the snapshot hint and the page memo below make
   // consecutive hits O(1). Deferral is result-invariant — lookups and
   // move_pages queries answer the same at the drain as at sample time,
-  // because inserts land at fresh bump addresses, erases/relocations only
-  // happen inside a GC (which drains first), and a page's home node
-  // cannot change between its first touch and the next placement
-  // mutation (also GC-fenced). stable_sort keeps equal addresses in
-  // sample order, so aggregation order is deterministic too. A batch of
-  // one is already sorted; skipping the call skips stable_sort's
-  // temporary buffer, a heap allocation per single-sample drain.
+  // because erases/relocations only happen inside a GC (which drains
+  // first), inserts drain first too (see recordAllocation), and a page's
+  // home node cannot change between its first touch and the next
+  // placement mutation (also GC-fenced). stable_sort keeps equal
+  // addresses in sample order, so aggregation order is deterministic
+  // too. A batch of one is already sorted; skipping the call skips
+  // stable_sort's temporary buffer, a heap allocation per single-sample
+  // drain.
   if (Batch.size() > 1)
     std::stable_sort(Batch.begin(), Batch.end(),
                      [](const BufferedSample &A, const BufferedSample &B) {
@@ -349,6 +307,8 @@ void DjxPerf::drainSampleRing(SampleCtx &Ctx) {
     NumaNodeId Home = kInvalidNode;
     NumaNodeId CpuNode = kInvalidNode;
     if (Numa) {
+      // §4.3: move_pages gives the page's home node; PERF_SAMPLE_CPU
+      // gives the accessing CPU's node.
       T.addCycles(Config.NumaQueryCycles);
       uint64_t Page = Numa->pageOf(B.EffectiveAddress);
       if (Page != MemoPage) {
@@ -392,8 +352,7 @@ std::vector<const ThreadProfile *> DjxPerf::profiles() const {
   // Results must reflect every delivered sample: flush rings that have
   // not hit a drain point yet (mid-run reads were already specified as
   // quiescent-only; see drainAllRings).
-  if (Batching)
-    const_cast<DjxPerf *>(this)->drainAllRings();
+  const_cast<DjxPerf *>(this)->drainAllRings();
   SpinLockGuard G(ProfilesLock);
   std::vector<const ThreadProfile *> Out;
   Out.reserve(Profiles.size());
@@ -405,8 +364,7 @@ std::vector<const ThreadProfile *> DjxPerf::profiles() const {
 }
 
 const ThreadProfile *DjxPerf::profileForThread(uint64_t ThreadId) const {
-  if (Batching)
-    const_cast<DjxPerf *>(this)->drainAllRings();
+  const_cast<DjxPerf *>(this)->drainAllRings();
   SpinLockGuard G(ProfilesLock);
   auto It = Profiles.find(ThreadId);
   return It == Profiles.end() ? nullptr : It->second.get();
@@ -415,8 +373,7 @@ const ThreadProfile *DjxPerf::profileForThread(uint64_t ThreadId) const {
 MergedProfile DjxPerf::analyze() const { return mergeProfiles(profiles()); }
 
 unsigned DjxPerf::writeProfiles(const std::string &Dir) const {
-  if (Batching)
-    const_cast<DjxPerf *>(this)->drainAllRings();
+  const_cast<DjxPerf *>(this)->drainAllRings();
   namespace fs = std::filesystem;
   std::error_code Ec;
   fs::create_directories(Dir, Ec);

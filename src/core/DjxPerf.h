@@ -19,10 +19,12 @@
 ///    thread start, handles overflow "signals", attributes each sampled
 ///    effective address to the enclosing object, and diagnoses NUMA
 ///    remote accesses via the move_pages analogue (§4.3). Attribution
-///    runs batched by default: the handler buffers samples in a
-///    thread-private ring and a per-quantum drain resolves them against
-///    the index's lock-free epoch snapshot (see
-///    DjxPerfConfig::BatchedSampleResolution).
+///    is batched: the handler buffers samples in a thread-private ring,
+///    and a drain resolves them against the index's lock-free epoch
+///    snapshot. Drains run at every point where the index or page
+///    placement may change under a buffered sample — allocation commit
+///    and GC start — plus quantum ends, a full ring, stop() and result
+///    reads, so each sample gets its sample-time answer.
 ///
 /// GC interference (§4.5) is handled by the memmove/finalize
 /// interpositions feeding a relocation map that is applied in batch on the
@@ -91,19 +93,6 @@ struct DjxPerfConfig {
   /// configuration, NOT of --jobs: results must not depend on host
   /// parallelism.
   unsigned IndexShards = 1;
-  /// Batched sample resolution (the default hot path): the overflow
-  /// handler appends (address, context, metrics) to the thread's ring and
-  /// a per-quantum drain resolves the batch — sorted by address — against
-  /// the index's lock-free epoch snapshot. Reports are byte-identical to
-  /// inline resolution because the index only mutates observably at drain
-  /// boundaries: inserts land at fresh bump addresses, and erases /
-  /// relocations happen only inside a GC, which drains first. Set false
-  /// to resolve inline through the locked splay tree (the paper's
-  /// original design; bench_ablation_splay_tree's baseline). Forced off
-  /// when either GC interposition is disabled — without them the index
-  /// can evict stale intervals mid-window, which would make deferred
-  /// lookups diverge from inline ones.
-  bool BatchedSampleResolution = true;
   /// Execution tier for interpreters this profiler launches with
   /// (`--tier`): instrument(Program, Interp) applies it before the first
   /// instruction runs. Executor-driven interpreters take their tier from
@@ -121,7 +110,7 @@ struct DjxPerfConfig {
   uint32_t HookDispatchCycles = 100;
   /// Call-path capture + splay insertion for a tracked allocation.
   uint32_t AllocCaptureCycles = 180;
-  /// Overflow signal handling + splay lookup + CCT update per sample.
+  /// Overflow signal handling + index lookup + CCT update per sample.
   uint32_t SampleHandleCycles = 350;
   /// move_pages query per sample when TrackNuma.
   uint32_t NumaQueryCycles = 120;
@@ -215,10 +204,6 @@ public:
 
   const DjxPerfConfig &config() const { return Config; }
 
-  /// Whether samples are being resolved batched (config flag AND both GC
-  /// interpositions enabled — see DjxPerfConfig::BatchedSampleResolution).
-  bool batchedResolutionActive() const { return Batching; }
-
 private:
   /// Context for the devirtualised PMU overflow handler (one per
   /// monitored thread; deque keeps addresses stable). Owns the thread's
@@ -235,11 +220,7 @@ private:
   void recordAllocation(JavaThread &T, ObjectRef Obj, TypeId Type,
                         const std::string &TypeName, uint64_t Size);
   void handleSample(SampleCtx &Ctx, const PerfSample &S);
-  /// Inline (locked splay) resolution of one sample: the ablation path.
-  void resolveSampleInline(JavaThread &T, ThreadProfile &P, uint64_t Addr,
-                           CctNodeId AccessNode, PerfEventKind Kind,
-                           uint32_t Cpu);
-  /// Batched resolution: sorts \p Ctx's ring by address and resolves it
+  /// Sample resolution: sorts \p Ctx's ring by address and resolves it
   /// against the index's epoch snapshot with zero locks. Must run on the
   /// worker owning the thread's quantum, or with the world stopped.
   void drainSampleRing(SampleCtx &Ctx);
@@ -277,8 +258,6 @@ private:
   /// per-ring drains; never taken while holding another profiler lock).
   std::mutex DrainAllLock;
   bool Active = false;
-  /// Effective batching switch (config AND both GC interpositions on).
-  bool Batching = false;
   std::atomic<uint64_t> Samples{0};
   std::atomic<uint64_t> AllocCallbacks{0};
   std::atomic<uint64_t> Tracked{0};

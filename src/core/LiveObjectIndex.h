@@ -23,16 +23,17 @@
 /// shard lock — allocation inserts append (bump allocation keeps shard
 /// addresses monotonic, so appends stay sorted), reclamation tombstones
 /// the entry in place, and relocation batches / overlap evictions rebuild
-/// the array wholesale — while readers (the batched PMU sample drain) walk
+/// the array wholesale — while readers (the PMU sample-ring drain) walk
 /// the published snapshot with *zero* locks: an acquire load of the
 /// pointer, an acquire load of the count, and a binary search. Retired
 /// snapshot buffers are kept alive — a concurrent reader can never
 /// chase a freed epoch — until reclaimRetiredSnapshots(), which the
 /// profiler calls at the stop-the-world GC-finish point, bounding
-/// retention to the growth since the previous collection. The locked
-/// splay lookup() remains the
-/// mutation-side structure and the ablation baseline
-/// (bench_ablation_splay_tree compares all three designs).
+/// retention to the growth since the previous collection. The splay
+/// trees remain the mutation-side structure (§4.2), and the locked
+/// lookup() is the index-level reference the snapshot path is tested and
+/// benchmarked against (index_concurrency_test,
+/// bench_ablation_splay_tree).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -103,12 +104,13 @@ public:
   /// Tracks a freshly allocated object.
   void insert(uint64_t Addr, uint64_t Size, const LiveObject &Obj);
 
-  /// Splay lookup by sampled effective address (the paper's inline path:
-  /// takes the shard spin lock and restructures the tree).
+  /// Splay lookup by address: the index-level reference for
+  /// lookupSnapshot() (takes the shard spin lock and restructures the
+  /// tree).
   std::optional<LiveObject> lookup(uint64_t Addr);
 
   /// Lock-free lookup against the shard's published epoch snapshot: the
-  /// batched sample-resolution path. Never touches a SpinLock and never
+  /// sample-resolution path. Never touches a SpinLock and never
   /// restructures anything; misses fall back to the preceding shard
   /// exactly like lookup(). \p Hint (optional) memoizes the last hit.
   std::optional<LiveObject> lookupSnapshot(uint64_t Addr,
@@ -141,7 +143,7 @@ public:
   /// and capacity growth), keeping only each shard's published one.
   /// Contract: the caller asserts no lookupSnapshot() is concurrently in
   /// flight — true at the profiler's stop-the-world GC-finish point,
-  /// which invokes this right after the relocation batch. Bounds
+  /// which invokes this at every collection, in every GC config. Bounds
   /// retained snapshot memory to O(live set) regardless of GC count.
   void reclaimRetiredSnapshots();
 

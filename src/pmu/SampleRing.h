@@ -7,17 +7,18 @@
 /// \file
 /// Fixed-capacity buffer for PMU samples whose identity resolution is
 /// deferred. The overflow "signal handler" runs synchronously on the
-/// faulting thread; with batched resolution it captures only what must be
-/// read at sample time — the PEBS effective address, the access context
-/// interned into the thread's CCT, the event kind, and the sampling CPU —
-/// and appends a BufferedSample here. A per-quantum drain resolves the
-/// whole batch against the live-object index's epoch snapshot, sorted by
-/// address, amortizing synchronization from per-sample to per-quantum.
+/// faulting thread; it captures only what must be read at sample time —
+/// the PEBS effective address, the access context interned into the
+/// thread's CCT, the event kind, and the sampling CPU — and appends a
+/// BufferedSample here. A per-quantum drain resolves the whole batch
+/// against the live-object index's epoch snapshot, sorted by address,
+/// amortizing synchronization from per-sample to per-quantum.
 ///
 /// Concurrency contract: thread-confined. Each monitored thread owns one
 /// ring; the worker executing that thread's quantum is the only appender,
-/// and drains happen either on that same worker (quantum end, capacity) or
-/// with the world stopped (GC start, profiler stop).
+/// and drains happen either on that same worker (quantum end, capacity,
+/// allocation commit) or where one host thread owns every ring (GC start,
+/// profiler stop, allocation commit with no Executor session running).
 ///
 //===----------------------------------------------------------------------===//
 

@@ -66,8 +66,7 @@ namespace djx {
 /// Seed-driven schedule fuzzing: every knob the determinism guarantee
 /// claims to be robust against, randomized from one printed seed. The
 /// perturbations come in two classes with one shared oracle — for a given
-/// seed, every observable byte must be identical across --jobs values and
-/// batching modes:
+/// seed, every observable byte must be identical across --jobs values:
 ///
 ///  * *Logical-schedule* perturbations (per-round-per-task quantum sizes,
 ///    forced safepoint GCs at round barriers, mid-quantum drain points).

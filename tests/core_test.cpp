@@ -24,7 +24,7 @@ using namespace djx;
 
 namespace {
 
-DJX_TEST_MODULE(core_test, 72.0, 42.0,
+DJX_TEST_MODULE(core_test, 83.0, 54.0,
     "src/core/Analyzer.cpp",
     "src/core/Analyzer.h",
     "src/core/Cct.cpp",
@@ -686,13 +686,12 @@ TEST(DjxPerf, StopFreezesSampling) {
   EXPECT_EQ(Prof.samplesHandled(), AtStop);
 }
 
-// The tentpole guarantee of batched resolution: once the workload's
+// The guarantee of ring-buffered resolution: once the workload's
 // tracked objects exist, the sample path — overflow handler, ring, and
 // batched snapshot drain — acquires zero live-object-index locks.
 TEST(DjxPerf, SteadyStateSamplePathAcquiresNoIndexLocks) {
   JavaVm Vm;
-  DjxPerf Prof(Vm); // Default agent: batched resolution, L1-miss preset.
-  ASSERT_TRUE(Prof.batchedResolutionActive());
+  DjxPerf Prof(Vm); // Default agent: L1-miss preset.
   Prof.start();
   JavaThread &T = Vm.startThread("steady", 0);
   RootScope Roots(Vm);
@@ -711,12 +710,157 @@ TEST(DjxPerf, SteadyStateSamplePathAcquiresNoIndexLocks) {
       << "sample resolution must run lock-free in steady state";
   // Attribution still happened: the steady-state samples reached the hot
   // array's group. (The handful of unattributed ones are the array's own
-  // zero-fill stores, sampled before its index insert — exactly what
-  // inline resolution reports too.)
+  // zero-fill stores, sampled before its index insert.)
   MergedProfile M = Prof.analyze();
   ASSERT_FALSE(M.Groups.empty());
   EXPECT_LT(M.UnattributedSamples, 32u);
   EXPECT_GT(M.Groups.begin()->second.AddressSamples, 50u);
+  Vm.endThread(T);
+}
+
+/// Zero-fill stores issued by allocating \p Obj: one per L1 line it spans.
+uint64_t zeroFillStores(JavaVm &Vm, ObjectRef Obj) {
+  uint64_t Line = Vm.machine().config().L1.LineBytes;
+  return (Obj + Vm.heap().info(Obj).Size - 1) / Line - Obj / Line + 1;
+}
+
+/// The merged group whose objects total \p Bytes (tests below give each
+/// allocation context a distinct size).
+const MergedGroup *groupWithBytes(const MergedProfile &M, uint64_t Bytes) {
+  for (const auto &[Node, G] : M.Groups)
+    if (G.AllocBytes == Bytes)
+      return &G;
+  return nullptr;
+}
+
+// Allocation commit resolves buffered samples against the pre-insert
+// index. With MemAccess period 1 every access is a sample: an object's
+// zero-fill stores precede its insert and are exactly the unattributed
+// samples, and every later read lands on its object — also for the
+// second object, whose zero-fill samples sit in the ring when the first
+// object's reads do.
+TEST(DjxPerf, ZeroFillStoresAreTheOnlyUnattributedSamples) {
+  JavaVm Vm;
+  DjxPerfConfig Cfg;
+  Cfg.Events = {PerfEventAttr{PerfEventKind::MemAccess, 1, 64}};
+  Cfg.MinObjectSize = 64;
+  DjxPerf Prof(Vm, Cfg);
+  Prof.start();
+  JavaThread &T = Vm.startThread("zerofill", 0);
+  MethodId MA = Vm.methods().registerMethod("Fill", "a", {{0, 1}});
+  MethodId MB = Vm.methods().registerMethod("Fill", "b", {{0, 2}});
+  RootScope Roots(Vm);
+  ObjectRef &A = Roots.add();
+  ObjectRef &B = Roots.add();
+  constexpr uint64_t kReads = 700;
+  {
+    FrameScope F(T, MA, 0);
+    A = Vm.allocateArray(T, Vm.types().longArray(), 256);
+  }
+  for (uint64_t I = 0; I < kReads; ++I)
+    Vm.readWord(T, A, (I % 256) * 8);
+  {
+    FrameScope F(T, MB, 0);
+    B = Vm.allocateArray(T, Vm.types().longArray(), 96);
+  }
+  for (uint64_t I = 0; I < 2 * kReads; ++I)
+    Vm.readWord(T, B, (I % 96) * 8);
+  Prof.stop();
+
+  uint64_t ZeroFill = zeroFillStores(Vm, A) + zeroFillStores(Vm, B);
+  EXPECT_EQ(Prof.samplesHandled(), ZeroFill + 3 * kReads);
+  MergedProfile M = Prof.analyze();
+  EXPECT_EQ(M.UnattributedSamples, ZeroFill);
+  const MergedGroup *GA = groupWithBytes(M, 256 * 8);
+  const MergedGroup *GB = groupWithBytes(M, 96 * 8);
+  ASSERT_TRUE(GA && GB);
+  EXPECT_EQ(GA->AddressSamples, kReads);
+  EXPECT_EQ(GB->AddressSamples, 2 * kReads);
+  Vm.endThread(T);
+}
+
+// Without the GC interpositions the index keeps stale intervals, and an
+// insert can evict one that another thread's buffered samples fall in.
+// Thread A's garbage `junk` array dies and its live `survivor` slides
+// down onto junk's stale interval; A's reads of the survivor resolve, at
+// sample time, to junk's allocation context. Thread B's allocation then
+// lands on junk's stale range and evicts it while A's samples are still
+// buffered. With no Executor session, allocation commit drains every
+// ring, so A's samples keep their sample-time answer.
+TEST(DjxPerf, SerialInsertDrainsOtherThreadsRingsBeforeEvicting) {
+  JavaVm Vm;
+  DjxPerfConfig Cfg;
+  Cfg.Events = {PerfEventAttr{PerfEventKind::MemAccess, 1, 64}};
+  Cfg.MinObjectSize = 64;
+  Cfg.HandleGcMoves = Cfg.HandleGcFrees = false;
+  DjxPerf Prof(Vm, Cfg);
+  Prof.start();
+  JavaThread &A = Vm.startThread("a", 0);
+  JavaThread &B = Vm.startThread("b", 1);
+  B.pmu().disable(); // Only A's samples are counted below.
+  MethodId JunkM = Vm.methods().registerMethod("Evict", "junk", {{0, 1}});
+  MethodId SurvM = Vm.methods().registerMethod("Evict", "survivor", {{0, 2}});
+  TypeId LongArr = Vm.types().longArray();
+  constexpr uint64_t kJunkElems = 512, kSurvElems = 128, kFreshElems = 64;
+  constexpr uint64_t kReads = 250;
+
+  ObjectRef Junk;
+  {
+    FrameScope F(A, JunkM, 0);
+    Junk = Vm.allocateArray(A, LongArr, kJunkElems); // Unrooted: garbage.
+  }
+  RootScope Roots(Vm);
+  ObjectRef &Surv = Roots.add();
+  {
+    FrameScope F(A, SurvM, 0);
+    Surv = Vm.allocateArray(A, LongArr, kSurvElems);
+  }
+  uint64_t ZeroFill = zeroFillStores(Vm, Junk) + zeroFillStores(Vm, Surv);
+  Vm.requestGc();
+  ASSERT_EQ(Surv, Junk) << "the survivor must slide onto junk's range";
+  for (uint64_t I = 0; I < kReads; ++I)
+    Vm.readWord(A, Surv, (I % kSurvElems) * 8);
+  ObjectRef Fresh = Vm.allocateArray(B, LongArr, kFreshElems);
+  ASSERT_LT(Fresh, Junk + kJunkElems * 8) << "must overlap junk's interval";
+  Prof.stop();
+
+  MergedProfile M = Prof.analyze();
+  EXPECT_EQ(Prof.samplesHandled(), ZeroFill + kReads);
+  EXPECT_EQ(M.UnattributedSamples, ZeroFill);
+  const MergedGroup *GJunk = groupWithBytes(M, kJunkElems * 8);
+  const MergedGroup *GSurv = groupWithBytes(M, kSurvElems * 8);
+  ASSERT_TRUE(GJunk && GSurv);
+  EXPECT_EQ(GJunk->AddressSamples, kReads);
+  EXPECT_EQ(GSurv->AddressSamples, 0u);
+  Vm.endThread(B);
+  Vm.endThread(A);
+}
+
+// Evicting inserts retire a snapshot epoch each. With both GC
+// interpositions off, every collection must still reclaim them: after a
+// GC the index holds only each shard's published snapshot.
+TEST(DjxPerf, GcReclaimsSnapshotsWithoutGcInterpositions) {
+  JavaVm Vm;
+  DjxPerfConfig Cfg;
+  Cfg.MinObjectSize = 64;
+  Cfg.HandleGcMoves = Cfg.HandleGcFrees = false;
+  DjxPerf Prof(Vm, Cfg);
+  Prof.start();
+  JavaThread &T = Vm.startThread("churn", 0);
+  RootScope Roots(Vm);
+  ObjectRef &Keep = Roots.add();
+  for (int Gc = 0; Gc < 40; ++Gc) {
+    // Garbage ahead of a survivor: the survivor slides down and the next
+    // round's allocations land on stale intervals, evicting them.
+    for (int I = 0; I < 8; ++I)
+      Vm.allocateArray(T, Vm.types().longArray(), 32 + Gc % 3);
+    Keep = Vm.allocateArray(T, Vm.types().longArray(), 16);
+    Vm.requestGc();
+    EXPECT_LE(Prof.index().retainedSnapshotBuffers(),
+              Prof.index().numShards())
+        << "after GC " << Gc;
+  }
+  Prof.stop();
   Vm.endThread(T);
 }
 

@@ -212,73 +212,6 @@ TEST(GoldenDeterminism, MtWorkloadIsByteIdenticalAcrossJobs) {
       << J1.ObjectReport;
 }
 
-/// Batched sample resolution (ring buffer + epoch-snapshot lookups) must
-/// be a pure performance change: toggling it may not move a single byte
-/// of any report, nor any counter the overhead model feeds on. Covers the
-/// serial inline-GC path (drains at GC start / allocation commit / stop)
-/// and the safepointed MT path (drains at quantum ends).
-TEST(GoldenDeterminism, BatchedResolutionMatchesInlineByteForByte) {
-  auto RunMt = [](bool Batched) {
-    ParallelConfig Pc;
-    Pc.SimThreads = 4;
-    Pc.Jobs = 2;
-    Pc.QuantumSteps = 8192;
-    Pc.Iters = 500;
-    Pc.Nlen = 256;
-    Pc.HotElems = 16384;
-    Pc.HeapBytesPerThread = 512 << 10; // Safepoint GCs happen.
-    JavaVm Vm(parallelVmConfig(Pc));
-    DjxPerfConfig Agent = parallelAgentConfig(Pc);
-    Agent.BatchedSampleResolution = Batched;
-    DjxPerf Prof(Vm, Agent);
-    EXPECT_EQ(Prof.batchedResolutionActive(), Batched);
-    Prof.start();
-    runParallelWorkload(Vm, &Prof, Pc);
-    Prof.stop();
-    MergedProfile P = Prof.analyze();
-    return std::make_tuple(renderObjectCentric(P, Vm.methods()),
-                           renderCodeCentric(P, Vm.methods()),
-                           Vm.totalCycles(), Prof.samplesHandled(),
-                           Prof.memoryFootprint());
-  };
-  EXPECT_EQ(RunMt(true), RunMt(false));
-
-  auto RunSerial = [](bool Batched) {
-    VmConfig Cfg;
-    Cfg.HeapBytes = 4 << 20; // Small heap: inline AutoGc collections.
-    JavaVm Vm(Cfg);
-    BytecodeProgram Program = buildBatikProgram(Vm.types());
-    Program.load(Vm);
-    JavaThread &T = Vm.startThread("golden", 0);
-    Interpreter Interp(Vm, Program, T);
-    DjxPerfConfig Agent;
-    Agent.BatchedSampleResolution = Batched;
-    DjxPerf Prof(Vm, Agent);
-    Prof.instrument(Program, Interp);
-    Prof.start();
-    Interp.run("Main.run", {Value::fromInt(400), Value::fromInt(512)});
-    Prof.stop();
-    Vm.endThread(T);
-    MergedProfile P = Prof.analyze();
-    return std::make_tuple(renderObjectCentric(P, Vm.methods()),
-                           renderCodeCentric(P, Vm.methods()),
-                           Vm.totalCycles(), Prof.samplesHandled(),
-                           Prof.memoryFootprint());
-  };
-  EXPECT_EQ(RunSerial(true), RunSerial(false));
-}
-
-/// The GC ablations disable the interpositions batching depends on; the
-/// profiler must fall back to inline resolution rather than misattribute.
-TEST(GoldenDeterminism, BatchingForcedOffWithoutGcInterpositions) {
-  JavaVm Vm;
-  DjxPerfConfig Agent;
-  Agent.HandleGcMoves = false;
-  Agent.HandleGcFrees = false;
-  DjxPerf Prof(Vm, Agent);
-  EXPECT_FALSE(Prof.batchedResolutionActive());
-}
-
 /// Native (unprofiled) runs must also be reproducible: the simulator's
 /// cycle accounting feeds every overhead experiment.
 TEST(GoldenDeterminism, NativeRunReproducesCyclesAndStats) {

@@ -376,6 +376,32 @@ TEST(FaultInjectCampaign, RingDropsDegradeButNeverFail) {
   EXPECT_FALSE(O.ObjectReport.empty());
 }
 
+/// Every sample goes through the ring in every GC config, so the ring
+/// fault site reaches the GC-handling ablation too: at rate 1 nothing is
+/// captured and every handled sample is counted as dropped.
+TEST(FaultInjectCampaign, RingDropsReachRunsWithoutGcInterpositions) {
+  InjectorGuard G;
+  ParallelConfig Pc = campaignWorkload();
+  Pc.Jobs = 2;
+  JavaVm Vm(parallelVmConfig(Pc));
+  DjxPerfConfig Agent = parallelAgentConfig(Pc);
+  Agent.HandleGcMoves = Agent.HandleGcFrees = false;
+  DjxPerf Prof(Vm, Agent);
+  Prof.start();
+  FaultPlan Plan;
+  Plan.Seed = mixSeed(baseSeed() ^ 0x9C0FF);
+  Plan.Rate[static_cast<int>(FaultSite::RingPush)] = 1.0;
+  FaultInjector::install(Plan);
+  runParallelWorkload(Vm, &Prof, Pc);
+  FaultInjector::clear();
+  Prof.stop();
+  MergedProfile M = Prof.analyze();
+  EXPECT_GT(Prof.samplesHandled(), 0u);
+  EXPECT_EQ(Prof.samplesDropped(), Prof.samplesHandled());
+  EXPECT_TRUE(M.Totals.empty());
+  EXPECT_EQ(M.UnattributedSamples, 0u);
+}
+
 // --- The campaign property ---------------------------------------------------
 
 /// For any drawn fault plan, host parallelism changes nothing observable:

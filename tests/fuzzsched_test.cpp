@@ -10,8 +10,7 @@
 /// quantum sizes, forced safepoint-GC rounds, mid-quantum sample-ring
 /// drain points, plus host-side worker claim jitter — and asserts that
 /// every observable byte of the profile matches the serial (--jobs 1)
-/// golden of the *same* seed, across host parallelism and across the
-/// batched/inline sample-resolution modes. This generalizes the
+/// golden of the *same* seed, across host parallelism. This generalizes the
 /// hand-picked configurations of determinism_test into a reusable oracle:
 /// any schedule the fuzzer can draw must satisfy the same guarantee.
 ///
@@ -117,13 +116,11 @@ struct Outcome {
   }
 };
 
-Outcome runFuzzed(uint64_t CaseSeed, unsigned Jobs, bool Batched) {
+Outcome runFuzzed(uint64_t CaseSeed, unsigned Jobs) {
   ParallelConfig Pc = fuzzWorkload(CaseSeed);
   Pc.Jobs = Jobs;
   JavaVm Vm(parallelVmConfig(Pc));
-  DjxPerfConfig Agent = parallelAgentConfig(Pc);
-  Agent.BatchedSampleResolution = Batched;
-  DjxPerf Prof(Vm, Agent);
+  DjxPerf Prof(Vm, parallelAgentConfig(Pc));
   Prof.start();
   ParallelOutcome Run = runParallelWorkload(Vm, &Prof, Pc);
   Prof.stop();
@@ -159,11 +156,11 @@ TEST(FuzzSched, FuzzedScheduleIsJobsInvariant) {
   uint64_t Base = baseSeed();
   for (int Case = 0; Case < kSchedules; ++Case) {
     uint64_t CaseSeed = mixSeed(Base + static_cast<uint64_t>(Case));
-    Outcome Golden = runFuzzed(CaseSeed, 1, true);
+    Outcome Golden = runFuzzed(CaseSeed, 1);
     // Alternate the host-parallel arm so the sweep covers both a narrow
     // and a wide worker pool without doubling the runtime.
     unsigned Jobs = (Case % 2) ? 4 : 2;
-    Outcome Mt = runFuzzed(CaseSeed, Jobs, true);
+    Outcome Mt = runFuzzed(CaseSeed, Jobs);
     ASSERT_TRUE(Mt == Golden)
         << caseLabel(Case, CaseSeed) << " jobs=" << Jobs
         << "\n--- golden object report ---\n"
@@ -173,19 +170,6 @@ TEST(FuzzSched, FuzzedScheduleIsJobsInvariant) {
     // testing (rounds advanced; samples flowed).
     ASSERT_GT(Golden.Rounds, 1u) << caseLabel(Case, CaseSeed);
     ASSERT_GT(Golden.Samples, 0u) << caseLabel(Case, CaseSeed);
-  }
-}
-
-/// Batched sample resolution must stay a pure performance change under
-/// fuzzed drain points and GC timing, not just at the hand-picked
-/// configurations determinism_test pins.
-TEST(FuzzSched, FuzzedScheduleIsBatchingInvariant) {
-  uint64_t Base = baseSeed();
-  for (int Case = 0; Case < 6; ++Case) {
-    uint64_t CaseSeed = mixSeed(Base + 0x10000 + static_cast<uint64_t>(Case));
-    Outcome Batched = runFuzzed(CaseSeed, 2, true);
-    Outcome Inline = runFuzzed(CaseSeed, 2, false);
-    ASSERT_TRUE(Batched == Inline) << caseLabel(Case, CaseSeed);
   }
 }
 
@@ -219,8 +203,8 @@ TEST(FuzzSched, ForcedGcRoundsActuallyWiden) {
 /// reproduction recipe rather than a hint.
 TEST(FuzzSched, SameSeedReplaysIdentically) {
   uint64_t CaseSeed = mixSeed(baseSeed() + 0x20000);
-  Outcome A = runFuzzed(CaseSeed, 2, true);
-  Outcome B = runFuzzed(CaseSeed, 2, true);
+  Outcome A = runFuzzed(CaseSeed, 2);
+  Outcome B = runFuzzed(CaseSeed, 2);
   ASSERT_TRUE(A == B) << caseLabel(0, CaseSeed);
 }
 

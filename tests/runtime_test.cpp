@@ -268,7 +268,6 @@ TEST(Executor, SteadyStateSamplePathAcquiresNoIndexLocks) {
   DjxPerfConfig Agent = parallelAgentConfig(Pc);
   Agent.MinObjectSize = 16 << 10; // Only the setup-phase arrays qualify.
   DjxPerf Prof(Vm, Agent);
-  ASSERT_TRUE(Prof.batchedResolutionActive());
   Prof.start();
 
   // Setup phase (the numaRemote shape): one thread allocates each
