@@ -25,7 +25,8 @@ void BytecodeProgram::load(JavaVm &Vm) {
   assert(!Loaded && "program already loaded");
   // Class-load-time verification: reject malformed programs (bad operand
   // counts, out-of-range jump targets, arity mismatches) with a typed
-  // error before any of it can reach the interpreter's asserts.
+  // error before any of it can reach the interpreter's asserts. Its
+  // depth pass also sizes every method's frame (MaxStack).
   VerifyResult VR = verifyProgram(*this);
   if (!VR.ok()) {
     std::string Msg = "program verification failed: ";
@@ -54,6 +55,7 @@ void BytecodeProgram::load(JavaVm &Vm) {
       MethodList.emplace_back(CI, MI);
       M.RegistryId =
           Vm.methods().registerMethod(M.ClassName, M.MethodName, M.LineTable);
+      M.MaxStack = VR.MaxStack[Index];
     }
   }
   // Link Invoke sites: rewrite A from a CalleeRefs index to the global

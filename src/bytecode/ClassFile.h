@@ -40,6 +40,10 @@ struct BytecodeMethod {
   std::vector<std::string> CalleeRefs;
   /// Filled by BytecodeProgram::load: the registry id for this method.
   MethodId RegistryId = kInvalidMethod;
+  /// Filled by BytecodeProgram::load from the Verifier: the peak operand
+  /// stack depth (the JVM's max_stack). A frame reserves this many slots
+  /// above its locals, so pushes need no bounds check.
+  uint32_t MaxStack = 0;
 
   std::string qualifiedName() const { return ClassName + "." + MethodName; }
 };

@@ -113,8 +113,7 @@ std::string djx::disassembleTrace(const BytecodeMethod &M,
   std::ostringstream OS;
   OS << "trace " << M.qualifiedName() << " @" << T.EntryPc << ": "
      << T.Ops.size() << " superops / " << T.NumSteps << " steps, exit -> "
-     << T.EndPc << " (growth=" << T.MaxStackGrowth
-     << ", floor=" << T.MinStackDepth << ")\n";
+     << T.EndPc << " (floor=" << T.MinStackDepth << ")\n";
   for (const TraceOp &O : T.Ops) {
     OS << "  " << O.Pc;
     if (O.NumSteps > 1)

@@ -39,20 +39,19 @@ constexpr SuperOp kBaseEncoding[] = {
 
 /// Running operand-stack depth relative to trace entry, tracked at
 /// constituent granularity via the opcode table's stack effects. Min
-/// bounds the operands the trace consumes below its entry depth; Max
-/// bounds its peak growth (both conservative for fused ops, which skip
-/// the intermediate pushes entirely).
+/// bounds the operands the trace consumes below its entry depth
+/// (conservative for fused ops, which skip the intermediate pushes
+/// entirely). Peak growth needs no tracking: the trace runs in its
+/// method's frame, which reserves the verified max_stack.
 struct ShapeTracker {
   int Depth = 0;
   int Min = 0;
-  int Max = 0;
 
   void apply(const Instruction &I) {
     StackEffect E = instructionStackEffect(I);
     Depth -= static_cast<int>(E.Pops);
     Min = std::min(Min, Depth);
     Depth += static_cast<int>(E.Pushes);
-    Max = std::max(Max, Depth);
   }
 };
 
@@ -192,7 +191,6 @@ std::optional<CompiledTrace> djx::compileTrace(const BytecodeMethod &M,
     return std::nullopt;
   T.EndPc = Pc;
   T.NumSteps = Steps;
-  T.MaxStackGrowth = static_cast<uint32_t>(std::max(0, Shape.Max));
   T.MinStackDepth = static_cast<uint32_t>(std::max(0, -Shape.Min));
   uint32_t Remaining = Steps;
   for (TraceOp &O : T.Ops) {

@@ -9,9 +9,7 @@
 /// bytecode region (a superblock starting at one entry pc) into a
 /// sequence of superinstructions the interpreter executes without
 /// per-opcode dispatch overhead. Shape analysis reuses the opcode
-/// table's stack effects to compute the trace's operand floor and peak
-/// stack growth, so the executing tier can do one arena headroom check
-/// per trace instead of one per push.
+/// table's stack effects to compute the trace's operand floor.
 ///
 /// Legality is deliberately conservative — a trace must be
 /// observationally equivalent to flat dispatch, instruction by
@@ -130,8 +128,6 @@ struct CompiledTrace {
   /// Total constituent instructions when the trace runs end-to-end; the
   /// quantum/step-deadline admission check charges this worst case.
   uint32_t NumSteps = 0;
-  /// Peak operand-stack growth above the entry depth (arena headroom).
-  uint32_t MaxStackGrowth = 0;
   /// Operands consumed below the entry depth (entry Sp must cover it).
   uint32_t MinStackDepth = 0;
   std::vector<TraceOp> Ops;

@@ -24,9 +24,44 @@ static void addError(VerifyResult &R, size_t Bci, const std::string &Msg) {
 
 namespace {
 
+/// Program-level context for resolving Invoke callees by qualified name
+/// (unlinked) or flattened method index (linked).
+struct ProgramContext {
+  std::unordered_map<std::string, const BytecodeMethod *> ByName;
+  std::vector<const BytecodeMethod *> ByIndex;
+  /// Values each method leaves on its caller's stack: 1 when it has a
+  /// value return, else 0.
+  std::unordered_map<const BytecodeMethod *, unsigned> ReturnPushes;
+
+  void add(const BytecodeMethod &M) {
+    ByName.emplace(M.qualifiedName(), &M);
+    ByIndex.push_back(&M);
+    unsigned Pushes = 0;
+    for (const Instruction &I : M.Code)
+      if (I.Op == Opcode::IReturn || I.Op == Opcode::AReturn)
+        Pushes = 1;
+    ReturnPushes.emplace(&M, Pushes);
+  }
+
+  const BytecodeMethod *callee(const BytecodeMethod &Caller,
+                               const Instruction &Inst) const {
+    if (Inst.A < 0)
+      return nullptr;
+    if (Caller.RegistryId == kInvalidMethod) {
+      if (static_cast<size_t>(Inst.A) >= Caller.CalleeRefs.size())
+        return nullptr;
+      auto It = ByName.find(Caller.CalleeRefs[Inst.A]);
+      return It == ByName.end() ? nullptr : It->second;
+    }
+    return static_cast<size_t>(Inst.A) < ByIndex.size()
+               ? ByIndex[Inst.A]
+               : nullptr;
+  }
+};
+
 /// Abstract operand-stack depth interval at a block entry. The only
-/// source of uncertainty is an Invoke, whose callee return kind a lone
-/// method cannot resolve: it may push 0 or 1.
+/// source of uncertainty is an Invoke whose callee is not resolved (a
+/// lone method, or a bad callee reference): it may push 0 or 1.
 struct DepthRange {
   unsigned Lo = 0;
   unsigned Hi = 0;
@@ -39,13 +74,18 @@ constexpr unsigned kMaxTrackedDepth = 1 << 16;
 /// Depth intervals as a forward dataflow problem. Reports definite
 /// underflow (even the maximal depth cannot feed the instruction's pops)
 /// -- the "bad operand count" class of malformed programs -- without
-/// false positives on valid code.
+/// false positives on valid code. The replay also yields the method's
+/// peak depth, its max_stack: the operand slots its frame must reserve.
 struct DepthProblem {
   using State = DepthRange;
   const BytecodeMethod &M;
   const Cfg &G;
+  /// Resolves Invoke pushes exactly; null for a lone method.
+  const ProgramContext *Ctx = nullptr;
   /// Null while solving; the reporting pass replays blocks into it.
   VerifyResult *R = nullptr;
+  /// Highest Hi the reporting pass replays (the fixpoint's peak).
+  unsigned Peak = 0;
 
   State initial() { return {}; }
   State boundary() { return {0, 0, true}; }
@@ -63,15 +103,27 @@ struct DepthProblem {
                      " on the stack");
       return false;
     }
+    // An Invoke pushes its callee's return value: exactly when the
+    // program resolves the callee, else maybe.
+    unsigned MaybePush = 0;
+    if (Inst.Op == Opcode::Invoke) {
+      const BytecodeMethod *Callee = Ctx ? Ctx->callee(M, Inst) : nullptr;
+      if (Callee)
+        E.Pushes = Ctx->ReturnPushes.at(Callee);
+      else
+        MaybePush = 1;
+    }
     // Lo may dip below the pops when the uncertainty came from earlier
     // unresolved pushes; clamp at zero rather than flag a maybe.
     D.Lo = (D.Lo > E.Pops ? D.Lo - E.Pops : 0) + E.Pushes;
-    D.Hi = D.Hi - E.Pops + E.Pushes + (Inst.Op == Opcode::Invoke ? 1 : 0);
+    D.Hi = D.Hi - E.Pops + E.Pushes + MaybePush;
     if (D.Hi > kMaxTrackedDepth) {
       if (R)
         addError(*R, Pc, "stack depth grows without bound (unbalanced loop?)");
       return false;
     }
+    if (R)
+      Peak = std::max(Peak, D.Hi);
     return true;
   }
 
@@ -95,43 +147,27 @@ struct DepthProblem {
 };
 
 /// Solves the depth intervals to fixpoint, then replays each reached
-/// block once from its fixpoint entry state to report errors.
-void verifyStackDepths(const BytecodeMethod &M, const Cfg &G,
-                       VerifyResult &R) {
-  DepthProblem P{M, G};
+/// block once from its fixpoint entry state to report errors; returns
+/// the peak depth the replay saw.
+unsigned verifyStackDepths(const BytecodeMethod &M, const Cfg &G,
+                           const ProgramContext *Ctx, VerifyResult &R) {
+  DepthProblem P{M, G, Ctx};
   std::vector<DepthRange> In =
       solveDataflow(G, DataflowDirection::Forward, P);
   P.R = &R;
   for (uint32_t B : G.rpo())
     P.transfer(B, In[B]);
+  return P.Peak;
 }
 
-/// Program-level context for resolving Invoke callees by qualified name
-/// (unlinked) or flattened method index (linked).
-struct ProgramContext {
-  std::unordered_map<std::string, const BytecodeMethod *> ByName;
-  std::vector<const BytecodeMethod *> ByIndex;
-
-  const BytecodeMethod *callee(const BytecodeMethod &Caller,
-                               const Instruction &Inst) const {
-    if (Inst.A < 0)
-      return nullptr;
-    if (Caller.RegistryId == kInvalidMethod) {
-      if (static_cast<size_t>(Inst.A) >= Caller.CalleeRefs.size())
-        return nullptr;
-      auto It = ByName.find(Caller.CalleeRefs[Inst.A]);
-      return It == ByName.end() ? nullptr : It->second;
-    }
-    return static_cast<size_t>(Inst.A) < ByIndex.size()
-               ? ByIndex[Inst.A]
-               : nullptr;
-  }
-};
-
-/// verifyMethod(); when the structure is sound, also leaves the CFG its
-/// depth pass ran on in \p G for verifyProgram's type-state pass.
-VerifyResult verifyBody(const BytecodeMethod &M, std::optional<Cfg> &G) {
+/// verifyMethod(), with Invoke pushes resolved through \p Ctx when given;
+/// records the method's max_stack as R.MaxStack's one entry (0 when the
+/// structure is unsound). When the structure is sound, also leaves the
+/// CFG its depth pass ran on in \p G for verifyProgram's type-state pass.
+VerifyResult verifyBody(const BytecodeMethod &M, const ProgramContext *Ctx,
+                        std::optional<Cfg> &G) {
   VerifyResult R;
+  R.MaxStack.push_back(0);
   if (M.Code.empty()) {
     R.Errors.push_back("empty code");
     return R;
@@ -176,7 +212,7 @@ VerifyResult verifyBody(const BytecodeMethod &M, std::optional<Cfg> &G) {
   // Invoke pushes are unknown; the interval analysis stays conservative.
   if (R.ok()) {
     G = Cfg::build(M);
-    verifyStackDepths(M, *G, R);
+    R.MaxStack[0] = verifyStackDepths(M, *G, Ctx, R);
   }
   return R;
 }
@@ -185,7 +221,7 @@ VerifyResult verifyBody(const BytecodeMethod &M, std::optional<Cfg> &G) {
 
 VerifyResult djx::verifyMethod(const BytecodeMethod &M) {
   std::optional<Cfg> G;
-  return verifyBody(M, G);
+  return verifyBody(M, nullptr, G);
 }
 
 VerifyResult djx::verifyProgram(const BytecodeProgram &P) {
@@ -194,17 +230,15 @@ VerifyResult djx::verifyProgram(const BytecodeProgram &P) {
   VerifyResult All;
   ProgramContext Ctx;
   for (const ClassFile &C : P.classes())
-    for (const BytecodeMethod &M : C.Methods) {
-      Ctx.ByName.emplace(M.qualifiedName(), &M);
-      Ctx.ByIndex.push_back(&M);
-    }
+    for (const BytecodeMethod &M : C.Methods)
+      Ctx.add(M);
   for (const ClassFile &C : P.classes())
     for (const BytecodeMethod &M : C.Methods) {
       std::optional<Cfg> G;
-      VerifyResult R = verifyBody(M, G);
+      VerifyResult R = verifyBody(M, &Ctx, G);
+      All.MaxStack.push_back(R.MaxStack[0]);
       // Cross-method checks: Invoke operand counts against the callee's
-      // declared arity, and a second depth pass with callee return
-      // kinds resolved (exact where verifyMethod's was conservative).
+      // declared arity, and the type-state pass.
       bool InvokesOk = true;
       for (size_t I = 0; I < M.Code.size(); ++I) {
         const Instruction &Inst = M.Code[I];
@@ -232,10 +266,9 @@ VerifyResult djx::verifyProgram(const BytecodeProgram &P) {
         // Full type-state pass (src/analysis/): exact stack depths with
         // callee return kinds resolved, plus type-confusion checks
         // mirroring the dispatch loop's runtime asserts, merge-depth
-        // conflicts, and unreachable-code detection. Subsumes the old
-        // exact depth-only second pass; verifyMethod's conservative
-        // interval pass already rejected definite underflow, so this
-        // only runs on structurally sound methods.
+        // conflicts, and unreachable-code detection. The interval pass
+        // already rejected definite underflow, so this only runs on
+        // structurally sound methods.
         CalleeResolver Resolve =
             [&Ctx, &M](const Instruction &Inst) -> const BytecodeMethod * {
           return Ctx.callee(M, Inst);

@@ -7,8 +7,11 @@
 /// \file
 /// Lightweight structural verifier run before a method executes or is
 /// instrumented: branch targets in range, local indices in range, code
-/// ends on an unconditional control transfer, and line table sorted.
-/// Returns diagnostics instead of aborting so tests can assert on them.
+/// ends on an unconditional control transfer (so control cannot fall off
+/// the end), line table sorted, and no operand-stack underflow. Its
+/// depth pass also yields each method's max_stack, which sizes the
+/// interpreter's frames. Returns diagnostics instead of aborting so tests
+/// can assert on them.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -22,16 +25,23 @@
 
 namespace djx {
 
-/// Structural problems found in one method.
+/// Structural problems found in one method, and its frame size.
 struct VerifyResult {
   std::vector<std::string> Errors;
+  /// Peak operand-stack depth of each verified method, the JVM's
+  /// max_stack (one entry per method, in the program's method order; 0
+  /// for a method whose structure is unsound). It bounds every depth
+  /// any execution of the method reaches.
+  std::vector<uint32_t> MaxStack;
   bool ok() const { return Errors.empty(); }
 };
 
-/// Verifies one method body.
+/// Verifies one method body. Without a program an Invoke's callee is
+/// unknown, so it counts as maybe pushing a value.
 VerifyResult verifyMethod(const BytecodeMethod &M);
 
 /// Verifies every method of \p P; aggregates errors with method prefixes.
+/// Invoke pushes are exact here: each callee's return kind is known.
 VerifyResult verifyProgram(const BytecodeProgram &P);
 
 } // namespace djx

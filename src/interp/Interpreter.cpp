@@ -62,7 +62,8 @@ void Interpreter::growArena(size_t Needed) {
 Interpreter::Frame &Interpreter::pushActivation(size_t MethodIndex,
                                                 uint32_t ArgsBase) {
   const BytecodeMethod &M = Program.method(MethodIndex);
-  size_t Needed = static_cast<size_t>(ArgsBase) + M.NumLocals;
+  // The whole frame: its locals, then its verified max_stack.
+  size_t Needed = static_cast<size_t>(ArgsBase) + M.NumLocals + M.MaxStack;
   if (Needed > Arena.size())
     growArena(Needed);
   // Non-argument locals start zeroed (and must: the GC scans them).
@@ -172,12 +173,13 @@ std::optional<Value> Interpreter::takeResult() {
 
 bool Interpreter::loop(size_t BaseDepth, uint32_t BaseTop,
                        uint64_t QuantumEnd, std::optional<Value> &Out) {
-  // Cached execution registers for the top frame; Reload refreshes them
-  // after any frame switch or arena growth, SyncTop publishes them back
-  // before anything that can trigger a GC (the root scan reads frames).
+  // The top frame's execution registers, plain locals. Reload refreshes
+  // them after a frame switch or a call out of the loop; SyncTop
+  // publishes Pc/Sp back before anything that reads the frames (the GC
+  // root scan, a re-entered run(), a pause). Every helper below is forced
+  // inline, so no out-of-line closure pins the registers to memory.
   Frame *F = nullptr;
   const Instruction *Code = nullptr;
-  uint32_t CodeSize = 0;
   Value *L = nullptr; // Locals base.
   Value *S = nullptr; // Operand stack base.
   uint32_t Sp = 0;
@@ -186,68 +188,90 @@ bool Interpreter::loop(size_t BaseDepth, uint32_t BaseTop,
   // Site storage mutates in place, so the pointer survives compiles and
   // invalidations; only a frame switch refreshes it.
   TraceCache::Site *TraceSites = nullptr;
+  // Instructions retired so far, including those not yet charged. Steps,
+  // the thread's cycles and the top frame's Bci are brought up to date
+  // only at observation points -- memory accesses, allocations, hooks,
+  // Invoke, trace entry, a pause, the step limit and the final Return --
+  // which are the only places anything can read them.
+  uint64_t Now = Steps;
+  // One compare per step guards both budgets.
+  const uint64_t Stop = std::min(QuantumEnd, StepDeadline);
 
-  auto Reload = [&] {
+  auto Reload = [&]() DJX_FORCE_INLINE {
     F = &CallStack.back();
     Code = F->M->Code.data();
-    CodeSize = static_cast<uint32_t>(F->M->Code.size());
     L = Arena.data() + F->LocalsBase;
     S = Arena.data() + F->StackBase;
     Sp = F->Sp;
     Pc = F->Pc;
     ArenaTop = F->StackBase + Sp;
     TraceSites =
-        Traces ? Traces->sitesFor(F->MethodIndex, CodeSize) : nullptr;
+        Traces ? Traces->sitesFor(F->MethodIndex, F->M->Code.size()) : nullptr;
   };
-  auto SyncTop = [&] {
+  auto SyncTop = [&]() DJX_FORCE_INLINE {
     F->Pc = Pc;
     F->Sp = Sp;
     ArenaTop = F->StackBase + Sp;
   };
-  auto Push = [&](Value V) {
-    if (static_cast<size_t>(F->StackBase) + Sp == Arena.size()) {
-      SyncTop();
-      growArena(Arena.size() + 1);
-      Reload();
-    }
+  // Charges the retired instructions to Steps and the simulated clock.
+  auto Charge = [&]() DJX_FORCE_INLINE {
+    Vm.tick(Thread, Now - Steps);
+    Steps = Now;
+  };
+  // Before a call that can allocate, collect, or re-enter run(): every
+  // counter exact and the frame synced.
+  auto SyncAll = [&]() DJX_FORCE_INLINE {
+    Charge();
+    Thread.setBci(Pc);
+    SyncTop();
+  };
+  // After such a call: a re-entered run() may have moved the arena and
+  // retired steps of its own.
+  auto Resync = [&]() DJX_FORCE_INLINE {
+    Reload();
+    Now = Steps;
+  };
+  // The frame reserves the verified max_stack above its locals.
+  auto Push = [&](Value V) DJX_FORCE_INLINE {
+    assert(Sp < F->M->MaxStack && "push beyond the verified max_stack");
     S[Sp++] = V;
   };
-  auto Pop = [&]() -> Value {
+  auto Pop = [&]() DJX_FORCE_INLINE {
     assert(Sp > 0 && "operand stack underflow");
     return S[--Sp];
   };
   Reload();
 
   for (;;) {
-    // Quantum boundary: pause *before* the next instruction so it has not
-    // been counted or charged; the frame sync makes the pause a clean GC /
-    // resume point. run() passes ~0 and never pauses.
-    if (Steps >= QuantumEnd) {
-      SyncTop();
-      return false;
+    if (Now >= Stop) {
+      // Quantum boundary: pause *before* the next instruction so it has
+      // not been counted or charged; the sync makes the pause a clean GC
+      // / resume point. run() passes ~0 and never pauses.
+      SyncAll();
+      if (Now >= QuantumEnd)
+        return false;
+      // The next instruction overruns the per-run step limit.
+      ++Steps;
+      fatalStepLimit();
     }
-    if (Pc >= CodeSize) {
-      SyncTop();
-      VmError E(VmErrorKind::InvalidBytecode,
-                "control fell off the end of " + F->M->qualifiedName());
-      E.ThreadId = Thread.id();
-      E.Steps = Steps;
-      throw E;
-    }
+    assert(Pc < F->M->Code.size() &&
+           "the Verifier rejects code that can fall off the end");
     if (TraceSites) {
+      Charge();
       SyncTop();
       if (execTrace(TraceSites[Pc], QuantumEnd)) {
-        Reload();
+        Resync();
         continue;
       }
     }
-    if (++Steps > StepDeadline)
-      fatalStepLimit();
+    ++Now;
     const Instruction &I = Code[Pc];
-    Thread.setBci(Pc);
-    Vm.tick(Thread, 1);
-    uint32_t NextPc = Pc + 1;
 
+    // The ALU, branch, allocation and access opcodes each get a case of
+    // their own that hands the Semantics.h handler a constant Opcode: the
+    // handler's switch folds away, and this switch stays the step's one
+    // indirect jump. A case that transfers control sets Pc and continues;
+    // the others fall through to the next instruction.
     switch (I.Op) {
     case Opcode::Nop:
       break;
@@ -288,62 +312,79 @@ bool Interpreter::loop(size_t BaseDepth, uint32_t BaseTop,
       Push(A);
       break;
     }
-    case Opcode::IAdd:
-    case Opcode::ISub:
-    case Opcode::IMul:
-    case Opcode::IDiv:
-    case Opcode::IRem:
-    case Opcode::INeg:
-    case Opcode::IAnd:
-    case Opcode::IOr:
-    case Opcode::IXor:
-    case Opcode::IShl:
-    case Opcode::IShr:
-      applyAlu(I.Op, S, Sp);
-      break;
+#define DJX_ALU_CASE(Name)                                                    \
+  case Opcode::Name:                                                          \
+    applyAlu(Opcode::Name, S, Sp);                                            \
+    break;
+      DJX_ALU_CASE(IAdd)
+      DJX_ALU_CASE(ISub)
+      DJX_ALU_CASE(IMul)
+      DJX_ALU_CASE(IDiv)
+      DJX_ALU_CASE(IRem)
+      DJX_ALU_CASE(INeg)
+      DJX_ALU_CASE(IAnd)
+      DJX_ALU_CASE(IOr)
+      DJX_ALU_CASE(IXor)
+      DJX_ALU_CASE(IShl)
+      DJX_ALU_CASE(IShr)
+#undef DJX_ALU_CASE
     case Opcode::Goto:
-      NextPc = static_cast<uint32_t>(I.A);
-      break;
-    case Opcode::IfEq:
-    case Opcode::IfNe:
-    case Opcode::IfLt:
-    case Opcode::IfGe:
-    case Opcode::IfICmpEq:
-    case Opcode::IfICmpNe:
-    case Opcode::IfICmpLt:
-    case Opcode::IfICmpGe:
-    case Opcode::IfICmpGt:
-    case Opcode::IfICmpLe:
-    case Opcode::IfNull:
-    case Opcode::IfNonNull:
-      if (popBranch(I.Op, S, Sp))
-        NextPc = static_cast<uint32_t>(I.A);
-      break;
-    case Opcode::New:
-    case Opcode::NewArray:
-    case Opcode::ANewArray:
-    case Opcode::MultiANewArray: {
+      Pc = static_cast<uint32_t>(I.A);
+      continue;
+#define DJX_BRANCH_CASE(Name)                                                 \
+  case Opcode::Name:                                                          \
+    if (popBranch(Opcode::Name, S, Sp)) {                                     \
+      Pc = static_cast<uint32_t>(I.A);                                        \
+      continue;                                                               \
+    }                                                                         \
+    break;
+      DJX_BRANCH_CASE(IfEq)
+      DJX_BRANCH_CASE(IfNe)
+      DJX_BRANCH_CASE(IfLt)
+      DJX_BRANCH_CASE(IfGe)
+      DJX_BRANCH_CASE(IfICmpEq)
+      DJX_BRANCH_CASE(IfICmpNe)
+      DJX_BRANCH_CASE(IfICmpLt)
+      DJX_BRANCH_CASE(IfICmpGe)
+      DJX_BRANCH_CASE(IfICmpGt)
+      DJX_BRANCH_CASE(IfICmpLe)
+      DJX_BRANCH_CASE(IfNull)
+      DJX_BRANCH_CASE(IfNonNull)
+#undef DJX_BRANCH_CASE
       // Peek-then-commit: the operands stay on the stack until the
-      // allocation succeeds. Reload afterwards: an allocation-event
-      // observer may have re-entered run() and grown the arena.
-      SyncTop();
-      ObjectRef Obj = allocateFor(Vm, Thread, I.Op, I.A, I.B, S, Sp);
-      Reload();
-      Sp -= opcodePops(I.Op, I.B);
-      Push(Value::fromRef(Obj));
-      break;
-    }
-    case Opcode::PALoad:
-    case Opcode::PAStore:
-    case Opcode::AALoad:
-    case Opcode::AAStore:
-    case Opcode::ArrayLength:
-    case Opcode::GetField:
-    case Opcode::PutField:
-    case Opcode::GetRefField:
-    case Opcode::PutRefField:
-      execAccess(Vm, Thread, I.Op, I.A, I.B, S, Sp);
-      break;
+      // allocation succeeds, so a GcRequest unwind re-executes it cleanly.
+#define DJX_ALLOC_CASE(Name)                                                  \
+  case Opcode::Name: {                                                        \
+    SyncAll();                                                                \
+    ObjectRef Obj = allocateFor(Vm, Thread, Opcode::Name, I.A, I.B, S, Sp);   \
+    Resync();                                                                 \
+    Sp -= opcodePops(Opcode::Name, I.B);                                      \
+    Push(Value::fromRef(Obj));                                                \
+    break;                                                                    \
+  }
+      DJX_ALLOC_CASE(New)
+      DJX_ALLOC_CASE(NewArray)
+      DJX_ALLOC_CASE(ANewArray)
+      DJX_ALLOC_CASE(MultiANewArray)
+#undef DJX_ALLOC_CASE
+      // A PMU sample the access triggers reads the step count, the clock
+      // and the bci.
+#define DJX_ACCESS_CASE(Name)                                                 \
+  case Opcode::Name:                                                          \
+    Charge();                                                                 \
+    Thread.setBci(Pc);                                                        \
+    execAccess(Vm, Thread, Opcode::Name, I.A, I.B, S, Sp);                    \
+    break;
+      DJX_ACCESS_CASE(PALoad)
+      DJX_ACCESS_CASE(PAStore)
+      DJX_ACCESS_CASE(AALoad)
+      DJX_ACCESS_CASE(AAStore)
+      DJX_ACCESS_CASE(ArrayLength)
+      DJX_ACCESS_CASE(GetField)
+      DJX_ACCESS_CASE(PutField)
+      DJX_ACCESS_CASE(GetRefField)
+      DJX_ACCESS_CASE(PutRefField)
+#undef DJX_ACCESS_CASE
     case Opcode::Invoke: {
       size_t Callee = static_cast<size_t>(I.A);
       const BytecodeMethod &CM = Program.method(Callee);
@@ -351,14 +392,14 @@ bool Interpreter::loop(size_t BaseDepth, uint32_t BaseTop,
              "invoke argument count mismatch");
       assert(Sp >= CM.NumArgs && "operand stack underflow at invoke");
       // Consume the arguments in place: they become the callee's first
-      // locals without being copied (the activation overlaps them).
+      // locals without being copied (the activation overlaps them). The
+      // caller's shadow frame shows the call site while the callee runs.
       Sp -= CM.NumArgs;
-      F->Pc = NextPc;
+      Thread.setBci(Pc);
+      F->Pc = Pc + 1;
       F->Sp = Sp;
-      uint32_t ArgsBase = F->StackBase + Sp;
-      Frame &NF = pushActivation(Callee, ArgsBase);
+      pushActivation(Callee, F->StackBase + Sp);
       Thread.pushFrame(CM.RegistryId, 0);
-      (void)NF;
       Reload();
       continue;
     }
@@ -375,6 +416,7 @@ bool Interpreter::loop(size_t BaseDepth, uint32_t BaseTop,
       Thread.popFrame();
       CallStack.pop_back();
       if (CallStack.size() == BaseDepth) {
+        Charge();
         ArenaTop = BaseTop;
         if (HasValue)
           Out = RV;
@@ -389,16 +431,15 @@ bool Interpreter::loop(size_t BaseDepth, uint32_t BaseTop,
     }
     case Opcode::AllocHookPre:
     case Opcode::AllocHookPost:
+      // A hook may re-enter run(), which needs fresh frame state and may
+      // grow the arena under the cached pointers.
       if (hasHook(I.Op)) {
-        // Sync/reload around the dispatch: a hook may re-enter run() (the
-        // old recursive interpreter allowed it), which needs fresh frame
-        // state and may grow the arena under our cached pointers.
-        SyncTop();
+        SyncAll();
         callHook(I.Op, I.A, S, Sp);
-        Reload();
+        Resync();
       }
       break;
     }
-    Pc = NextPc;
+    ++Pc;
   }
 }

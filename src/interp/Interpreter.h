@@ -16,7 +16,11 @@
 /// activation's locals and operand stack are slices of one growable
 /// buffer, and Invoke pushes a frame whose locals alias the caller's
 /// argument slots (zero-copy argument passing, as on a real JVM stack).
-/// There is no C++ recursion and no per-call heap allocation.
+/// A frame reserves its locals plus the Verifier's max_stack when it is
+/// pushed, so operand pushes never check for room. There is no C++
+/// recursion and no per-call heap allocation. Steps, the simulated clock
+/// and the shadow stack's bci are charged lazily, at the points where
+/// something can observe them (see loop()).
 /// Re-entering run() from an allocation hook or a JVMTI allocation
 /// observer is supported (the frame state is synced around those
 /// dispatches); re-entering from a PMU overflow handler is not.
@@ -184,6 +188,9 @@ private:
   /// The dispatch loop: executes until the call stack returns to
   /// \p BaseDepth (true; \p Out holds the return value) or the cumulative
   /// step counter reaches \p QuantumEnd (false; state synced for resume).
+  /// Steps, cycles and the top frame's Bci are exact wherever a sample,
+  /// an allocation context, a hook or an error can read them, and on
+  /// return.
   bool loop(size_t BaseDepth, uint32_t BaseTop, uint64_t QuantumEnd,
             std::optional<Value> &Out);
 
@@ -191,10 +198,12 @@ private:
 
   /// Pushes the activation of \p MethodIndex whose arguments already sit
   /// at [ArgsBase, ArgsBase + NumArgs) in the arena; zero-fills the
-  /// remaining locals and claims arena space up to the operand stack base.
+  /// remaining locals and reserves arena space for the locals and the
+  /// method's verified max_stack.
   Frame &pushActivation(size_t MethodIndex, uint32_t ArgsBase);
 
-  /// Grows the arena to hold at least \p Needed slots (geometric).
+  /// Grows the arena to hold at least \p Needed slots (geometric). Only
+  /// frame creation calls it: beginCall() and pushActivation().
   void growArena(size_t Needed);
 
   /// Whether the agent installed a hook for allocation-hook opcode \p Op.
@@ -216,9 +225,9 @@ private:
   /// against both budgets: a trace whose full length does not fit runs
   /// flat this quantum -- observationally identical, since a trace is
   /// the same instruction stream. Entry contract: the caller synced the
-  /// top frame. Exit contract (true): frame state (Pc, Sp, ArenaTop) is
-  /// synced and Steps/cycles charged for exactly the constituents
-  /// retired.
+  /// top frame and charged Steps/cycles. Exit contract (true): frame
+  /// state (Pc, Sp, ArenaTop) is synced and Steps/cycles charged for
+  /// exactly the constituents retired.
   bool execTrace(TraceCache::Site &Site, uint64_t QuantumEnd);
 
   [[noreturn]] void fatalStepLimit() const;

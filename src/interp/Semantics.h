@@ -7,10 +7,11 @@
 /// \file
 /// The one statement of what the value-level opcodes do. The flat loop
 /// (Interpreter.cpp) and the trace executor (SuperTier.cpp) both call
-/// these handlers; each executor keeps its own dispatch, operand-stack
-/// growth, and step / tick / bci accounting. A handler that works on the
-/// operand stack [S, S + Sp) never grows it (each such opcode pops at
-/// least as many slots as it pushes), so it needs no arena headroom.
+/// these handlers; each executor keeps its own dispatch and step / tick
+/// / bci accounting. A handler that works on the operand stack
+/// [S, S + Sp) never grows it (each such opcode pops at least as many
+/// slots as it pushes); every push the executors do lands inside the
+/// frame's verified max_stack reservation.
 ///
 /// Integer arithmetic is the JVM's 64-bit long arithmetic: add, sub, mul,
 /// neg and shl wrap, MIN / -1 is MIN and MIN % -1 is 0 (ladd, ldiv, lrem).
@@ -19,7 +20,8 @@
 /// has no LTO, and both executors' translation units must inline the
 /// handlers into their dispatch loops (GCC would otherwise keep
 /// execAccess out of line). Unoptimised builds keep one shared copy of
-/// each handler, so coverage counts its branches once.
+/// each handler, so coverage counts its branches once. A handler called
+/// with a constant Opcode folds its inner switch away.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -31,11 +33,14 @@
 #include <cassert>
 #include <vector>
 
+/// Forces inlining in optimised builds; also usable on a lambda, after
+/// its parameter list.
 #if defined(__GNUC__) && defined(__OPTIMIZE__)
-#define DJX_ALWAYS_INLINE inline __attribute__((always_inline))
+#define DJX_FORCE_INLINE __attribute__((always_inline))
 #else
-#define DJX_ALWAYS_INLINE inline
+#define DJX_FORCE_INLINE
 #endif
+#define DJX_ALWAYS_INLINE inline DJX_FORCE_INLINE
 
 namespace djx {
 

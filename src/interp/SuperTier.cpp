@@ -45,13 +45,8 @@ bool Interpreter::execTrace(TraceCache::Site &Site, uint64_t QuantumEnd) {
   const CompiledTrace &T = *Trace;
   assert(F->Sp >= T.MinStackDepth &&
          "trace entered below its operand floor");
-  // One arena headroom check for the whole trace replaces the flat loop's
-  // per-push check: every slot the trace can touch is reserved up front,
-  // so pushes below are single stores. (Arena growth is host memory
-  // management — nothing simulated observes it.)
-  size_t Peak = static_cast<size_t>(F->StackBase) + F->Sp + T.MaxStackGrowth;
-  if (Peak > Arena.size())
-    growArena(Peak);
+  // The trace runs in the top frame, whose verified max_stack reservation
+  // holds every push below: each is a single store.
   Value *L = Arena.data() + F->LocalsBase;
   Value *S = Arena.data() + F->StackBase;
   uint32_t Sp = F->Sp;

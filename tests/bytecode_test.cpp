@@ -8,8 +8,10 @@
 #include "bytecode/Disassembler.h"
 #include "bytecode/MethodBuilder.h"
 #include "bytecode/Verifier.h"
+#include "instrument/AllocationInstrumenter.h"
 #include "jvm/JavaVm.h"
 #include "support/VmError.h"
+#include "workloads/BytecodePrograms.h"
 
 #include <gtest/gtest.h>
 
@@ -21,7 +23,7 @@ using namespace djx;
 
 namespace {
 
-DJX_TEST_MODULE(bytecode_test, 60.0, 35.0,
+DJX_TEST_MODULE(bytecode_test, 68.0, 39.0,
     "src/bytecode/ClassFile.cpp",
     "src/bytecode/ClassFile.h",
     "src/bytecode/Disassembler.cpp",
@@ -386,6 +388,135 @@ TEST(Verifier, RejectsArgCountExceedingLocals) {
   ASSERT_FALSE(R.ok());
   EXPECT_NE(R.Errors[0].find("argument count exceeds local slots"),
             std::string::npos);
+}
+
+/// Verifies \p Methods as the one class "C" of a program; returns each
+/// method's max_stack, in order.
+std::vector<uint32_t> programMaxStack(std::vector<BytecodeMethod> Methods) {
+  BytecodeProgram P;
+  ClassFile C;
+  C.Name = "C";
+  C.Methods = std::move(Methods);
+  P.addClass(std::move(C));
+  VerifyResult R = verifyProgram(P);
+  EXPECT_TRUE(R.ok()) << (R.ok() ? "" : R.Errors[0]);
+  return R.MaxStack;
+}
+
+TEST(Verifier, MaxStackOfStraightLineCode) {
+  MethodBuilder B("C", "m", 0, 1);
+  B.iconst(1).iconst(2).iconst(3).iadd().iadd().istore(0);
+  B.iload(0).dup().iadd().iret();
+  BytecodeMethod M = B.build();
+  EXPECT_EQ(verifyMethod(M).MaxStack, std::vector<uint32_t>{3});
+  EXPECT_EQ(programMaxStack({M}), std::vector<uint32_t>{3});
+}
+
+TEST(Verifier, MaxStackOfALoopIsItsDeepestPoint) {
+  // for (i = 0; i < 10; ++i) s += i * 2;  -- the body peaks at 3.
+  MethodBuilder B("C", "m", 0, 2);
+  B.iconst(0).istore(0).iconst(0).istore(1);
+  Label Head = B.newLabel(), End = B.newLabel();
+  B.bind(Head);
+  B.iload(0).iconst(10).ifICmp(Opcode::IfICmpGe, End);
+  B.iload(1).iload(0).iconst(2).imul().iadd().istore(1);
+  B.iload(0).iconst(1).iadd().istore(0);
+  B.jmp(Head);
+  B.bind(End);
+  B.iload(1).iret();
+  EXPECT_EQ(verifyMethod(B.build()).MaxStack, std::vector<uint32_t>{3});
+}
+
+TEST(Verifier, MaxStackCountsAnInvokeResultOnlyForAValueCallee) {
+  BytecodeMethod Void = MethodBuilder("C", "v", 1, 1).ret().build();
+  BytecodeMethod Int = MethodBuilder("C", "i", 1, 1).iload(0).iret().build();
+  // After the call: nothing (void) or the result (value), then two more.
+  auto Caller = [](const char *Name, const char *Callee, bool HasResult) {
+    MethodBuilder B("C", Name, 0, 0);
+    B.iconst(1).invoke(Callee, 1).iconst(2).iconst(3).iadd();
+    if (HasResult)
+      B.iadd();
+    return B.iret().build();
+  };
+  BytecodeMethod CallVoid = Caller("callVoid", "C.v", false);
+  BytecodeMethod CallInt = Caller("callInt", "C.i", true);
+  EXPECT_EQ(programMaxStack({Void, Int, CallVoid, CallInt}),
+            (std::vector<uint32_t>{0, 1, 2, 3}));
+  // A lone method cannot resolve the callee: the call may push a value.
+  EXPECT_EQ(verifyMethod(CallVoid).MaxStack, std::vector<uint32_t>{3});
+  EXPECT_EQ(verifyMethod(CallInt).MaxStack, std::vector<uint32_t>{3});
+}
+
+TEST(Verifier, AcceptsALoopThatCallsAVoidMethod) {
+  // Each trip calls a void method. An unresolved call counts as maybe
+  // pushing a value, which pumps the depth bound once per trip; the
+  // program resolves it to no push, so the loop verifies.
+  BytecodeMethod Void = MethodBuilder("C", "v", 1, 1).ret().build();
+  MethodBuilder B("C", "loop", 0, 1);
+  B.iconst(0).istore(0);
+  Label Head = B.newLabel(), End = B.newLabel();
+  B.bind(Head);
+  B.iload(0).iconst(3).ifICmp(Opcode::IfICmpGe, End);
+  B.iload(0).invoke("C.v", 1);
+  B.iload(0).iconst(1).iadd().istore(0);
+  B.jmp(Head);
+  B.bind(End);
+  B.ret();
+  BytecodeMethod Loop = B.build();
+  EXPECT_EQ(programMaxStack({Void, Loop}), (std::vector<uint32_t>{0, 2}));
+  EXPECT_FALSE(verifyMethod(Loop).ok());
+}
+
+TEST(Verifier, MaxStackOfMultiANewArrayCountsEveryDimension) {
+  MethodBuilder B("C", "m", 0, 1);
+  B.iconst(2).iconst(3).iconst(4).multiANewArray(7, 3).astore(0);
+  B.aload(0).aret();
+  EXPECT_EQ(verifyMethod(B.build()).MaxStack, std::vector<uint32_t>{3});
+}
+
+TEST(Program, LoadRecordsEachMethodsMaxStack) {
+  JavaVm Vm;
+  BytecodeProgram P;
+  ClassFile C;
+  C.Name = "C";
+  C.Methods.push_back(MethodBuilder("C", "i", 1, 1).iload(0).iret().build());
+  C.Methods.push_back(MethodBuilder("C", "m", 0, 0)
+                          .iconst(1)
+                          .iconst(2)
+                          .invoke("C.i", 1)
+                          .iadd()
+                          .iret()
+                          .build());
+  P.addClass(std::move(C));
+  P.load(Vm);
+  EXPECT_EQ(P.method(P.methodIndex("C.i")).MaxStack, 1u);
+  EXPECT_EQ(P.method(P.methodIndex("C.m")).MaxStack, 2u);
+}
+
+TEST(Verifier, InstrumentationLeavesEveryMaxStackSound) {
+  // The agent's hooks are depth-neutral (allochook_pre touches nothing,
+  // allochook_post peeks the fresh reference), so the max_stack load
+  // recorded still bounds the rewritten code: re-verifying yields it
+  // exactly.
+  JavaVm Vm;
+  std::vector<BytecodeProgram> Programs;
+  Programs.push_back(buildBatikProgram(Vm.types()));
+  Programs.push_back(buildLusearchProgram(Vm.types()));
+  Programs.push_back(buildParallelWorkerProgram(Vm.types()));
+  Programs.push_back(buildNumaWorkerProgram(Vm.types()));
+  for (BytecodeProgram &P : Programs) {
+    P.load(Vm);
+    AllocationSiteTable Sites;
+    ASSERT_GT(instrumentProgram(P, Sites), 0u);
+    VerifyResult R = verifyProgram(P);
+    ASSERT_TRUE(R.ok()) << R.Errors[0];
+    ASSERT_EQ(R.MaxStack.size(), P.numMethods());
+    for (size_t I = 0; I < P.numMethods(); ++I) {
+      SCOPED_TRACE(P.method(I).qualifiedName());
+      EXPECT_GT(P.method(I).MaxStack, 0u);
+      EXPECT_EQ(R.MaxStack[I], P.method(I).MaxStack);
+    }
+  }
 }
 
 TEST(Program, VerifyProgramRejectsInvokeArityMismatch) {

@@ -5,6 +5,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "bytecode/MethodBuilder.h"
+#include "instrument/AllocationInstrumenter.h"
 #include "interp/Interpreter.h"
 #include "support/VmError.h"
 
@@ -16,7 +17,7 @@ using namespace djx;
 
 namespace {
 
-DJX_TEST_MODULE(interp_test, 87.0, 56.0,
+DJX_TEST_MODULE(interp_test, 89.0, 59.0,
     "src/interp/Interpreter.cpp",
     "src/interp/Interpreter.h",
     "src/interp/Semantics.h");
@@ -483,6 +484,191 @@ TEST(Interpreter, ExecutionChargesCycles) {
     I.run("C.main");
   }
   EXPECT_GE(Thread->cycles(), 43u); // At least one cycle per instruction.
+}
+
+/// What an observer sees of the interpreter's counters at one PMU sample,
+/// agent hook or allocation event.
+struct CounterRecord {
+  char Kind = 0; ///< 's'ample, hook 'p're / 'P'ost, 'a'llocation event.
+  uint64_t Steps = 0;
+  uint64_t Cycles = 0;
+  uint32_t Bci = 0;
+  std::vector<std::pair<MethodId, uint32_t>> Trace;
+  bool operator==(const CounterRecord &O) const {
+    return Kind == O.Kind && Steps == O.Steps && Cycles == O.Cycles &&
+           Bci == O.Bci && Trace == O.Trace;
+  }
+};
+
+/// The counter observations of one execution, and how it ended.
+struct CounterRun {
+  std::vector<CounterRecord> Records;
+  int64_t Result = -1;
+  uint64_t Steps = 0;
+  uint64_t Cycles = 0;
+  uint64_t LimitSteps = 0; ///< VmError::Steps when the step limit fired.
+};
+
+/// O.main: 12 rounds, each allocating an int[32] (instrumented with agent
+/// hooks), filling it through a void callee and summing it through a
+/// value callee that reads every element through a nested call.
+BytecodeProgram counterProgram(TypeRegistry &Types) {
+  ClassFile C;
+  C.Name = "O";
+  {
+    // get(a, i) = a[i]
+    MethodBuilder B("O", "get", 2, 2);
+    B.aload(0).iload(1).paLoad().iret();
+    C.Methods.push_back(B.build());
+  }
+  {
+    // fill(a, n): for (i = 0; i < n; ++i) a[i] = 3 * i
+    MethodBuilder B("O", "fill", 2, 3);
+    B.iconst(0).istore(2);
+    Label Head = B.newLabel(), End = B.newLabel();
+    B.bind(Head);
+    B.iload(2).iload(1).ifICmp(Opcode::IfICmpGe, End);
+    B.aload(0).iload(2).iload(2).iconst(3).imul().paStore();
+    B.iload(2).iconst(1).iadd().istore(2);
+    B.jmp(Head);
+    B.bind(End);
+    B.ret();
+    C.Methods.push_back(B.build());
+  }
+  {
+    // sum(a, n): s = 0; for (i = 0; i < n; ++i) s += get(a, i); return s
+    MethodBuilder B("O", "sum", 2, 4);
+    B.iconst(0).istore(2).iconst(0).istore(3);
+    Label Head = B.newLabel(), End = B.newLabel();
+    B.bind(Head);
+    B.iload(3).iload(1).ifICmp(Opcode::IfICmpGe, End);
+    B.iload(2).aload(0).iload(3).invoke("O.get", 2).iadd().istore(2);
+    B.iload(3).iconst(1).iadd().istore(3);
+    B.jmp(Head);
+    B.bind(End);
+    B.iload(2).iret();
+    C.Methods.push_back(B.build());
+  }
+  {
+    MethodBuilder B("O", "main", 0, 3);
+    B.iconst(0).istore(0).iconst(0).istore(1);
+    Label Head = B.newLabel(), End = B.newLabel();
+    B.bind(Head);
+    B.iload(0).iconst(12).ifICmp(Opcode::IfICmpGe, End);
+    B.iconst(32).newArray(Types.intArray()).astore(2);
+    B.aload(2).iconst(32).invoke("O.fill", 2);
+    B.iload(1).aload(2).iconst(32).invoke("O.sum", 2).iadd().istore(1);
+    B.iload(0).iconst(1).iadd().istore(0);
+    B.jmp(Head);
+    B.bind(End);
+    B.iload(1).iret();
+    C.Methods.push_back(B.build());
+  }
+  BytecodeProgram P;
+  P.addClass(std::move(C));
+  return P;
+}
+
+/// Runs O.main on a fresh VM, recording the counters at every
+/// observation. \p Quantum > 0 drives it with resume(Quantum), stopping
+/// at the first pause at or past a nonzero \p StepLimit; Quantum 0 runs
+/// it with run() under the step limit \p StepLimit.
+CounterRun runCounterProgram(uint64_t Quantum, uint64_t StepLimit) {
+  JavaVm Vm;
+  BytecodeProgram P = counterProgram(Vm.types());
+  P.load(Vm);
+  AllocationSiteTable Sites;
+  EXPECT_EQ(instrumentProgram(P, Sites), 1u);
+  JavaThread &T = Vm.startThread("counters", 0);
+  Interpreter I(Vm, P, T);
+  CounterRun Run;
+  auto Record = [&](char Kind) {
+    CounterRecord R;
+    R.Kind = Kind;
+    R.Steps = I.stepsExecuted();
+    R.Cycles = T.cycles();
+    R.Bci = T.frames().back().Bci;
+    for (const StackFrame &F : Vm.asyncGetCallTrace(T))
+      R.Trace.emplace_back(F.Method, F.Bci);
+    Run.Records.push_back(std::move(R));
+  };
+  T.pmu().openEvent(PerfEventAttr{PerfEventKind::MemAccess, 7, 64});
+  T.pmu().setSampleHandler([&](const PerfSample &) { Record('s'); });
+  T.pmu().enable();
+  AllocationHooks Hooks;
+  Hooks.Pre = [&](uint64_t) { Record('p'); };
+  Hooks.Post = [&](uint64_t, ObjectRef) { Record('P'); };
+  I.setAllocationHooks(std::move(Hooks));
+  Vm.jvmti().onAllocation([&](const AllocationEvent &) { Record('a'); });
+  if (Quantum == 0) {
+    I.setStepLimit(StepLimit);
+    try {
+      Run.Result = I.run("O.main")->asInt();
+    } catch (const VmError &E) {
+      EXPECT_EQ(E.Kind, VmErrorKind::StepLimit);
+      Run.LimitSteps = E.Steps;
+    }
+  } else {
+    I.startCall("O.main");
+    while (I.resume(Quantum) == RunState::Paused)
+      if (StepLimit && I.stepsExecuted() >= StepLimit)
+        break;
+    if (!I.hasPendingCall())
+      Run.Result = I.takeResult()->asInt();
+  }
+  Run.Steps = I.stepsExecuted();
+  Run.Cycles = T.cycles();
+  return Run;
+}
+
+TEST(Interpreter, CountersAreExactAtEveryObservationForAnyQuantum) {
+  // Steps, cycles and the bci are charged lazily, at observation points.
+  // Every observer must still see exactly what per-step charging shows:
+  // quantum 1 pauses (and so charges) after every instruction.
+  CounterRun Ref = runCounterProgram(1, 0);
+  EXPECT_EQ(Ref.Result, 12 * 3 * (31 * 32 / 2));
+  size_t Samples = 0, Hooks = 0, Allocs = 0;
+  for (const CounterRecord &R : Ref.Records) {
+    Samples += R.Kind == 's';
+    Hooks += R.Kind == 'p' || R.Kind == 'P';
+    Allocs += R.Kind == 'a';
+  }
+  EXPECT_GT(Samples, 50u);
+  EXPECT_EQ(Hooks, 24u);
+  EXPECT_EQ(Allocs, 12u);
+  for (uint64_t Quantum : {7u, 1024u}) {
+    SCOPED_TRACE("quantum " + std::to_string(Quantum));
+    CounterRun Run = runCounterProgram(Quantum, 0);
+    EXPECT_TRUE(Run.Records == Ref.Records);
+    EXPECT_EQ(Run.Result, Ref.Result);
+    EXPECT_EQ(Run.Steps, Ref.Steps);
+    EXPECT_EQ(Run.Cycles, Ref.Cycles);
+  }
+  CounterRun Whole = runCounterProgram(0, 1ULL << 32);
+  EXPECT_TRUE(Whole.Records == Ref.Records);
+  EXPECT_EQ(Whole.Steps, Ref.Steps);
+  EXPECT_EQ(Whole.Cycles, Ref.Cycles);
+}
+
+TEST(Interpreter, StepLimitStopsWithExactCounters) {
+  // The step limit fires before the instruction that would overrun it:
+  // the error reports Limit + 1 steps, the clock shows exactly Limit
+  // instructions' worth (as a pause after Limit steps does), and every
+  // observation before it matches the unlimited run's.
+  CounterRun Ref = runCounterProgram(1, 0);
+  for (uint64_t Limit : {1u, 500u, 1234u, 4099u}) {
+    SCOPED_TRACE("limit " + std::to_string(Limit));
+    CounterRun Limited = runCounterProgram(0, Limit);
+    EXPECT_EQ(Limited.LimitSteps, Limit + 1);
+    EXPECT_EQ(Limited.Steps, Limit + 1);
+    CounterRun Paused = runCounterProgram(1, Limit);
+    EXPECT_EQ(Paused.Steps, Limit);
+    EXPECT_EQ(Limited.Cycles, Paused.Cycles);
+    ASSERT_LE(Limited.Records.size(), Ref.Records.size());
+    EXPECT_TRUE(std::equal(Limited.Records.begin(), Limited.Records.end(),
+                           Ref.Records.begin()));
+    EXPECT_TRUE(Limited.Records == Paused.Records);
+  }
 }
 
 } // namespace

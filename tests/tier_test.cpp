@@ -146,9 +146,10 @@ TEST(TraceCompiler, FusesHotLoopIdioms) {
     EXPECT_EQ(O.StepsAfter, After);
   }
   EXPECT_EQ(Sum, T->NumSteps);
-  // The loop body never holds operands across iterations.
+  // The loop body never holds operands across iterations; its deepest
+  // point is pastore's three operands, the method's verified max_stack.
   EXPECT_EQ(T->MinStackDepth, 0u);
-  EXPECT_GT(T->MaxStackGrowth, 0u);
+  EXPECT_EQ(M.MaxStack, 3u);
 }
 
 TEST(TraceCompiler, TierNamesRoundTrip) {
@@ -295,9 +296,10 @@ TEST(TraceCompiler, ShapeAnalysisTracksEntryDepthAndGrowth) {
   auto T = compileTrace(M, 2, superTier());
   ASSERT_TRUE(T.has_value());
   // iadd pops 2 below the entry depth; the iconst run later grows 3
-  // above it (net -2 at that point, peak +1 relative to entry).
+  // above it (net -2 at that point, peak +1 relative to entry). The
+  // frame's verified max_stack covers that peak: entry depth 2, plus 1.
   EXPECT_EQ(T->MinStackDepth, 2u);
-  EXPECT_EQ(T->MaxStackGrowth, 1u);
+  EXPECT_EQ(M.MaxStack, 3u);
 }
 
 // --- Disassembler --------------------------------------------------------
@@ -1297,9 +1299,10 @@ TEST(TierParity, ReentryMidTraceDeoptsWhenTheRemainderNoLongerFits) {
   }
 }
 
-/// Deep recursion whose every frame runs a hot loop: near the arena's
-/// end, trace entry itself must grow the arena for the trace's peak
-/// operand growth, invisibly to every observable.
+/// Deep recursion whose every frame runs a hot loop: the frames outgrow
+/// the arena mid-recursion, and each frame's reservation (its locals
+/// plus the verified max_stack) must hold its traces' peak operand
+/// depth, invisibly to every observable.
 TEST(TierParity, TraceEntryGrowsTheArenaInDeepRecursion) {
   auto Run = [](ExecTier Tier) {
     VmConfig Cfg;
