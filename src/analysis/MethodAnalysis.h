@@ -5,32 +5,30 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Convenience facade running the full src/analysis/ pipeline over one
-/// method: CFG + dominators/loops, type-state inference (with escape
-/// facts), and liveness. The TraceCompiler and the static allocation-
-/// site report consume this; the Verifier drives the passes directly
-/// because it wants the intermediate diagnostics.
+/// Convenience facade running the src/analysis/ pipeline over one
+/// method: CFG + dominators/loops and type-state inference (per-pc
+/// stack depths, escape facts). The TraceCompiler and the static
+/// allocation-site report consume this; the Verifier drives the passes
+/// directly because it wants the diagnostics.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef DJX_ANALYSIS_METHODANALYSIS_H
 #define DJX_ANALYSIS_METHODANALYSIS_H
 
-#include "analysis/Liveness.h"
+#include "analysis/TypeState.h"
 
 namespace djx {
 
 struct MethodAnalysis {
   Cfg G;
   TypeStateResult Types;
-  LivenessResult Live;
 
   static MethodAnalysis analyze(const BytecodeMethod &M,
                                 const CalleeResolver &Resolve = nullptr) {
     MethodAnalysis A;
     A.G = Cfg::build(M);
     A.Types = inferTypeStates(M, A.G, Resolve);
-    A.Live = computeLiveness(M, A.G, A.Types);
     return A;
   }
 };

@@ -120,6 +120,8 @@ struct AbsInterp {
   /// Pc -> index into R.Sites (kNoBlock when not an allocation).
   std::vector<uint32_t> SiteIndex;
   bool Record = false;
+  /// First pc whose result exceeded kMaxStackDepth (kNoBlock if none).
+  uint32_t TooDeepPc = kNoBlock;
 
   AbsInterp(const BytecodeMethod &M, const CalleeResolver &Resolve,
             TypeStateResult &R)
@@ -156,8 +158,8 @@ struct AbsInterp {
   }
 
   /// Applies the instruction at \p Pc to \p F. Returns false when the
-  /// rest of the block cannot be reasoned about (operand underflow, or
-  /// an Invoke with no resolution).
+  /// rest of the block cannot be reasoned about (operand underflow, an
+  /// Invoke with no resolution, or a stack past the depth cap).
   bool apply(AbsFrame &F, uint32_t Pc) {
     const Instruction &I = M.Code[Pc];
     const std::string Op = opcodeName(I.Op);
@@ -404,6 +406,13 @@ struct AbsInterp {
       break;
     }
     }
+    if (F.Stack.size() > kMaxStackDepth) {
+      if (TooDeepPc == kNoBlock)
+        TooDeepPc = Pc;
+      return false;
+    }
+    if (Record)
+      R.MaxStack = std::max(R.MaxStack, static_cast<uint32_t>(F.Stack.size()));
     return true;
   }
 };
@@ -487,7 +496,13 @@ TypeStateResult djx::inferTypeStates(const BytecodeMethod &M, const Cfg &G,
   TypeStateProblem P(M, G, AI);
 
   // Fixpoint (pure transfers: no diagnostics, no escape recording).
-  std::vector<AbsFrame> In = solveDataflow(G, DataflowDirection::Forward, P);
+  std::vector<AbsFrame> In = solveDataflow(G, P);
+  if (AI.TooDeepPc != kNoBlock) {
+    R.Errors.push_back({AI.TooDeepPc, "operand stack deeper than " +
+                                          std::to_string(kMaxStackDepth) +
+                                          " slots"});
+    return R;
+  }
 
   // Re-join every edge once against the fixpoint to attribute depth
   // conflicts to their target blocks (the solver's joins mutated the
@@ -503,7 +518,7 @@ TypeStateResult djx::inferTypeStates(const BytecodeMethod &M, const Cfg &G,
 
   // Extraction pass: replay each reachable block from its fixpoint
   // in-state in RPO (deterministic diagnostics order), recording per-pc
-  // states, type errors, and escape routes.
+  // states, type errors, escape routes and the peak depth.
   AI.Record = true;
   for (uint32_t B : G.rpo()) {
     const BasicBlock &Blk = G.blocks()[B];

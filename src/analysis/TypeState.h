@@ -17,9 +17,10 @@
 /// Error policy is *definite misuse only*: an operand is flagged when no
 /// possible concrete value it abstracts satisfies the opcode (zero
 /// false positives on valid code by construction — Top is never an
-/// error). This is what upgrades the Verifier from underflow-only to
-/// full type-state checking, and what the TraceCompiler consults to
-/// prove fusions and hook-spanning traces safe.
+/// error). It is the only stack-depth dataflow: the Verifier takes
+/// underflow, merge-depth and type checks from it, and each method's
+/// max_stack (the peak depth it reaches); the TraceCompiler consults it
+/// to prove fusions and hook-spanning traces safe.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -133,6 +134,9 @@ struct TypeStateResult {
   /// Per allocation instruction, in code order (bit N of a value's site
   /// mask refers to Sites[N]).
   std::vector<AllocSiteFact> Sites;
+  /// Peak operand-stack depth after any reached instruction: the JVM's
+  /// max_stack, the operand slots the method's frame must reserve.
+  uint32_t MaxStack = 0;
 
   bool reachable(uint32_t Pc) const {
     return Pc < AtPc.size() && AtPc[Pc].Reachable;
@@ -144,6 +148,11 @@ struct TypeStateResult {
   /// The site fact whose allocation opcode sits at \p Pc, if any.
   const AllocSiteFact *siteAtPc(uint32_t Pc) const;
 };
+
+/// Deepest operand stack a method may build. A deeper one is rejected
+/// at the pc that first exceeds it, and no per-pc states are recorded
+/// for the method (they would grow with code length times depth).
+constexpr uint32_t kMaxStackDepth = 1 << 16;
 
 /// Runs the type-state fixpoint over \p M. \p Resolve may be null: any
 /// Invoke then marks the result Incomplete (facts before it are valid).

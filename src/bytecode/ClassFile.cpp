@@ -26,7 +26,7 @@ void BytecodeProgram::load(JavaVm &Vm) {
   // Class-load-time verification: reject malformed programs (bad operand
   // counts, out-of-range jump targets, arity mismatches) with a typed
   // error before any of it can reach the interpreter's asserts. Its
-  // depth pass also sizes every method's frame (MaxStack).
+  // type-state pass also sizes every method's frame (MaxStack).
   VerifyResult VR = verifyProgram(*this);
   if (!VR.ok()) {
     std::string Msg = "program verification failed: ";

@@ -159,18 +159,16 @@ std::optional<CompiledTrace> djx::compileTrace(const BytecodeMethod &M,
     // Local-vs-immediate compare: admitted only under the analysis
     // proof that the side exit elides no observable stack traffic —
     // the type-state depth at the taken target equals the depth
-    // entering the pattern, and liveness shows nothing live above the
-    // materialised depth there. (Holds for every well-formed loop
-    // guard; the proof is what lets the fused form skip the two pushes
-    // without a flat-state mismatch at the deopt point.)
+    // entering the pattern, so the target's frame holds exactly the
+    // slots the fused form leaves materialised and nothing above them.
+    // (Holds for every well-formed loop guard; the proof is what lets
+    // the fused form skip the two pushes without a flat-state mismatch
+    // at the deopt point.)
     if (I.Op == Opcode::ILoad && MA && Left >= 3 && Pc + 2 < N &&
         Code[Pc + 1].Op == Opcode::IConst && isICmpBranch(Code[Pc + 2].Op)) {
       uint32_t Target = static_cast<uint32_t>(Code[Pc + 2].A);
       int D0 = MA->Types.depthAt(Pc);
-      if (D0 >= 0 && MA->Types.depthAt(Target) == D0 &&
-          MA->Live.knownAt(Target) &&
-          MA->Live.liveStackSlotsAbove(Target,
-                                       static_cast<uint32_t>(D0)) == 0) {
+      if (D0 >= 0 && MA->Types.depthAt(Target) == D0) {
         emit(SuperOp::CmpBranchLI, Code[Pc + 2].Op, 3, I.A, Code[Pc + 1].A,
              Target);
         continue;

@@ -9,7 +9,9 @@
 /// bytecode region (a superblock starting at one entry pc) into a
 /// sequence of superinstructions the interpreter executes without
 /// per-opcode dispatch overhead. Shape analysis reuses the opcode
-/// table's stack effects to compute the trace's operand floor.
+/// table's stack effects to compute the trace's operand floor; the
+/// analysis-proven forms take their proofs (stack depths, escape) from
+/// the method's type-state analysis (src/analysis/MethodAnalysis.h).
 ///
 /// Legality is deliberately conservative — a trace must be
 /// observationally equivalent to flat dispatch, instruction by
@@ -51,11 +53,6 @@ struct TierConfig {
   uint32_t HotThreshold = 16;
   /// Cap on constituent instructions per trace (`--max-trace-len`).
   uint32_t MaxTraceLength = 64;
-  /// Consult the src/analysis/ passes for analysis-proven fusions:
-  /// side-exit fusions gated on liveness/depth proofs and superblocks
-  /// spanning non-escaping allocation sites (`--no-analysis-fusion`
-  /// reverts to the purely syntactic compiler).
-  bool AnalysisFusion = true;
 };
 
 /// "interp" / "super".
@@ -93,7 +90,7 @@ enum class SuperOp : uint8_t {
   PAStoreLLL,  ///< aload A; iload B; iload C; pastore  (one access).
   // --- Analysis-proven forms (emitted only with a MethodAnalysis) -------
   CmpBranchLI, ///< iload A; iconst B; if_icmp<Src> C  (side exit);
-               ///< admitted via the liveness/depth proof at C.
+               ///< admitted via the type-state depth proof at C.
   HookPre,     ///< allochook_pre, A = site id; dispatches the agent
                ///< hook with full frame sync, exactly as flat dispatch.
   HookPost,    ///< allochook_post, A = site id (peeks the fresh ref).
@@ -143,10 +140,11 @@ struct MethodAnalysis;
 /// extend across allocation sites the escape analysis proves
 /// non-escaping (HookPre/Alloc/HookPost instead of ending the trace),
 /// and CmpBranchLI side exits are admitted where the type-state depth
-/// at the target matches the pattern entry and liveness shows no live
-/// stack slot above the materialised depth. Null \p MA (or a proof
-/// that does not hold) falls back to the base encodings, so traces
-/// stay observationally identical to flat dispatch either way.
+/// at the target matches the pattern entry. The super tier always
+/// passes its method's analysis; null \p MA gives the purely syntactic
+/// compiler the unit tests compare against. A proof that does not hold
+/// falls back to the base encodings, so traces stay observationally
+/// identical to flat dispatch either way.
 std::optional<CompiledTrace> compileTrace(const BytecodeMethod &M,
                                           uint32_t EntryPc,
                                           const TierConfig &Cfg,

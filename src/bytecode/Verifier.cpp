@@ -1,4 +1,4 @@
-//===- Verifier.cpp - Structural bytecode checks ---------------------------===//
+//===- Verifier.cpp - Class-load-time bytecode verifier -------------------===//
 //
 // Part of the DJXPerf reproduction. MIT licensed.
 //
@@ -6,12 +6,9 @@
 
 #include "bytecode/Verifier.h"
 
-#include "analysis/Dataflow.h"
 #include "analysis/TypeState.h"
 
-#include <algorithm>
 #include <cstdio>
-#include <optional>
 #include <unordered_map>
 
 using namespace djx;
@@ -29,18 +26,10 @@ namespace {
 struct ProgramContext {
   std::unordered_map<std::string, const BytecodeMethod *> ByName;
   std::vector<const BytecodeMethod *> ByIndex;
-  /// Values each method leaves on its caller's stack: 1 when it has a
-  /// value return, else 0.
-  std::unordered_map<const BytecodeMethod *, unsigned> ReturnPushes;
 
   void add(const BytecodeMethod &M) {
     ByName.emplace(M.qualifiedName(), &M);
     ByIndex.push_back(&M);
-    unsigned Pushes = 0;
-    for (const Instruction &I : M.Code)
-      if (I.Op == Opcode::IReturn || I.Op == Opcode::AReturn)
-        Pushes = 1;
-    ReturnPushes.emplace(&M, Pushes);
   }
 
   const BytecodeMethod *callee(const BytecodeMethod &Caller,
@@ -59,118 +48,13 @@ struct ProgramContext {
   }
 };
 
-/// Abstract operand-stack depth interval at a block entry. The only
-/// source of uncertainty is an Invoke whose callee is not resolved (a
-/// lone method, or a bad callee reference): it may push 0 or 1.
-struct DepthRange {
-  unsigned Lo = 0;
-  unsigned Hi = 0;
-  bool Reached = false;
-};
-
-/// Depth cap: deeper means an unbalanced loop is pumping the stack.
-constexpr unsigned kMaxTrackedDepth = 1 << 16;
-
-/// Depth intervals as a forward dataflow problem. Reports definite
-/// underflow (even the maximal depth cannot feed the instruction's pops)
-/// -- the "bad operand count" class of malformed programs -- without
-/// false positives on valid code. The replay also yields the method's
-/// peak depth, its max_stack: the operand slots its frame must reserve.
-struct DepthProblem {
-  using State = DepthRange;
-  const BytecodeMethod &M;
-  const Cfg &G;
-  /// Resolves Invoke pushes exactly; null for a lone method.
-  const ProgramContext *Ctx = nullptr;
-  /// Null while solving; the reporting pass replays blocks into it.
-  VerifyResult *R = nullptr;
-  /// Highest Hi the reporting pass replays (the fixpoint's peak).
-  unsigned Peak = 0;
-
-  State initial() { return {}; }
-  State boundary() { return {0, 0, true}; }
-
-  /// Applies the instruction at \p Pc; false when the state broke (its
-  /// successors would only cascade noise).
-  bool step(State &D, uint32_t Pc) {
-    const Instruction &Inst = M.Code[Pc];
-    StackEffect E = instructionStackEffect(Inst);
-    if (D.Hi < E.Pops) {
-      if (R)
-        addError(*R, Pc,
-                 "stack underflow: pops " + std::to_string(E.Pops) +
-                     " with at most " + std::to_string(D.Hi) +
-                     " on the stack");
-      return false;
-    }
-    // An Invoke pushes its callee's return value: exactly when the
-    // program resolves the callee, else maybe.
-    unsigned MaybePush = 0;
-    if (Inst.Op == Opcode::Invoke) {
-      const BytecodeMethod *Callee = Ctx ? Ctx->callee(M, Inst) : nullptr;
-      if (Callee)
-        E.Pushes = Ctx->ReturnPushes.at(Callee);
-      else
-        MaybePush = 1;
-    }
-    // Lo may dip below the pops when the uncertainty came from earlier
-    // unresolved pushes; clamp at zero rather than flag a maybe.
-    D.Lo = (D.Lo > E.Pops ? D.Lo - E.Pops : 0) + E.Pushes;
-    D.Hi = D.Hi - E.Pops + E.Pushes + MaybePush;
-    if (D.Hi > kMaxTrackedDepth) {
-      if (R)
-        addError(*R, Pc, "stack depth grows without bound (unbalanced loop?)");
-      return false;
-    }
-    if (R)
-      Peak = std::max(Peak, D.Hi);
-    return true;
-  }
-
-  State transfer(uint32_t Block, const State &In) {
-    State D = In;
-    const BasicBlock &B = G.blocks()[Block];
-    for (uint32_t Pc = B.Start; D.Reached && Pc < B.End; ++Pc)
-      D.Reached = step(D, Pc);
-    return D;
-  }
-
-  bool join(State &Dest, const State &Src) {
-    if (!Src.Reached ||
-        (Dest.Reached && Dest.Lo <= Src.Lo && Dest.Hi >= Src.Hi))
-      return false;
-    Dest.Lo = Dest.Reached ? std::min(Dest.Lo, Src.Lo) : Src.Lo;
-    Dest.Hi = Dest.Reached ? std::max(Dest.Hi, Src.Hi) : Src.Hi;
-    Dest.Reached = true;
-    return true;
-  }
-};
-
-/// Solves the depth intervals to fixpoint, then replays each reached
-/// block once from its fixpoint entry state to report errors; returns
-/// the peak depth the replay saw.
-unsigned verifyStackDepths(const BytecodeMethod &M, const Cfg &G,
-                           const ProgramContext *Ctx, VerifyResult &R) {
-  DepthProblem P{M, G, Ctx};
-  std::vector<DepthRange> In =
-      solveDataflow(G, DataflowDirection::Forward, P);
-  P.R = &R;
-  for (uint32_t B : G.rpo())
-    P.transfer(B, In[B]);
-  return P.Peak;
-}
-
-/// verifyMethod(), with Invoke pushes resolved through \p Ctx when given;
-/// records the method's max_stack as R.MaxStack's one entry (0 when the
-/// structure is unsound). When the structure is sound, also leaves the
-/// CFG its depth pass ran on in \p G for verifyProgram's type-state pass.
-VerifyResult verifyBody(const BytecodeMethod &M, const ProgramContext *Ctx,
-                        std::optional<Cfg> &G) {
-  VerifyResult R;
-  R.MaxStack.push_back(0);
+/// Structural checks, which the CFG relies on: code present and ending
+/// on a terminal, branch targets and local slots in range, operand
+/// counts and the line table sane.
+void checkStructure(const BytecodeMethod &M, VerifyResult &R) {
   if (M.Code.empty()) {
     R.Errors.push_back("empty code");
-    return R;
+    return;
   }
   if (M.NumArgs > M.NumLocals)
     R.Errors.push_back("argument count exceeds local slots");
@@ -207,22 +91,34 @@ VerifyResult verifyBody(const BytecodeMethod &M, const ProgramContext *Ctx,
   for (size_t I = 1; I < M.LineTable.size(); ++I)
     if (M.LineTable[I - 1].Bci >= M.LineTable[I].Bci)
       R.Errors.push_back("line table not sorted by BCI");
-  // Operand-count / stack-shape pass, only once the structure is sound
-  // (the CFG assumes in-range branch targets). Without a program,
-  // Invoke pushes are unknown; the interval analysis stays conservative.
-  if (R.ok()) {
-    G = Cfg::build(M);
-    R.MaxStack[0] = verifyStackDepths(M, *G, Ctx, R);
+}
+
+/// Resolves every Invoke of \p M and checks its operand count against
+/// the callee's declared arity.
+void checkInvokes(const BytecodeMethod &M, const ProgramContext &Ctx,
+                  VerifyResult &R) {
+  for (size_t I = 0; I < M.Code.size(); ++I) {
+    const Instruction &Inst = M.Code[I];
+    if (Inst.Op != Opcode::Invoke)
+      continue;
+    const BytecodeMethod *Callee = Ctx.callee(M, Inst);
+    if (!Callee) {
+      std::string Name = "(bad callee table index)";
+      if (M.RegistryId == kInvalidMethod && Inst.A >= 0 &&
+          static_cast<size_t>(Inst.A) < M.CalleeRefs.size())
+        Name = "'" + M.CalleeRefs[Inst.A] + "'";
+      addError(R, I, "unresolved callee " + Name);
+      continue;
+    }
+    if (Inst.B < 0 || static_cast<uint32_t>(Inst.B) != Callee->NumArgs)
+      addError(R, I,
+               "invoke passes " + std::to_string(Inst.B) +
+                   " arguments but " + Callee->qualifiedName() + " takes " +
+                   std::to_string(Callee->NumArgs));
   }
-  return R;
 }
 
 } // namespace
-
-VerifyResult djx::verifyMethod(const BytecodeMethod &M) {
-  std::optional<Cfg> G;
-  return verifyBody(M, nullptr, G);
-}
 
 VerifyResult djx::verifyProgram(const BytecodeProgram &P) {
   // Walk classes directly so unloaded programs can be verified before
@@ -234,49 +130,26 @@ VerifyResult djx::verifyProgram(const BytecodeProgram &P) {
       Ctx.add(M);
   for (const ClassFile &C : P.classes())
     for (const BytecodeMethod &M : C.Methods) {
-      std::optional<Cfg> G;
-      VerifyResult R = verifyBody(M, &Ctx, G);
-      All.MaxStack.push_back(R.MaxStack[0]);
-      // Cross-method checks: Invoke operand counts against the callee's
-      // declared arity, and the type-state pass.
-      bool InvokesOk = true;
-      for (size_t I = 0; I < M.Code.size(); ++I) {
-        const Instruction &Inst = M.Code[I];
-        if (Inst.Op != Opcode::Invoke)
-          continue;
-        const BytecodeMethod *Callee = Ctx.callee(M, Inst);
-        if (!Callee) {
-          std::string Name = "(bad callee table index)";
-          if (M.RegistryId == kInvalidMethod && Inst.A >= 0 &&
-              static_cast<size_t>(Inst.A) < M.CalleeRefs.size())
-            Name = "'" + M.CalleeRefs[Inst.A] + "'";
-          addError(R, I, "unresolved callee " + Name);
-          InvokesOk = false;
-          continue;
-        }
-        if (Inst.B < 0 || static_cast<uint32_t>(Inst.B) != Callee->NumArgs) {
-          addError(R, I,
-                   "invoke passes " + std::to_string(Inst.B) +
-                       " arguments but " + Callee->qualifiedName() +
-                       " takes " + std::to_string(Callee->NumArgs));
-          InvokesOk = false;
-        }
-      }
-      if (R.ok() && InvokesOk) {
-        // Full type-state pass (src/analysis/): exact stack depths with
-        // callee return kinds resolved, plus type-confusion checks
+      VerifyResult R;
+      checkStructure(M, R);
+      checkInvokes(M, Ctx, R);
+      uint32_t MaxStack = 0;
+      if (R.ok()) {
+        // Type-state pass (src/analysis/), on sound structure and
+        // resolved calls only: exact stack depths with callee return
+        // kinds, underflow, the depth cap, type-confusion checks
         // mirroring the dispatch loop's runtime asserts, merge-depth
-        // conflicts, and unreachable-code detection. The interval pass
-        // already rejected definite underflow, so this only runs on
-        // structurally sound methods.
+        // conflicts and unreachable code; its peak depth is max_stack.
         CalleeResolver Resolve =
             [&Ctx, &M](const Instruction &Inst) -> const BytecodeMethod * {
           return Ctx.callee(M, Inst);
         };
-        TypeStateResult TS = inferTypeStates(M, *G, Resolve);
+        TypeStateResult TS = inferTypeStates(M, Cfg::build(M), Resolve);
         for (const TypeStateError &E : TS.Errors)
           addError(R, E.Pc, E.Msg);
+        MaxStack = TS.MaxStack;
       }
+      All.MaxStack.push_back(MaxStack);
       for (const std::string &E : R.Errors)
         All.Errors.push_back(M.qualifiedName() + ": " + E);
     }

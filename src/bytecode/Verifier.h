@@ -1,17 +1,18 @@
-//===- Verifier.h - Structural bytecode checks ------------------*- C++ -*-===//
+//===- Verifier.h - Class-load-time bytecode verifier -----------*- C++ -*-===//
 //
 // Part of the DJXPerf reproduction. MIT licensed.
 //
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Lightweight structural verifier run before a method executes or is
-/// instrumented: branch targets in range, local indices in range, code
-/// ends on an unconditional control transfer (so control cannot fall off
-/// the end), line table sorted, and no operand-stack underflow. Its
-/// depth pass also yields each method's max_stack, which sizes the
-/// interpreter's frames. Returns diagnostics instead of aborting so tests
-/// can assert on them.
+/// Class-load-time verifier. Each method gets three steps in order:
+/// structural checks (branch targets and local indices in range, code
+/// ends on an unconditional control transfer so control cannot fall off
+/// the end, line table sorted), then Invoke resolution and arity, then
+/// the type-state pass (src/analysis/TypeState.h) for underflow, merge
+/// depths and type misuse. The type-state pass's peak depth is the
+/// method's max_stack, which sizes the interpreter's frames. Returns
+/// diagnostics instead of aborting so tests can assert on them.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -25,23 +26,19 @@
 
 namespace djx {
 
-/// Structural problems found in one method, and its frame size.
+/// Problems found in a program, and each method's frame size.
 struct VerifyResult {
   std::vector<std::string> Errors;
   /// Peak operand-stack depth of each verified method, the JVM's
   /// max_stack (one entry per method, in the program's method order; 0
-  /// for a method whose structure is unsound). It bounds every depth
-  /// any execution of the method reaches.
+  /// for a method whose structure or calls are unsound). It bounds every
+  /// depth any execution of the method reaches.
   std::vector<uint32_t> MaxStack;
   bool ok() const { return Errors.empty(); }
 };
 
-/// Verifies one method body. Without a program an Invoke's callee is
-/// unknown, so it counts as maybe pushing a value.
-VerifyResult verifyMethod(const BytecodeMethod &M);
-
 /// Verifies every method of \p P; aggregates errors with method prefixes.
-/// Invoke pushes are exact here: each callee's return kind is known.
+/// Invoke callees resolve within \p P, so each call's push is exact.
 VerifyResult verifyProgram(const BytecodeProgram &P);
 
 } // namespace djx

@@ -39,8 +39,8 @@ const CompiledTrace *TraceCache::bump(Site &S, const BytecodeMethod &M,
   // Saturate so an invalidated site re-crosses the threshold on its very
   // next visit instead of warming up from zero again.
   S.Count = Cfg.HotThreshold;
-  const MethodAnalysis *MA = Cfg.AnalysisFusion ? analysisFor(M) : nullptr;
-  if (std::optional<CompiledTrace> T = compileTrace(M, Pc, Cfg, MA)) {
+  if (std::optional<CompiledTrace> T =
+          compileTrace(M, Pc, Cfg, analysisFor(M))) {
     S.Trace = std::make_unique<CompiledTrace>(std::move(*T));
     S.St = Site::Compiled;
     ++St.Compiles;

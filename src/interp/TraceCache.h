@@ -8,7 +8,9 @@
 /// Hot-region detection and compiled-trace storage for one interpreter
 /// (one simulated thread — no sharing, no locks). Every flat dispatch in
 /// the super tier bumps the (method, pc) site counter; at the hot
-/// threshold the site compiles via compileTrace() or is marked dead.
+/// threshold the site compiles via compileTrace(), always with the
+/// method's cached type-state analysis (the proofs for the
+/// analysis-proven forms), or is marked dead.
 /// Safepoints invalidate compiled traces (mirroring a JVM deopting
 /// compiled frames at a safepoint) but keep the counters saturated, so a
 /// hot site recompiles on its next flat visit.
@@ -49,8 +51,8 @@ public:
   };
 
   /// \p P (the linked program) resolves Invoke callees for the
-  /// analysis passes when Cfg.AnalysisFusion is on; null still
-  /// compiles, with the analyses running calleeless (Incomplete).
+  /// analysis every compile consults; null still compiles, with the
+  /// analysis running calleeless (Incomplete).
   explicit TraceCache(const TierConfig &Cfg,
                       const BytecodeProgram *P = nullptr)
       : Cfg(Cfg), Program(P) {}

@@ -7,11 +7,11 @@
 /// \file
 /// Oracle tests for src/analysis/: CFG construction (blocks, dominators,
 /// natural-loop depths) against hand-derived structure, the generic
-/// worklist solver in both directions, type-state inference and its
-/// definite-misuse diagnostics (the Verifier's upgraded second pass —
+/// worklist solver, type-state inference and its
+/// definite-misuse diagnostics (the Verifier's stack and type pass —
 /// at least eight negative programs, plus a zero-false-positive sweep
-/// over the workload catalog), allocation-site escape analysis, backward
-/// liveness, the analysis-proven trace fusions (CmpBranchLI and
+/// over the workload catalog), allocation-site escape analysis, the
+/// analysis-proven trace fusions (CmpBranchLI and
 /// hook-spanning superblocks) with an interp-vs-super execution parity
 /// check, and the static allocation-site report.
 ///
@@ -19,7 +19,6 @@
 
 #include "analysis/Cfg.h"
 #include "analysis/Dataflow.h"
-#include "analysis/Liveness.h"
 #include "analysis/MethodAnalysis.h"
 #include "analysis/StaticReport.h"
 #include "analysis/TypeState.h"
@@ -49,8 +48,6 @@ DJX_TEST_MODULE(analysis_test, 87.0, 53.0,
     "src/analysis/Cfg.cpp",
     "src/analysis/Cfg.h",
     "src/analysis/Dataflow.h",
-    "src/analysis/Liveness.cpp",
-    "src/analysis/Liveness.h",
     "src/analysis/MethodAnalysis.h",
     "src/analysis/StaticReport.cpp",
     "src/analysis/StaticReport.h",
@@ -245,21 +242,11 @@ struct DistanceProblem {
 TEST(Dataflow, ForwardDistancesOnDiamond) {
   Cfg G = Cfg::build(diamondMethod());
   DistanceProblem P;
-  std::vector<int> D = solveDataflow(G, DataflowDirection::Forward, P);
+  std::vector<int> D = solveDataflow(G, P);
   EXPECT_EQ(D[G.blockOf(0)], 0); // Entry gets the boundary state.
   EXPECT_EQ(D[G.blockOf(2)], 1);
   EXPECT_EQ(D[G.blockOf(5)], 1);
   EXPECT_EQ(D[G.blockOf(7)], 2); // Joined over both arms: min(2, 2).
-}
-
-TEST(Dataflow, BackwardDistancesOnDiamond) {
-  Cfg G = Cfg::build(diamondMethod());
-  DistanceProblem P;
-  std::vector<int> D = solveDataflow(G, DataflowDirection::Backward, P);
-  EXPECT_EQ(D[G.blockOf(7)], 0); // Exit block is the backward boundary.
-  EXPECT_EQ(D[G.blockOf(2)], 1);
-  EXPECT_EQ(D[G.blockOf(5)], 1);
-  EXPECT_EQ(D[G.blockOf(0)], 2);
 }
 
 // --- Type-state inference ------------------------------------------------
@@ -546,63 +533,15 @@ TEST(VerifierTypeState, ZeroFalsePositivesAcrossWorkloadCatalog) {
   }
 }
 
-// --- Liveness ------------------------------------------------------------
-
-TEST(Liveness, OverwrittenLocalIsDeadUntilTheStore) {
-  // 0: iconst 1  1: istore 0  2: iconst 2  3: istore 0  4: iload 0  5: iret
-  MethodBuilder B("C", "m", 0, 1);
-  B.iconst(1).istore(0).iconst(2).istore(0).iload(0).iret();
-  BytecodeMethod M = B.build();
-  Cfg G = Cfg::build(M);
-  TypeStateResult TS = inferTypeStates(M, G);
-  LivenessResult L = computeLiveness(M, G, TS);
-  ASSERT_TRUE(L.knownAt(2));
-  // Entering pc 2 the first store's value is dead (rewritten at pc 3
-  // before any load); entering pc 4 the second store's value is live.
-  EXPECT_FALSE(L.localLiveAt(2, 0));
-  EXPECT_TRUE(L.localLiveAt(4, 0));
-}
-
-TEST(Liveness, StackSlotFeedingOnlyPopIsDead) {
-  // 0: iconst 7  1: pop  2: iconst 1  3: iret
-  MethodBuilder B("C", "m", 0, 0);
-  B.iconst(7).pop().iconst(1).iret();
-  BytecodeMethod M = B.build();
-  Cfg G = Cfg::build(M);
-  TypeStateResult TS = inferTypeStates(M, G);
-  LivenessResult L = computeLiveness(M, G, TS);
-  ASSERT_TRUE(L.knownAt(1));
-  EXPECT_FALSE(L.stackLiveAt(1, 0)); // The 7 only feeds the pop.
-  ASSERT_TRUE(L.knownAt(3));
-  EXPECT_TRUE(L.stackLiveAt(3, 0)); // The 1 feeds the return.
-  EXPECT_EQ(L.liveStackSlotsAbove(1, 0), 0u);
-  EXPECT_EQ(L.liveStackSlotsAbove(3, 0), 1u);
-}
-
-TEST(Liveness, LoopCarriedLocalsStayLive) {
-  JavaVm Vm;
-  BytecodeMethod M = sweepMethod(Vm.types(), 8);
-  Cfg G = Cfg::build(M);
-  TypeStateResult TS = inferTypeStates(M, G);
-  LivenessResult L = computeLiveness(M, G, TS);
-  ASSERT_TRUE(L.knownAt(kSweepHead));
-  // n, a and i are all read again around the loop.
-  EXPECT_TRUE(L.localLiveAt(kSweepHead, 0));
-  EXPECT_TRUE(L.localLiveAt(kSweepHead, 1));
-  EXPECT_TRUE(L.localLiveAt(kSweepHead, 2));
-  // The loop never holds operands across the head.
-  EXPECT_EQ(L.liveStackSlotsAbove(kSweepHead, 0), 0u);
-}
-
-TEST(MethodAnalysis, BundlesAllThreeViews) {
+TEST(MethodAnalysis, BundlesCfgAndTypeState) {
   JavaVm Vm;
   BytecodeMethod M = sweepMethod(Vm.types(), 8);
   MethodAnalysis A = MethodAnalysis::analyze(M);
   EXPECT_FALSE(A.G.blocks().empty());
   EXPECT_EQ(A.Types.AtPc.size(), M.Code.size());
   EXPECT_FALSE(A.Types.Incomplete);
-  EXPECT_TRUE(A.Live.knownAt(0));
   EXPECT_EQ(A.Types.depthAt(kSweepHead), 0);
+  EXPECT_EQ(A.Types.MaxStack, 3u); // aload; iload; iload at the pastore.
 }
 
 // --- Analysis-proven trace fusions ---------------------------------------
@@ -650,7 +589,7 @@ bool hasOp(const CompiledTrace &T, SuperOp K) {
   return std::find(Kinds.begin(), Kinds.end(), K) != Kinds.end();
 }
 
-TEST(TraceAnalysis, CmpBranchLIRequiresTheLivenessProof) {
+TEST(TraceAnalysis, CmpBranchLIRequiresTheDepthProof) {
   JavaVm Vm;
   BytecodeProgram P = hookLoopProgram(Vm.types(), 100);
   const BytecodeMethod &M = P.classes()[0].Methods[0];
@@ -668,6 +607,25 @@ TEST(TraceAnalysis, CmpBranchLIRequiresTheLivenessProof) {
   ASSERT_TRUE(Base.has_value());
   EXPECT_FALSE(hasOp(*Base, SuperOp::CmpBranchLI));
   EXPECT_EQ(Base->Ops.front().Kind, SuperOp::ILoad);
+
+  // A taken target whose inferred depth differs from the pattern's entry
+  // depth fails the proof: pc 7 is first reached from pc 1 at depth 0,
+  // while the compare at pc 3 enters at depth 1.
+  //   0: iload 0  1: ifeq @7  2: iconst 9
+  //   3: iload 0  4: iconst 3  5: if_icmpge @7  6: pop  7: return
+  MethodBuilder B("C", "m", 1, 1);
+  Label Exit = B.newLabel();
+  B.iload(0).ifEq(Exit).iconst(9);
+  B.iload(0).iconst(3).ifICmp(Opcode::IfICmpGe, Exit);
+  B.pop().bind(Exit).ret();
+  BytecodeMethod Off = B.build();
+  MethodAnalysis OffA = MethodAnalysis::analyze(Off);
+  ASSERT_EQ(OffA.Types.depthAt(3), 1);
+  ASSERT_EQ(OffA.Types.depthAt(7), 0);
+  auto Refused = compileTrace(Off, 3, superTier(), &OffA);
+  ASSERT_TRUE(Refused.has_value());
+  EXPECT_FALSE(hasOp(*Refused, SuperOp::CmpBranchLI));
+  EXPECT_EQ(Refused->Ops.front().Kind, SuperOp::ILoad);
 }
 
 TEST(TraceAnalysis, SuperblockSpansNonEscapingAllocationSite) {
@@ -744,8 +702,8 @@ TEST(TraceAnalysis, EscapingSiteStillEndsTheTrace) {
 TEST(TraceAnalysis, HookSpanningExecutionParity) {
   // The fusion contract end to end: an instrumented hot loop whose
   // allocation site is proven non-escaping must produce the identical
-  // hook event stream, return value and step count in the interp tier,
-  // the super tier with analysis fusion, and the super tier without it.
+  // hook event stream, return value and step count in the interp tier
+  // and the super tier, whose traces use the analysis-proven forms.
   struct HookEvent {
     uint64_t Site;
     bool Post;
@@ -754,7 +712,7 @@ TEST(TraceAnalysis, HookSpanningExecutionParity) {
       return Site == O.Site && Post == O.Post && Obj == O.Obj;
     }
   };
-  auto Run = [&](bool Super, bool Fusion, std::string *Traces) {
+  auto Run = [&](bool Super, std::string *Traces) {
     JavaVm Vm;
     BytecodeProgram P = hookLoopProgram(Vm.types(), 300);
     P.load(Vm);
@@ -762,11 +720,8 @@ TEST(TraceAnalysis, HookSpanningExecutionParity) {
     instrumentProgram(P, Sites);
     JavaThread &Th = Vm.startThread("parity", 0);
     Interpreter I(Vm, P, Th);
-    if (Super) {
-      TierConfig Cfg = superTier();
-      Cfg.AnalysisFusion = Fusion;
-      I.setTier(Cfg);
-    }
+    if (Super)
+      I.setTier(superTier());
     std::vector<HookEvent> Events;
     AllocationHooks Hooks;
     Hooks.Pre = [&](uint64_t Site) {
@@ -785,9 +740,8 @@ TEST(TraceAnalysis, HookSpanningExecutionParity) {
     return std::make_tuple(R->asInt(), Steps, Events);
   };
   std::string FusedTraces;
-  auto Fused = Run(true, true, &FusedTraces);
-  auto Plain = Run(true, false, nullptr);
-  auto Interp = Run(false, false, nullptr);
+  auto Fused = Run(true, &FusedTraces);
+  auto Interp = Run(false, nullptr);
   // The fused run really took the analysis-proven path.
   EXPECT_NE(FusedTraces.find("hook_pre"), std::string::npos) << FusedTraces;
   EXPECT_NE(FusedTraces.find("hook_post"), std::string::npos);
@@ -795,9 +749,8 @@ TEST(TraceAnalysis, HookSpanningExecutionParity) {
   // 300 iterations, one pre + one post each.
   EXPECT_EQ(std::get<2>(Interp).size(), 600u);
   EXPECT_EQ(std::get<0>(Interp), 300);
-  // Observational identity across all three executions.
+  // Observational identity across the two tiers.
   EXPECT_TRUE(Fused == Interp);
-  EXPECT_TRUE(Plain == Interp);
 }
 
 // --- Static allocation-site report ---------------------------------------

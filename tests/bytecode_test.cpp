@@ -15,6 +15,7 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <set>
 
 #include "harness/TestModule.h"
@@ -23,7 +24,7 @@ using namespace djx;
 
 namespace {
 
-DJX_TEST_MODULE(bytecode_test, 68.0, 39.0,
+DJX_TEST_MODULE(bytecode_test, 88.0, 56.0,
     "src/bytecode/ClassFile.cpp",
     "src/bytecode/ClassFile.h",
     "src/bytecode/Disassembler.cpp",
@@ -34,6 +35,23 @@ DJX_TEST_MODULE(bytecode_test, 68.0, 39.0,
     "src/bytecode/Opcodes.def",
     "src/bytecode/Verifier.cpp",
     "src/bytecode/Verifier.h");
+
+/// Verifies \p Methods as the one class "C" of a program.
+VerifyResult verifyClass(std::vector<BytecodeMethod> Methods) {
+  BytecodeProgram P;
+  ClassFile C;
+  C.Name = "C";
+  C.Methods = std::move(Methods);
+  P.addClass(std::move(C));
+  return verifyProgram(P);
+}
+
+/// Verifies \p M as the only method of a program.
+VerifyResult verifyOne(BytecodeMethod M) {
+  std::vector<BytecodeMethod> Methods;
+  Methods.push_back(std::move(M));
+  return verifyClass(std::move(Methods));
+}
 
 TEST(Opcode, NamesAreDistinctive) {
   EXPECT_EQ(opcodeName(Opcode::New), "new");
@@ -239,14 +257,14 @@ TEST(Verifier, AcceptsWellFormedMethod) {
   Label L = B.newLabel();
   B.iload(0).ifEq(L).iconst(1).istore(1).bind(L).ret();
   BytecodeMethod M = B.build();
-  EXPECT_TRUE(verifyMethod(M).ok());
+  EXPECT_TRUE(verifyOne(M).ok());
 }
 
 TEST(Verifier, RejectsEmptyCode) {
   BytecodeMethod M;
   M.ClassName = "C";
   M.MethodName = "m";
-  VerifyResult R = verifyMethod(M);
+  VerifyResult R = verifyOne(M);
   EXPECT_FALSE(R.ok());
 }
 
@@ -255,7 +273,7 @@ TEST(Verifier, RejectsBranchOutOfRange) {
   M.ClassName = "C";
   M.MethodName = "m";
   M.Code.push_back(Instruction{Opcode::Goto, 99, 0});
-  VerifyResult R = verifyMethod(M);
+  VerifyResult R = verifyOne(M);
   ASSERT_FALSE(R.ok());
   EXPECT_NE(R.Errors[0].find("branch target"), std::string::npos);
 }
@@ -267,7 +285,7 @@ TEST(Verifier, RejectsLocalOutOfRange) {
   M.NumLocals = 1;
   M.Code.push_back(Instruction{Opcode::ILoad, 3, 0});
   M.Code.push_back(Instruction{Opcode::Return, 0, 0});
-  EXPECT_FALSE(verifyMethod(M).ok());
+  EXPECT_FALSE(verifyOne(M).ok());
 }
 
 TEST(Verifier, RejectsMissingTerminator) {
@@ -275,7 +293,7 @@ TEST(Verifier, RejectsMissingTerminator) {
   M.ClassName = "C";
   M.MethodName = "m";
   M.Code.push_back(Instruction{Opcode::Nop, 0, 0});
-  VerifyResult R = verifyMethod(M);
+  VerifyResult R = verifyOne(M);
   ASSERT_FALSE(R.ok());
   EXPECT_NE(R.Errors[0].find("return"), std::string::npos);
 }
@@ -285,7 +303,7 @@ TEST(Verifier, RejectsUnsortedLineTable) {
   B.ret();
   BytecodeMethod M = B.build();
   M.LineTable = {{5, 1}, {3, 2}};
-  EXPECT_FALSE(verifyMethod(M).ok());
+  EXPECT_FALSE(verifyOne(M).ok());
 }
 
 TEST(Program, LoadLinksInvokesAndRegistersMethods) {
@@ -335,16 +353,16 @@ TEST(Program, VerifyProgramAggregatesErrors) {
 
 TEST(Verifier, RejectsStackUnderflow) {
   // IAdd pops two, but only one value was ever pushed: a definite
-  // underflow the interval dataflow must flag without a false positive
+  // underflow the type-state pass must flag without a false positive
   // elsewhere.
   MethodBuilder B("C", "m", 0, 1);
   B.iconst(1);
   BytecodeMethod M = B.build();
   M.Code.push_back(Instruction{Opcode::IAdd, 0, 0});
   M.Code.push_back(Instruction{Opcode::Return, 0, 0});
-  VerifyResult R = verifyMethod(M);
+  VerifyResult R = verifyOne(M);
   ASSERT_FALSE(R.ok());
-  EXPECT_NE(R.Errors[0].find("stack underflow"), std::string::npos);
+  EXPECT_NE(R.Errors[0].find("bci 1: stack underflow"), std::string::npos);
 }
 
 TEST(Verifier, DepthDiagnosticsKeepTheirExactText) {
@@ -355,28 +373,49 @@ TEST(Verifier, DepthDiagnosticsKeepTheirExactText) {
     M.NumLocals = 1;
     M.CalleeRefs = {"X.y"};
     M.Code = std::move(Code);
-    return verifyMethod(M).Errors;
+    return verifyOne(M).Errors;
   };
   using Errs = std::vector<std::string>;
-  // A loop that pumps one value onto the stack every trip.
+  // A loop that pumps one value onto the stack every trip: the back edge
+  // meets the entry at a different depth.
   EXPECT_EQ(Errors({{Opcode::IConst, 1, 0}, {Opcode::Goto, 0, 0}}),
-            Errs{"bci 0: stack depth grows without bound (unbalanced loop?)"});
-  // An unresolved invoke may push 0 or 1 values: one pop is a maybe, the
-  // second a definite underflow.
+            Errs{"C.m: bci 0: operand stack depth mismatch at merge (0 vs 1)"});
+  // A call the program cannot resolve stops verification before any
+  // stack shape is inferred.
   EXPECT_EQ(Errors({{Opcode::Invoke, 0, 0},
                     {Opcode::Pop, 0, 0},
                     {Opcode::Pop, 0, 0},
                     {Opcode::Return, 0, 0}}),
-            Errs{"bci 2: stack underflow: pops 1 with at most 0 on the stack"});
+            Errs{"C.m: bci 0: unresolved callee 'X.y'"});
   // Both arms of a branch underflow: one diagnostic each.
   EXPECT_EQ(Errors({{Opcode::ILoad, 0, 0},
                     {Opcode::IfEq, 3, 0},
                     {Opcode::Pop, 0, 0},
                     {Opcode::Pop, 0, 0},
                     {Opcode::Return, 0, 0}}),
-            (Errs{"bci 2: stack underflow: pops 1 with at most 0 on the stack",
-                  "bci 3: stack underflow: pops 1 with at most 0 on the "
+            (Errs{"C.m: bci 2: stack underflow: pop pops 1 with 0 on the stack",
+                  "C.m: bci 3: stack underflow: pop pops 1 with 0 on the "
                   "stack"}));
+}
+
+TEST(Verifier, RejectsAStackPastTheDepthCapAtItsBci) {
+  // One push past the cap: rejected where the depth first exceeds it,
+  // without building a frame per pc (that would need tens of GB here).
+  BytecodeMethod M;
+  M.ClassName = "C";
+  M.MethodName = "m";
+  M.Code.assign(kMaxStackDepth + 1, Instruction{Opcode::IConst, 1, 0});
+  M.Code.push_back(Instruction{Opcode::Return, 0, 0});
+  auto Start = std::chrono::steady_clock::now();
+  VerifyResult R = verifyOne(std::move(M));
+  double Seconds = std::chrono::duration<double>(
+                       std::chrono::steady_clock::now() - Start)
+                       .count();
+  EXPECT_EQ(R.Errors,
+            std::vector<std::string>{
+                "C.m: bci 65536: operand stack deeper than 65536 slots"});
+  EXPECT_EQ(R.MaxStack, std::vector<uint32_t>{0});
+  EXPECT_LT(Seconds, 5.0);
 }
 
 TEST(Verifier, RejectsArgCountExceedingLocals) {
@@ -384,7 +423,7 @@ TEST(Verifier, RejectsArgCountExceedingLocals) {
   B.ret();
   BytecodeMethod M = B.build();
   M.NumArgs = 3; // Arguments land in locals [0,3) but only 1 slot exists.
-  VerifyResult R = verifyMethod(M);
+  VerifyResult R = verifyOne(M);
   ASSERT_FALSE(R.ok());
   EXPECT_NE(R.Errors[0].find("argument count exceeds local slots"),
             std::string::npos);
@@ -393,12 +432,7 @@ TEST(Verifier, RejectsArgCountExceedingLocals) {
 /// Verifies \p Methods as the one class "C" of a program; returns each
 /// method's max_stack, in order.
 std::vector<uint32_t> programMaxStack(std::vector<BytecodeMethod> Methods) {
-  BytecodeProgram P;
-  ClassFile C;
-  C.Name = "C";
-  C.Methods = std::move(Methods);
-  P.addClass(std::move(C));
-  VerifyResult R = verifyProgram(P);
+  VerifyResult R = verifyClass(std::move(Methods));
   EXPECT_TRUE(R.ok()) << (R.ok() ? "" : R.Errors[0]);
   return R.MaxStack;
 }
@@ -407,9 +441,7 @@ TEST(Verifier, MaxStackOfStraightLineCode) {
   MethodBuilder B("C", "m", 0, 1);
   B.iconst(1).iconst(2).iconst(3).iadd().iadd().istore(0);
   B.iload(0).dup().iadd().iret();
-  BytecodeMethod M = B.build();
-  EXPECT_EQ(verifyMethod(M).MaxStack, std::vector<uint32_t>{3});
-  EXPECT_EQ(programMaxStack({M}), std::vector<uint32_t>{3});
+  EXPECT_EQ(programMaxStack({B.build()}), std::vector<uint32_t>{3});
 }
 
 TEST(Verifier, MaxStackOfALoopIsItsDeepestPoint) {
@@ -424,7 +456,7 @@ TEST(Verifier, MaxStackOfALoopIsItsDeepestPoint) {
   B.jmp(Head);
   B.bind(End);
   B.iload(1).iret();
-  EXPECT_EQ(verifyMethod(B.build()).MaxStack, std::vector<uint32_t>{3});
+  EXPECT_EQ(programMaxStack({B.build()}), std::vector<uint32_t>{3});
 }
 
 TEST(Verifier, MaxStackCountsAnInvokeResultOnlyForAValueCallee) {
@@ -442,15 +474,11 @@ TEST(Verifier, MaxStackCountsAnInvokeResultOnlyForAValueCallee) {
   BytecodeMethod CallInt = Caller("callInt", "C.i", true);
   EXPECT_EQ(programMaxStack({Void, Int, CallVoid, CallInt}),
             (std::vector<uint32_t>{0, 1, 2, 3}));
-  // A lone method cannot resolve the callee: the call may push a value.
-  EXPECT_EQ(verifyMethod(CallVoid).MaxStack, std::vector<uint32_t>{3});
-  EXPECT_EQ(verifyMethod(CallInt).MaxStack, std::vector<uint32_t>{3});
 }
 
 TEST(Verifier, AcceptsALoopThatCallsAVoidMethod) {
-  // Each trip calls a void method. An unresolved call counts as maybe
-  // pushing a value, which pumps the depth bound once per trip; the
-  // program resolves it to no push, so the loop verifies.
+  // Each trip calls a void method. The program resolves the call to no
+  // push, so the depth at the loop head is the same on every trip.
   BytecodeMethod Void = MethodBuilder("C", "v", 1, 1).ret().build();
   MethodBuilder B("C", "loop", 0, 1);
   B.iconst(0).istore(0);
@@ -464,14 +492,13 @@ TEST(Verifier, AcceptsALoopThatCallsAVoidMethod) {
   B.ret();
   BytecodeMethod Loop = B.build();
   EXPECT_EQ(programMaxStack({Void, Loop}), (std::vector<uint32_t>{0, 2}));
-  EXPECT_FALSE(verifyMethod(Loop).ok());
 }
 
 TEST(Verifier, MaxStackOfMultiANewArrayCountsEveryDimension) {
   MethodBuilder B("C", "m", 0, 1);
   B.iconst(2).iconst(3).iconst(4).multiANewArray(7, 3).astore(0);
   B.aload(0).aret();
-  EXPECT_EQ(verifyMethod(B.build()).MaxStack, std::vector<uint32_t>{3});
+  EXPECT_EQ(programMaxStack({B.build()}), std::vector<uint32_t>{3});
 }
 
 TEST(Program, LoadRecordsEachMethodsMaxStack) {
@@ -595,6 +622,83 @@ TEST(Disassembler, ListsInstructionsAndLines) {
   EXPECT_NE(S.find("// line 171"), std::string::npos);
   EXPECT_NE(S.find("newarray"), std::string::npos);
   EXPECT_NE(S.find("areturn"), std::string::npos);
+}
+
+TEST(Disassembler, RendersEverySuperOpOfATrace) {
+  // The --dump-traces listing: one line per superop with its operands,
+  // a constituent range for fused ops, and the fall-through exit.
+  BytecodeMethod M = MethodBuilder("C", "m", 0, 0).ret().build();
+  CompiledTrace T;
+  T.EntryPc = 10;
+  T.MinStackDepth = 1;
+  auto Add = [&](SuperOp Kind, Opcode Src, uint16_t Steps, int64_t A = 0,
+                 int64_t B = 0, int64_t C = 0) {
+    TraceOp O;
+    O.Kind = Kind;
+    O.Src = Src;
+    O.NumSteps = Steps;
+    O.Pc = T.EntryPc + T.NumSteps;
+    O.A = A;
+    O.B = B;
+    O.C = C;
+    T.Ops.push_back(O);
+    T.NumSteps += Steps;
+  };
+  Add(SuperOp::Nop, Opcode::Nop, 1);
+  Add(SuperOp::IConst, Opcode::IConst, 1, -3);
+  Add(SuperOp::ILoad, Opcode::ILoad, 1, 0);
+  Add(SuperOp::ALoad, Opcode::ALoad, 1, 1);
+  Add(SuperOp::IStore, Opcode::IStore, 1, 2);
+  Add(SuperOp::AStore, Opcode::AStore, 1, 3);
+  Add(SuperOp::PopV, Opcode::Pop, 1);
+  Add(SuperOp::DupV, Opcode::Dup, 1);
+  Add(SuperOp::SwapV, Opcode::Swap, 1);
+  Add(SuperOp::Alu, Opcode::IMul, 1);
+  Add(SuperOp::INeg, Opcode::INeg, 1);
+  Add(SuperOp::Br, Opcode::IfEq, 1, 4);
+  Add(SuperOp::Access, Opcode::GetField, 1, 8, 4);
+  Add(SuperOp::HookPre, Opcode::AllocHookPre, 1, 7);
+  Add(SuperOp::Alloc, Opcode::NewArray, 1, 5);
+  Add(SuperOp::HookPost, Opcode::AllocHookPost, 1, 7);
+  Add(SuperOp::CmpBranchLL, Opcode::IfICmpLt, 3, 0, 1, 2);
+  Add(SuperOp::CmpBranchLI, Opcode::IfICmpGe, 3, 0, 100, 3);
+  Add(SuperOp::IncLocal, Opcode::IAdd, 4, 2, -1);
+  Add(SuperOp::AccumLocal, Opcode::IAdd, 3, 1);
+  Add(SuperOp::PALoadLL, Opcode::PALoad, 3, 1, 2);
+  Add(SuperOp::PAStoreLLL, Opcode::PAStore, 4, 1, 2, 0);
+  T.EndPc = T.EntryPc + T.NumSteps;
+  const std::string Body =
+      "  10: nop\n"
+      "  11: iconst -3\n"
+      "  12: iload L0\n"
+      "  13: aload L1\n"
+      "  14: istore L2\n"
+      "  15: astore L3\n"
+      "  16: pop\n"
+      "  17: dup\n"
+      "  18: swap\n"
+      "  19: alu (imul)\n"
+      "  20: ineg\n"
+      "  21: br (ifeq) -> 4 [side exit]\n"
+      "  22: access (getfield)\n"
+      "  23: hook_pre site=7\n"
+      "  24: alloc (newarray) type=5\n"
+      "  25: hook_post site=7\n"
+      "  26..28: cmp_branch_ll (if_icmplt) L0, L1 -> 2 [side exit]\n"
+      "  29..31: cmp_branch_li (if_icmpge) L0, #100 -> 3 [side exit]\n"
+      "  32..35: inc_local L2 += -1\n"
+      "  36..38: accum_local L1\n"
+      "  39..41: pa_load_ll arr=L1 idx=L2\n"
+      "  42..45: pa_store_lll arr=L1 idx=L2 val=L0\n";
+  EXPECT_EQ(disassembleTrace(M, T),
+            "trace C.m @10: 22 superops / 36 steps, exit -> 46 (floor=1)\n" +
+                Body + "  46: [fall-through]\n");
+  // A trace ending in its own goto lists no fall-through.
+  Add(SuperOp::GotoExit, Opcode::Goto, 1, 10);
+  T.EndPc = T.EntryPc + T.NumSteps;
+  EXPECT_EQ(disassembleTrace(M, T),
+            "trace C.m @10: 23 superops / 37 steps, exit -> 47 (floor=1)\n" +
+                Body + "  46: goto_exit -> 10 [exit]\n");
 }
 
 TEST(Disassembler, ShowsCalleeNamesBeforeLinking) {

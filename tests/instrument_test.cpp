@@ -43,15 +43,27 @@ TEST(MethodTransformer, IdentityVisitPreservesCode) {
   }
 }
 
+/// Verifies \p M as the one method of a one-class program.
+VerifyResult verifyOne(BytecodeMethod M) {
+  ClassFile C;
+  C.Name = M.ClassName;
+  C.Methods.push_back(std::move(M));
+  BytecodeProgram P;
+  P.addClass(std::move(C));
+  return verifyProgram(P);
+}
+
 TEST(MethodTransformer, ExpansionRemapsBranchTargets) {
-  // goto over an expanded instruction must land on the same logical spot.
-  MethodBuilder B("C", "m", 0, 0);
+  // A branch over an expanded instruction must land on the same logical
+  // spot.
+  MethodBuilder B("C", "m", 1, 1);
   Label L = B.newLabel();
-  B.jmp(L);      // 0: goto 3
-  B.iconst(1);   // 1 (dead)
-  B.pop();       // 2 (dead)
+  B.iload(0);    // 0
+  B.ifEq(L);     // 1: ifeq 4
+  B.iconst(1);   // 2
+  B.pop();       // 3
   B.bind(L);
-  B.ret();       // 3
+  B.ret();       // 4
   BytecodeMethod M = B.build();
   int64_t Added = transformMethod(
       M, [](const Instruction &I, uint32_t, std::vector<Instruction> &Out) {
@@ -64,10 +76,10 @@ TEST(MethodTransformer, ExpansionRemapsBranchTargets) {
         }
       });
   EXPECT_EQ(Added, 2);
-  EXPECT_EQ(M.Code[0].Op, Opcode::Goto);
-  EXPECT_EQ(M.Code[0].A, 5); // Old 3 -> new 5.
-  EXPECT_EQ(M.Code[5].Op, Opcode::Return);
-  EXPECT_TRUE(verifyMethod(M).ok());
+  EXPECT_EQ(M.Code[1].Op, Opcode::IfEq);
+  EXPECT_EQ(M.Code[1].A, 6); // Old 4 -> new 6.
+  EXPECT_EQ(M.Code[6].Op, Opcode::Return);
+  EXPECT_TRUE(verifyOne(std::move(M)).ok());
 }
 
 TEST(MethodTransformer, RemapsLineTable) {
@@ -126,7 +138,7 @@ TEST(AllocationInstrumenter, WrapsAllFourAllocationOpcodes) {
     EXPECT_EQ(M.Code[I + 1].Op, Opcode::AllocHookPost);
     EXPECT_EQ(M.Code[I - 1].A, M.Code[I + 1].A) << "site ids must match";
   }
-  EXPECT_TRUE(verifyMethod(M).ok());
+  EXPECT_TRUE(verifyProgram(P).ok());
 }
 
 TEST(AllocationInstrumenter, PreservesProgramSemantics) {

@@ -191,8 +191,6 @@ void usage(const char *Argv0) {
       "trace (super tier; default 64)\n"
       "  --dump-traces          print compiled traces to stderr after "
       "the run (super tier, mt workloads)\n"
-      "  --no-analysis-fusion   disable analysis-proven trace fusions "
-      "(super tier; results are byte-identical either way)\n"
       "  --static-report        append a static allocation-site section "
       "(escape class, loop depth) joined against the profile; mt "
       "workloads run bytecode-instrumented\n"
@@ -606,8 +604,6 @@ int main(int Argc, char **Argv) {
       }
     } else if (A == "--dump-traces") {
       DumpTraces = true;
-    } else if (A == "--no-analysis-fusion") {
-      Tier.AnalysisFusion = false;
     } else if (A == "--static-report") {
       StaticReport = true;
     } else if (A == "--heap-bytes") {
