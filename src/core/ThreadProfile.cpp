@@ -407,12 +407,9 @@ bool ThreadProfile::check(std::string_view Delta) const {
 }
 
 bool ThreadProfile::apply(std::string_view Delta) {
-  if (!check(Delta))
-    return false;
-  decodeInto(Delta, this);
   ++Version;
   forgetChanges(); // The log cannot say what the delta touched.
-  return true;
+  return decodeInto(Delta, this);
 }
 
 std::optional<ThreadProfile> ThreadProfile::decode(std::string_view Bytes) {

@@ -177,8 +177,10 @@ public:
   /// every node it references exists. Never modifies the profile.
   bool check(std::string_view Delta) const;
 
-  /// Applies an encoded delta. \returns false, leaving the profile
-  /// unchanged, when check() rejects it.
+  /// Applies an encoded delta in one pass that validates each record
+  /// before writing it. \returns false when check() would reject
+  /// \p Delta; the profile is then partly applied, and the caller
+  /// discards it.
   bool apply(std::string_view Delta);
 
   /// Decodes a full encoding into a fresh profile. nullopt when

@@ -9,8 +9,8 @@
 #include "io/Checksum.h"
 #include "support/Varint.h"
 
-#include <cassert>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 
 using namespace djx;
@@ -65,19 +65,20 @@ struct PayloadCursor {
   }
 };
 
-/// Reads \p Path whole, with one sized read into one buffer.
+/// Reads \p Path whole, with one sized read into one buffer. False for
+/// anything that is not a regular file read to its end: a directory
+/// opens as a stream, but its size is no byte count.
 bool readWholeFile(const std::string &Path, std::string &Data) {
-  std::ifstream In(Path, std::ios::binary | std::ios::ate);
-  if (!In)
+  std::error_code Ec;
+  if (!std::filesystem::is_regular_file(Path, Ec))
     return false;
+  std::ifstream In(Path, std::ios::binary | std::ios::ate);
   std::streamoff Size = In.tellg();
   if (Size < 0)
     return false;
   Data.resize(static_cast<size_t>(Size));
   In.seekg(0);
-  In.read(Data.data(), Size);
-  Data.resize(static_cast<size_t>(In.gcount()));
-  return true;
+  return static_cast<bool>(In.read(Data.data(), Size));
 }
 
 /// Walks a Delta payload: calls \p Fn(tid, records) per thread entry.
@@ -101,65 +102,30 @@ template <typename FnT> bool forEachThreadDelta(std::string_view Payload,
   return Any;
 }
 
-} // namespace
+constexpr size_t kNoStop = SIZE_MAX;
 
-JournalRecovery djx::readJournal(const std::string &Path) {
-  JournalRecovery R;
-  std::string Data;
-  if (!readWholeFile(Path, Data)) {
-    R.HeaderError = "cannot open file";
-    return R;
-  }
-
-  if (Data.size() < kJournalFileHeaderBytes) {
-    R.HeaderError = "file shorter than the journal header";
-    return R;
-  }
-  if (std::memcmp(Data.data(), kJournalFileMagic,
-                  sizeof(kJournalFileMagic)) != 0) {
-    R.HeaderError = "bad file magic";
-    return R;
-  }
-  if (readU32(Data.data() + 8) != kJournalFormatVersion) {
-    R.HeaderError = "unsupported journal version";
-    return R;
-  }
-  if (readU32(Data.data() + 12) != Crc32c::compute(Data.data(), 12)) {
-    R.HeaderError = "file header checksum mismatch";
-    return R;
-  }
+/// Scans the segments after the file header into \p R. A Delta is kept
+/// undecoded until its sentinel applies it, so a malformed one is found
+/// past it: the scan then returns its offset, leaving \p R partly built,
+/// and a scan with \p StopAt there stops at it. \returns kNoStop when
+/// \p R stands.
+size_t scanSegments(const std::string &Data, size_t StopAt,
+                    JournalRecovery &R) {
   R.HeaderValid = true;
   R.BytesKept = kJournalFileHeaderBytes;
 
   // Pending state: promoted to committed only by a Commit/Close
   // sentinel, so a tear between a Delta and its commit drops the Delta
-  // — the state is always the one at the last sentinel. The Delta is
-  // checked against the committed profiles when read, so applying it at
-  // the sentinel cannot fail.
+  // — the state is always the one at the last sentinel.
   std::vector<MethodInfo> PendingMethods;
   std::map<uint64_t, ThreadProfile> Committed;
   std::string_view PendingDelta;
+  size_t PendingOff = 0;
   uint64_t NextSeq = 1;
   size_t Off = kJournalFileHeaderBytes;
   size_t LastValidEnd = Off;
 
   auto Truncate = [&](const std::string &Why) { R.TruncationReason = Why; };
-
-  auto Promote = [&](size_t EndOff) {
-    for (auto &M : PendingMethods)
-      R.Methods.push_back(std::move(M));
-    PendingMethods.clear();
-    forEachThreadDelta(PendingDelta, [&](uint64_t Tid,
-                                         std::string_view Records) {
-      bool Applied =
-          Committed.try_emplace(Tid, Tid, "").first->second.apply(Records);
-      assert(Applied && "Delta was checked when read");
-      return Applied;
-    });
-    PendingDelta = {};
-    R.SegmentsCommitted = R.Segments.size();
-    R.BytesKept = EndOff;
-  };
 
   while (Off < Data.size() && !R.Closed) {
     if (Data.size() - Off < kJournalSegmentHeaderBytes) {
@@ -194,6 +160,7 @@ JournalRecovery djx::readJournal(const std::string &Path) {
     }
 
     PayloadCursor C{Payload, PayloadLen};
+    const size_t End = Off + kJournalSegmentHeaderBytes + PayloadLen;
     bool Ok = true;
     switch (static_cast<SegmentType>(Type)) {
     case SegmentType::Meta: {
@@ -228,30 +195,21 @@ JournalRecovery djx::readJournal(const std::string &Path) {
       }
       break;
     }
-    case SegmentType::Delta: {
-      // One Delta per epoch; a second before the sentinel is malformed.
-      std::string_view Delta(Payload, PayloadLen);
-      Ok = PendingDelta.empty() &&
-           forEachThreadDelta(Delta, [&](uint64_t Tid,
-                                         std::string_view Records) {
-             auto It = Committed.find(Tid);
-             return It != Committed.end()
-                        ? It->second.check(Records)
-                        : ThreadProfile(Tid, "").check(Records);
-           });
-      if (Ok)
-        PendingDelta = Delta;
+    case SegmentType::Delta:
+      // One Delta per epoch; a second before the sentinel is malformed,
+      // and so is an empty one. Its entries are checked when applied.
+      Ok = PendingDelta.empty() && PayloadLen != 0 && Off != StopAt;
+      if (Ok) {
+        PendingDelta = std::string_view(Payload, PayloadLen);
+        PendingOff = Off;
+      }
       break;
-    }
     case SegmentType::Commit: {
       uint64_t Round = 0;
       Ok = C.u64(Round) && C.Off == C.Len;
       if (Ok) {
-        R.Segments.push_back({Off, kJournalSegmentHeaderBytes + PayloadLen,
-                              Type, Seq, Epoch});
         R.LastEpoch = Epoch;
         R.LastRound = Round;
-        Promote(Off + kJournalSegmentHeaderBytes + PayloadLen);
       }
       break;
     }
@@ -263,8 +221,6 @@ JournalRecovery djx::readJournal(const std::string &Path) {
            C.u32(Shard) && C.u32(MsgLen) && C.bytes(Msg, MsgLen) &&
            C.u64(R.CloseSamplesHandled) && C.u64(R.CloseSamplesDropped);
       if (Ok) {
-        R.Segments.push_back({Off, kJournalSegmentHeaderBytes + PayloadLen,
-                              Type, Seq, Epoch});
         R.Closed = true;
         R.CloseClean = Failed == 0;
         if (Failed) {
@@ -274,7 +230,6 @@ JournalRecovery djx::readJournal(const std::string &Path) {
           R.CloseError.Steps = Steps;
           R.CloseError.Shard = Shard;
         }
-        Promote(Off + kJournalSegmentHeaderBytes + PayloadLen);
       }
       break;
     }
@@ -286,14 +241,39 @@ JournalRecovery djx::readJournal(const std::string &Path) {
       Truncate("malformed segment payload");
       break;
     }
+    R.Segments.push_back({Off, End - Off, Type, Seq, Epoch});
+    Off = LastValidEnd = End;
+    ++NextSeq;
     if (Type != static_cast<uint32_t>(SegmentType::Commit) &&
         Type != static_cast<uint32_t>(SegmentType::Close))
-      R.Segments.push_back({Off, kJournalSegmentHeaderBytes + PayloadLen,
-                            Type, Seq, Epoch});
-    Off += kJournalSegmentHeaderBytes + PayloadLen;
-    LastValidEnd = Off;
-    ++NextSeq;
+      continue;
+    // A sentinel applies the pending Delta, each thread entry once, and
+    // makes the pending state committed.
+    if (!PendingDelta.empty() &&
+        !forEachThreadDelta(PendingDelta, [&](uint64_t Tid,
+                                              std::string_view Records) {
+          return Committed.try_emplace(Tid, Tid, "").first->second.apply(
+              Records);
+        }))
+      return PendingOff;
+    for (auto &M : PendingMethods)
+      R.Methods.push_back(std::move(M));
+    PendingMethods.clear();
+    PendingDelta = {};
+    R.SegmentsCommitted = R.Segments.size();
+    R.BytesKept = End;
   }
+
+  // No sentinel applied the last Delta; a malformed one must still stop
+  // the scan where it lies.
+  if (!PendingDelta.empty() &&
+      !forEachThreadDelta(PendingDelta, [&](uint64_t Tid,
+                                            std::string_view Records) {
+        auto It = Committed.find(Tid);
+        return It != Committed.end() ? It->second.check(Records)
+                                     : ThreadProfile(Tid, "").check(Records);
+      }))
+    return PendingOff;
 
   R.SegmentsUncommitted = R.Segments.size() - R.SegmentsCommitted;
   R.TrailingBytes = Data.size() - LastValidEnd;
@@ -303,6 +283,42 @@ JournalRecovery djx::readJournal(const std::string &Path) {
   R.Profiles.reserve(Committed.size());
   for (auto &[Tid, P] : Committed)
     R.Profiles.push_back(std::move(P));
+  return kNoStop;
+}
+
+} // namespace
+
+JournalRecovery djx::readJournal(const std::string &Path) {
+  JournalRecovery R;
+  std::string Data;
+  if (!readWholeFile(Path, Data)) {
+    R.HeaderError = "cannot open file";
+    return R;
+  }
+
+  if (Data.size() < kJournalFileHeaderBytes) {
+    R.HeaderError = "file shorter than the journal header";
+    return R;
+  }
+  if (std::memcmp(Data.data(), kJournalFileMagic,
+                  sizeof(kJournalFileMagic)) != 0) {
+    R.HeaderError = "bad file magic";
+    return R;
+  }
+  if (readU32(Data.data() + 8) != kJournalFormatVersion) {
+    R.HeaderError = "unsupported journal version";
+    return R;
+  }
+  if (readU32(Data.data() + 12) != Crc32c::compute(Data.data(), 12)) {
+    R.HeaderError = "file header checksum mismatch";
+    return R;
+  }
+  // At most one rescan, and only on a malformed file.
+  size_t Malformed = scanSegments(Data, kNoStop, R);
+  if (Malformed != kNoStop) {
+    R = JournalRecovery();
+    scanSegments(Data, Malformed, R);
+  }
   return R;
 }
 

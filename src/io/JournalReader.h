@@ -11,7 +11,10 @@
 /// the truncation rule is "salvage exactly the valid prefix", never
 /// resynchronize past damage. Recovered state is the state at the last
 /// valid Commit (or Close) sentinel; structurally valid segments after
-/// it are uncommitted and reported as dropped.
+/// it are uncommitted and reported as dropped. Each thread entry is
+/// decoded once, by the validating apply at its Delta's sentinel; a
+/// malformed Delta, found there or left pending at the end, makes the
+/// scan run again and stop at it, as if checked when read.
 ///
 //===----------------------------------------------------------------------===//
 

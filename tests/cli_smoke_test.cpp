@@ -257,6 +257,24 @@ TEST(CliJournal, RecoverOfVersionOneJournalExitsJournalCorruptCode) {
   std::remove(J.c_str());
 }
 
+// A directory is no journal: recover exits JournalCorrupt and merge
+// skips it like any other unusable input.
+TEST(CliJournal, DirectoryIsSkippedNotFatal) {
+  const std::string Dir = testing::TempDir();
+  auto [Exit, Out] = run("'" + DjxperfPath + "' recover '" + Dir + "'");
+  EXPECT_EQ(Exit, 7) << Out;
+  EXPECT_NE(Out.find("cannot open file"), std::string::npos) << Out;
+  std::string J = tmpFile("mdir.djxj");
+  runStdout("--jobs 2 --journal '" + J + "' parallel2");
+  auto [MergeExit, MergeOut] =
+      run("'" + DjxperfPath + "' merge '" + Dir + "' '" + J + "'");
+  EXPECT_EQ(MergeExit, 0) << MergeOut;
+  EXPECT_NE(MergeOut.find("skipped (cannot open file)"), std::string::npos)
+      << MergeOut;
+  EXPECT_NE(MergeOut.find("2 thread(s)"), std::string::npos) << MergeOut;
+  std::remove(J.c_str());
+}
+
 // merge folds N journals into one aggregate report with per-file
 // accounting; unusable inputs are skipped, not fatal.
 TEST(CliJournal, MergeAggregatesJournalsAndSkipsGarbage) {

@@ -24,7 +24,7 @@ using namespace djx;
 
 namespace {
 
-DJX_TEST_MODULE(core_test, 83.0, 54.0,
+DJX_TEST_MODULE(core_test, 85.0, 55.0,
     "src/core/Analyzer.cpp",
     "src/core/Analyzer.h",
     "src/core/Cct.cpp",
@@ -398,8 +398,11 @@ TEST(ProfileCodec, CheckRejectsMalformedRecordsWithoutSideEffects) {
   };
   for (const auto &[Label, Bytes] : Cases) {
     EXPECT_FALSE(P.check(Bytes)) << Label;
-    EXPECT_FALSE(P.apply(Bytes)) << Label;
     EXPECT_EQ(encoded(P), Before) << Label << " modified the profile";
+    // apply() validates as it writes: on false the copy may be partly
+    // applied, and is discarded.
+    ThreadProfile Copy = P;
+    EXPECT_FALSE(Copy.apply(Bytes)) << Label;
   }
   // The well-formed control case.
   EXPECT_TRUE(P.check(Thread + bytesOf({0})));

@@ -21,7 +21,8 @@
 ///    Recovery never crashes, never trusts bytes past a bad CRC, and
 ///    keeps exactly the commits that precede the damage. Failures
 ///    print DJX_JOURNAL_FUZZ_SEED for replay. CRC-valid but malformed
-///    Delta payloads stop the scan the same way.
+///    Delta payloads stop the scan the same way, whether a sentinel
+///    applies them or the file ends first; a directory is no journal.
 ///  - Injected I/O faults: write errors degrade journaling to off
 ///    without touching the run; short writes leave a recoverable torn
 ///    prefix; corrupt bits never survive read-back.
@@ -61,7 +62,7 @@ using namespace djx;
 
 namespace {
 
-DJX_TEST_MODULE(journal_test, 80.0, 50.0,
+DJX_TEST_MODULE(journal_test, 87.0, 54.0,
     "src/io/AtomicFile.cpp",
     "src/io/AtomicFile.h",
     "src/io/Checksum.h",
@@ -560,18 +561,22 @@ TEST(JournalMalformed, CrcValidBadDeltasStopTheScan) {
   std::string PrefixPath = tempPath("malformed_prefix.djxj");
   spit(PrefixPath, Prefix);
   JournalRecovery AtCut = readJournal(PrefixPath);
-  ASSERT_FALSE(AtCut.Profiles.empty());
+  ASSERT_GE(AtCut.Profiles.size(), 2u);
+  ASSERT_EQ(AtCut.SegmentsUncommitted, 0u);
   const std::string Reference = recoveredReport(AtCut);
 
   // Thread entries for a thread the prefix already committed: its id,
   // the byte count, then the records, which open with a Thread record.
   const ThreadProfile &Known = AtCut.Profiles.front();
   const uint64_t Tid = Known.threadId();
-  auto Entry = [&](const std::string &Records) {
+  auto EntryFor = [](uint64_t Id, const std::string &Records) {
     std::string E;
-    putVarint(E, Tid);
+    putVarint(E, Id);
     putBytes(E, Records);
     return E;
+  };
+  auto Entry = [&](const std::string &Records) {
+    return EntryFor(Tid, Records);
   };
   std::string Thread = bytesOf({1});
   putVarint(Thread, Tid);
@@ -583,6 +588,42 @@ TEST(JournalMalformed, CrcValidBadDeltasStopTheScan) {
   putVarint(LongEntry, Tid);
   putVarint(LongEntry, Thread.size() + 10);
   LongEntry += Thread + bytesOf({0});
+  // A well-formed entry that changes the first thread (one more
+  // unattributed sample), then a malformed one for the second.
+  ThreadProfile Changed = Known;
+  Changed.recordUnattributed(PerfEventKind::L1Miss);
+  const ThreadProfile &Second = AtCut.Profiles[1];
+  std::string SecondThread = bytesOf({1});
+  putVarint(SecondThread, Second.threadId());
+  putBytes(SecondThread, Second.threadName());
+  const std::string GoodThenBad =
+      Entry(encoded(Changed)) +
+      EntryFor(Second.threadId(), SecondThread + bytesOf({0x63, 0}));
+  std::string Commit;
+  appendU64(Commit, 3);
+
+  // Every shape recovers the prefix exactly: the scan stops at the
+  // appended Delta, whatever follows it, and keeps nothing after it.
+  std::string MutPath = tempPath("malformed.djxj");
+  auto ExpectPrefixKept = [&](const std::string &Label, const std::string &Mut,
+                              const std::string &Reason) {
+    spit(MutPath, Mut);
+    JournalRecovery R = readJournal(MutPath);
+    ASSERT_TRUE(R.HeaderValid) << Label;
+    EXPECT_EQ(R.TruncationReason, Reason) << Label;
+    EXPECT_EQ(R.LastEpoch, 2u) << Label;
+    EXPECT_EQ(R.BytesKept, Prefix.size()) << Label;
+    EXPECT_EQ(R.TrailingBytes, Mut.size() - Prefix.size()) << Label;
+    EXPECT_EQ(R.Segments.size(), AtCut.Segments.size()) << Label;
+    EXPECT_EQ(R.SegmentsUncommitted, 0u) << Label;
+    EXPECT_TRUE(R.degraded()) << Label;
+    EXPECT_EQ(recoveredReport(R), Reference) << Label;
+    ASSERT_EQ(R.Profiles.size(), AtCut.Profiles.size()) << Label;
+    for (size_t I = 0; I < R.Profiles.size(); ++I)
+      EXPECT_EQ(encoded(R.Profiles[I]), encoded(AtCut.Profiles[I]))
+          << Label << ", thread " << I;
+  };
+
   const std::vector<std::pair<std::string, std::string>> Cases = {
       {"overlong varint", std::string(10, '\x80') + bytesOf({1, 0})},
       {"truncated record", Entry(Thread + bytesOf({3, 1, 1}))},
@@ -591,23 +632,45 @@ TEST(JournalMalformed, CrcValidBadDeltasStopTheScan) {
       {"entry length past the payload", LongEntry},
       {"thread ids out of order",
        Entry(Thread + bytesOf({0})) + Entry(Thread + bytesOf({0}))},
+      {"second thread's entry malformed", GoodThenBad},
   };
-  std::string MutPath = tempPath("malformed.djxj");
   for (const auto &[Label, Payload] : Cases) {
     std::string Mut = Prefix;
     appendSegment(Mut, SegmentType::Delta, Cut->Seq + 1, 3, Payload);
-    std::string Commit;
-    appendU64(Commit, 3);
     appendSegment(Mut, SegmentType::Commit, Cut->Seq + 2, 3, Commit);
-    spit(MutPath, Mut);
-    JournalRecovery R = readJournal(MutPath);
-    ASSERT_TRUE(R.HeaderValid) << Label;
-    EXPECT_EQ(R.TruncationReason, "malformed segment payload") << Label;
-    EXPECT_EQ(R.LastEpoch, 2u) << Label;
-    EXPECT_EQ(R.BytesKept, Prefix.size()) << Label;
-    EXPECT_TRUE(R.degraded()) << Label;
-    EXPECT_EQ(recoveredReport(R), Reference) << Label;
+    ExpectPrefixKept(Label, Mut, "malformed segment payload");
   }
+
+  // No sentinel applies the malformed Delta: it is checked where the
+  // scan ends, after a clean end of file or a torn Commit alike.
+  std::string Torn = Prefix;
+  appendSegment(Torn, SegmentType::Delta, Cut->Seq + 1, 3, GoodThenBad);
+  ExpectPrefixKept("torn tail after a malformed Delta", Torn,
+                   "malformed segment payload");
+  std::string TornCommit;
+  appendSegment(TornCommit, SegmentType::Commit, Cut->Seq + 2, 3, Commit);
+  Torn += TornCommit.substr(0, kJournalSegmentHeaderBytes / 2);
+  ExpectPrefixKept("torn Commit after a malformed Delta", Torn,
+                   "malformed segment payload");
+
+  // A well-formed Delta whose Commit is torn is uncommitted: kept as a
+  // segment, never applied.
+  std::string Uncommitted = Prefix;
+  appendSegment(Uncommitted, SegmentType::Delta, Cut->Seq + 1, 3,
+                Entry(encoded(Changed)));
+  const size_t DeltaEnd = Uncommitted.size();
+  Uncommitted += TornCommit.substr(0, kJournalSegmentHeaderBytes / 2);
+  spit(MutPath, Uncommitted);
+  JournalRecovery U = readJournal(MutPath);
+  EXPECT_EQ(U.TruncationReason, "truncated segment header");
+  EXPECT_EQ(U.LastEpoch, 2u);
+  EXPECT_EQ(U.Segments.size(), AtCut.Segments.size() + 1);
+  EXPECT_EQ(U.SegmentsUncommitted, 1u);
+  EXPECT_EQ(U.BytesKept, Prefix.size());
+  EXPECT_EQ(U.TrailingBytes, Uncommitted.size() - DeltaEnd);
+  EXPECT_EQ(recoveredReport(U), Reference);
+  ASSERT_FALSE(U.Profiles.empty());
+  EXPECT_EQ(encoded(U.Profiles.front()), encoded(Known));
 
   // A second Delta in one epoch is malformed too, even when each is
   // well formed on its own.
@@ -635,6 +698,13 @@ TEST(JournalMalformed, RejectsVersionOneHeader) {
   EXPECT_FALSE(R.HeaderValid);
   EXPECT_EQ(R.HeaderError, "unsupported journal version");
   std::remove(Path.c_str());
+}
+
+TEST(JournalMalformed, DirectoryIsNotAJournal) {
+  // A directory opens as a stream, but it has no bytes to read.
+  JournalRecovery R = readJournal(::testing::TempDir());
+  EXPECT_FALSE(R.HeaderValid);
+  EXPECT_EQ(R.HeaderError, "cannot open file");
 }
 
 // --- Size ------------------------------------------------------------------
