@@ -207,22 +207,26 @@ PhaseResult accessPhase(bool Profiled, int Reps, uint64_t Accesses,
 }
 
 /// Recovery's cost against the cheapest pass over the same bytes: the
-/// best time of one CRC32C pass over the journal at \p Path divided by
-/// the best readJournal time, over \p Reads interleaved reads of each.
-/// Host-independent, and higher is better.
-double recoverVsCrc(const std::string &Path, int Reads) {
+/// best time of \p PerSample consecutive CRC32C passes over the journal
+/// at \p Path divided by the best time of as many readJournal calls,
+/// over \p Samples interleaved samples of each. A sample spans many
+/// calls so it lasts well over a millisecond, longer than the host's
+/// timer and scheduling jitter. Host-independent, and higher is better.
+double recoverVsCrc(const std::string &Path, int Samples, int PerSample) {
   std::ifstream In(Path, std::ios::binary);
   const std::string Bytes((std::istreambuf_iterator<char>(In)),
                           std::istreambuf_iterator<char>());
   double Crc = 0, Recover = 0;
   volatile uint64_t Sink = 0; // Keeps both passes from being elided.
-  for (int I = 0; I < Reads; ++I) {
+  for (int I = 0; I < Samples; ++I) {
     Clock::time_point Start = Clock::now();
-    Sink = Sink + Crc32c::compute(Bytes.data(), Bytes.size());
+    for (int K = 0; K < PerSample; ++K)
+      Sink = Sink + Crc32c::compute(Bytes.data(), Bytes.size());
     double S = secondsSince(Start);
     Crc = I == 0 ? S : std::min(Crc, S);
     Start = Clock::now();
-    Sink = Sink + readJournal(Path).SegmentsCommitted;
+    for (int K = 0; K < PerSample; ++K)
+      Sink = Sink + readJournal(Path).SegmentsCommitted;
     S = secondsSince(Start);
     Recover = I == 0 ? S : std::min(Recover, S);
   }
@@ -277,7 +281,7 @@ PhaseResult mtPhase(int Reps, int64_t Iters, bool Journal,
     keepBest(Best, Run.Steps, Seconds);
   }
   if (Journal && RecoverVsCrc)
-    *RecoverVsCrc = recoverVsCrc(Path, 31);
+    *RecoverVsCrc = recoverVsCrc(Path, 31, 32);
   std::remove(Path.c_str());
   return Best;
 }

@@ -81,10 +81,10 @@ bool readWholeFile(const std::string &Path, std::string &Data) {
   return static_cast<bool>(In.read(Data.data(), Size));
 }
 
-/// Walks a Delta payload: calls \p Fn(tid, records) per thread entry.
-/// \returns false when the framing is malformed (thread ids must
-/// strictly increase, and an empty Delta is never written) or \p Fn
-/// does.
+/// Walks a Delta or Checkpoint payload: calls \p Fn(tid, records) per
+/// thread entry. \returns false when the framing is malformed (thread
+/// ids must strictly increase, and an empty payload is never written)
+/// or \p Fn does.
 template <typename FnT> bool forEachThreadDelta(std::string_view Payload,
                                                 FnT &&Fn) {
   VarintReader R(Payload);
@@ -104,11 +104,19 @@ template <typename FnT> bool forEachThreadDelta(std::string_view Payload,
 
 constexpr size_t kNoStop = SIZE_MAX;
 
-/// Scans the segments after the file header into \p R. A Delta is kept
-/// undecoded until its sentinel applies it, so a malformed one is found
-/// past it: the scan then returns its offset, leaving \p R partly built,
-/// and a scan with \p StopAt there stops at it. \returns kNoStop when
-/// \p R stands.
+/// An undecoded Delta or Checkpoint payload and where its segment lies.
+struct ProfilePayload {
+  std::string_view Bytes;
+  size_t Offset = 0;
+  bool Checkpoint = false;
+};
+
+/// Scans the segments after the file header into \p R. Delta and
+/// Checkpoint payloads are kept undecoded; only the last committed
+/// Checkpoint and the Deltas after it are decoded, once the scan ends,
+/// so a malformed one is found past it: the scan then returns its
+/// offset, leaving \p R partly built, and a scan with \p StopAt there
+/// stops at it. \returns kNoStop when \p R stands.
 size_t scanSegments(const std::string &Data, size_t StopAt,
                     JournalRecovery &R) {
   R.HeaderValid = true;
@@ -118,9 +126,10 @@ size_t scanSegments(const std::string &Data, size_t StopAt,
   // sentinel, so a tear between a Delta and its commit drops the Delta
   // — the state is always the one at the last sentinel.
   std::vector<MethodInfo> PendingMethods;
-  std::map<uint64_t, ThreadProfile> Committed;
-  std::string_view PendingDelta;
-  size_t PendingOff = 0;
+  // Committed payloads since the last committed Checkpoint, which leads
+  // the list when there is one: the state at the last sentinel.
+  std::vector<ProfilePayload> Committed;
+  ProfilePayload Pending;
   uint64_t NextSeq = 1;
   size_t Off = kJournalFileHeaderBytes;
   size_t LastValidEnd = Off;
@@ -196,13 +205,14 @@ size_t scanSegments(const std::string &Data, size_t StopAt,
       break;
     }
     case SegmentType::Delta:
-      // One Delta per epoch; a second before the sentinel is malformed,
-      // and so is an empty one. Its entries are checked when applied.
-      Ok = PendingDelta.empty() && PayloadLen != 0 && Off != StopAt;
-      if (Ok) {
-        PendingDelta = std::string_view(Payload, PayloadLen);
-        PendingOff = Off;
-      }
+    case SegmentType::Checkpoint:
+      // One Delta or Checkpoint per epoch; a second before the sentinel
+      // is malformed, and so is an empty one. Its entries are checked
+      // when decoded.
+      Ok = Pending.Bytes.empty() && PayloadLen != 0 && Off != StopAt;
+      if (Ok)
+        Pending = {std::string_view(Payload, PayloadLen), Off,
+                   Type == static_cast<uint32_t>(SegmentType::Checkpoint)};
       break;
     case SegmentType::Commit: {
       uint64_t Round = 0;
@@ -247,41 +257,54 @@ size_t scanSegments(const std::string &Data, size_t StopAt,
     if (Type != static_cast<uint32_t>(SegmentType::Commit) &&
         Type != static_cast<uint32_t>(SegmentType::Close))
       continue;
-    // A sentinel applies the pending Delta, each thread entry once, and
-    // makes the pending state committed.
-    if (!PendingDelta.empty() &&
-        !forEachThreadDelta(PendingDelta, [&](uint64_t Tid,
-                                              std::string_view Records) {
-          return Committed.try_emplace(Tid, Tid, "").first->second.apply(
-              Records);
-        }))
-      return PendingOff;
+    // A sentinel makes the pending state committed; a Checkpoint
+    // supersedes everything committed before it.
+    if (!Pending.Bytes.empty()) {
+      if (Pending.Checkpoint)
+        Committed.clear();
+      Committed.push_back(Pending);
+      Pending = {};
+    }
     for (auto &M : PendingMethods)
       R.Methods.push_back(std::move(M));
     PendingMethods.clear();
-    PendingDelta = {};
     R.SegmentsCommitted = R.Segments.size();
     R.BytesKept = End;
   }
 
-  // No sentinel applied the last Delta; a malformed one must still stop
-  // the scan where it lies.
-  if (!PendingDelta.empty() &&
-      !forEachThreadDelta(PendingDelta, [&](uint64_t Tid,
-                                            std::string_view Records) {
-        auto It = Committed.find(Tid);
-        return It != Committed.end() ? It->second.check(Records)
-                                     : ThreadProfile(Tid, "").check(Records);
-      }))
-    return PendingOff;
+  // Decode the committed state, each thread entry once: the Checkpoint
+  // into fresh profiles, then each Delta over them.
+  std::map<uint64_t, ThreadProfile> Profiles;
+  for (const ProfilePayload &P : Committed) {
+    R.DecodedBytes += P.Bytes.size();
+    if (!forEachThreadDelta(P.Bytes, [&](uint64_t Tid,
+                                         std::string_view Records) {
+          return Profiles.try_emplace(Tid, Tid, "").first->second.apply(
+              Records);
+        }))
+      return P.Offset;
+  }
+  // No sentinel committed the last payload; a malformed one must still
+  // stop the scan where it lies. A Checkpoint starts from nothing.
+  if (!Pending.Bytes.empty()) {
+    R.DecodedBytes += Pending.Bytes.size();
+    if (!forEachThreadDelta(Pending.Bytes, [&](uint64_t Tid,
+                                               std::string_view Records) {
+          auto It = Profiles.find(Tid);
+          return It != Profiles.end() && !Pending.Checkpoint
+                     ? It->second.check(Records)
+                     : ThreadProfile(Tid, "").check(Records);
+        }))
+      return Pending.Offset;
+  }
 
   R.SegmentsUncommitted = R.Segments.size() - R.SegmentsCommitted;
   R.TrailingBytes = Data.size() - LastValidEnd;
   if (R.Closed && R.TrailingBytes != 0 && R.TruncationReason.empty())
     R.TruncationReason = "bytes after the Close sentinel";
 
-  R.Profiles.reserve(Committed.size());
-  for (auto &[Tid, P] : Committed)
+  R.Profiles.reserve(Profiles.size());
+  for (auto &[Tid, P] : Profiles)
     R.Profiles.push_back(std::move(P));
   return kNoStop;
 }
@@ -313,11 +336,15 @@ JournalRecovery djx::readJournal(const std::string &Path) {
     R.HeaderError = "file header checksum mismatch";
     return R;
   }
-  // At most one rescan, and only on a malformed file.
+  // Rescans happen only on a malformed file. Each stops earlier than the
+  // one before: stopping at a malformed Checkpoint can bring Deltas
+  // before it, never decoded so far, into the committed state.
   size_t Malformed = scanSegments(Data, kNoStop, R);
-  if (Malformed != kNoStop) {
+  while (Malformed != kNoStop) {
+    uint64_t Decoded = R.DecodedBytes;
     R = JournalRecovery();
-    scanSegments(Data, Malformed, R);
+    R.DecodedBytes = Decoded;
+    Malformed = scanSegments(Data, Malformed, R);
   }
   return R;
 }

@@ -11,10 +11,19 @@
 /// the truncation rule is "salvage exactly the valid prefix", never
 /// resynchronize past damage. Recovered state is the state at the last
 /// valid Commit (or Close) sentinel; structurally valid segments after
-/// it are uncommitted and reported as dropped. Each thread entry is
-/// decoded once, by the validating apply at its Delta's sentinel; a
-/// malformed Delta, found there or left pending at the end, makes the
-/// scan run again and stop at it, as if checked when read.
+/// it are uncommitted and reported as dropped.
+///
+/// What gets decoded: the scan verifies every segment but keeps Delta
+/// and Checkpoint payloads as undecoded views, dropping the list at
+/// each committed Checkpoint (it holds the whole state). Once the scan
+/// ends, the last committed Checkpoint is decoded into fresh profiles
+/// and each committed Delta after it is applied over them, each thread
+/// entry once by a validating apply; a trailing uncommitted payload is
+/// only checked. So recovery decodes at most a Checkpoint plus the
+/// Deltas the writer's checkpoint rule allows after it, however long
+/// the run. A malformed payload among those makes the scan run again and
+/// stop at it, as if checked when read; one before the last committed
+/// Checkpoint is never decoded, so it does not stop the scan.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -65,6 +74,9 @@ struct JournalRecovery {
   /// File bytes contributing to the recovered state (header + committed
   /// segments).
   uint64_t BytesKept = 0;
+  /// Delta and Checkpoint payload bytes decoded to get here, over every
+  /// scan pass.
+  uint64_t DecodedBytes = 0;
   /// Bytes after the last structurally valid segment (torn/corrupt
   /// tail).
   uint64_t TrailingBytes = 0;

@@ -12,6 +12,7 @@
 #include "support/FaultInjector.h"
 #include "support/Varint.h"
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cstdio>
@@ -65,6 +66,14 @@ uint64_t posMix(uint64_t X) {
 }
 
 constexpr unsigned kMaxWriteAttempts = 3;
+
+/// Appends one thread entry (varint tid, varint length, records) to a
+/// Delta or Checkpoint payload.
+void putThreadEntry(std::string &Payload, uint64_t Tid,
+                    const std::string &Records) {
+  putVarint(Payload, Tid);
+  putBytes(Payload, Records);
+}
 
 } // namespace
 
@@ -220,11 +229,29 @@ void ProfileJournal::bufferEpoch(const DjxPerf &Prof,
     RecordBuf.clear();
     P->encode(RecordBuf, It->second);
     It->second = P->mark();
-    putVarint(DeltaBuf, P->threadId());
-    putBytes(DeltaBuf, RecordBuf);
+    putThreadEntry(DeltaBuf, P->threadId(), RecordBuf);
   }
-  if (!DeltaBuf.empty())
-    appendSegment(SegmentType::Delta, EpochNo, DeltaBuf);
+  if (!DeltaBuf.empty()) {
+    DeltaBytesSinceCheckpoint += DeltaBuf.size();
+    if (DeltaBytesSinceCheckpoint <
+        std::max(kJournalCheckpointFloorBytes,
+                 kJournalCheckpointRatio * CheckpointBytes)) {
+      appendSegment(SegmentType::Delta, EpochNo, DeltaBuf);
+    } else {
+      // Every profile's full encoding instead. The marks stay where the
+      // loop above left them, at each mark(), and encode() restarts each
+      // change log there too, so the next epoch's deltas follow on.
+      DeltaBuf.clear();
+      for (const ThreadProfile *P : Prof.profiles()) {
+        RecordBuf.clear();
+        P->encode(RecordBuf);
+        putThreadEntry(DeltaBuf, P->threadId(), RecordBuf);
+      }
+      appendSegment(SegmentType::Checkpoint, EpochNo, DeltaBuf);
+      CheckpointBytes = DeltaBuf.size();
+      DeltaBytesSinceCheckpoint = 0;
+    }
+  }
   std::string Commit;
   appendU64(Commit, Round);
   appendSegment(SegmentType::Commit, EpochNo, Commit);

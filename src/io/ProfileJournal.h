@@ -14,7 +14,7 @@
 ///
 ///   file header (16 bytes)
 ///     +0  magic    "DJXJRNL1"                                (8 bytes)
-///     +8  version  u32 = 2
+///     +8  version  u32 = 3
 ///     +12 crc      u32 CRC32C of bytes [0, 12)
 ///
 ///   segment (32-byte header + payload), repeated to EOF
@@ -39,6 +39,19 @@
 ///                 appears). Records hold absolute values, so the reader
 ///                 overwrites; the journal grows with the changes, not
 ///                 with rounds x profile size.
+///   Checkpoint  — written in place of an epoch's Delta (so still at
+///                 most one of the two per epoch) when that Delta would
+///                 bring the Delta payload bytes since the last
+///                 Checkpoint to max(64 KiB, 64 x that Checkpoint's
+///                 payload bytes). Framed as a Delta, but it holds every
+///                 profile's full encoding (the delta from
+///                 ProfileMark{}), in thread-id order: the whole state
+///                 at its epoch. A reader decodes only the last committed
+///                 Checkpoint and the Deltas after it, so recovery work
+///                 is bounded by the ratio, not by the run's length; the
+///                 ratio caps the extra bytes at about 1/64 of the
+///                 Deltas, and a journal whose Deltas stay under 64 KiB
+///                 has none.
 ///   Commit      — epoch sentinel (u64 executor round): everything up
 ///                 to and including this segment is a consistent
 ///                 snapshot. Recovery state = state at the last valid
@@ -84,7 +97,7 @@ class MethodRegistry;
 /// "DJXJRNL1"
 inline constexpr char kJournalFileMagic[8] = {'D', 'J', 'X', 'J',
                                               'R', 'N', 'L', '1'};
-inline constexpr uint32_t kJournalFormatVersion = 2;
+inline constexpr uint32_t kJournalFormatVersion = 3;
 /// "DJSG" little-endian.
 inline constexpr uint32_t kJournalSegmentMagic = 0x47534a44u;
 inline constexpr size_t kJournalFileHeaderBytes = 16;
@@ -92,6 +105,11 @@ inline constexpr size_t kJournalSegmentHeaderBytes = 32;
 /// Upper bound a reader accepts for one payload; a length field above
 /// this is corruption, not a big segment.
 inline constexpr uint32_t kJournalMaxPayloadBytes = 64u << 20;
+/// Checkpoint rule: a Checkpoint replaces the Delta that would bring the
+/// Delta payload bytes since the last one to max(floor, ratio x that
+/// Checkpoint's payload bytes).
+inline constexpr uint64_t kJournalCheckpointFloorBytes = 64u << 10;
+inline constexpr uint64_t kJournalCheckpointRatio = 64;
 
 enum class SegmentType : uint32_t {
   Meta = 1,
@@ -99,6 +117,7 @@ enum class SegmentType : uint32_t {
   Delta = 3,
   Commit = 4,
   Close = 5,
+  Checkpoint = 6,
 };
 
 /// Run metadata captured at journal open, enough for `recover`/`merge`
@@ -162,7 +181,8 @@ private:
 
   void appendSegment(SegmentType Type, uint64_t EpochNo,
                      const std::string &Payload);
-  /// Method table + Delta + Commit into the pending buffer (no I/O).
+  /// Method table + Delta (or Checkpoint) + Commit into the pending
+  /// buffer (no I/O).
   void bufferEpoch(const DjxPerf &Prof, const MethodRegistry &Methods,
                    uint64_t Round);
   void bufferClose(const VmError *E, uint64_t SamplesHandled,
@@ -183,6 +203,10 @@ private:
   size_t MethodsFlushed = 0;
   /// Per thread, the profile's mark at its last journaled epoch.
   std::map<uint64_t, ProfileMark> Journaled;
+  /// Delta payload bytes since the last Checkpoint, and that
+  /// Checkpoint's payload bytes (0 before the first).
+  uint64_t DeltaBytesSinceCheckpoint = 0;
+  uint64_t CheckpointBytes = 0;
   /// Reused buffers: the epoch's Delta payload, one thread's records.
   std::string DeltaBuf, RecordBuf;
 };

@@ -257,6 +257,19 @@ TEST(CliJournal, RecoverOfVersionOneJournalExitsJournalCorruptCode) {
   std::remove(J.c_str());
 }
 
+// Version 2 journals had no Checkpoint segment; they get the same
+// answer as version 1.
+TEST(CliJournal, RecoverOfVersionTwoJournalExitsJournalCorruptCode) {
+  std::string J = tmpFile("v2.djxj");
+  // "DJXJRNL1", version 2, CRC32C of those 12 bytes.
+  spitBytes(J, std::string("DJXJRNL1\x02\x00\x00\x00\x4a\xd1\xa6\x8e", 16));
+  auto [Exit, Out] = run("'" + DjxperfPath + "' recover '" + J + "'");
+  EXPECT_EQ(Exit, 7) << Out;
+  EXPECT_NE(Out.find("unsupported journal version"), std::string::npos)
+      << Out;
+  std::remove(J.c_str());
+}
+
 // A directory is no journal: recover exits JournalCorrupt and merge
 // skips it like any other unusable input.
 TEST(CliJournal, DirectoryIsSkippedNotFatal) {

@@ -23,6 +23,11 @@
 ///    print DJX_JOURNAL_FUZZ_SEED for replay. CRC-valid but malformed
 ///    Delta payloads stop the scan the same way, whether a sentinel
 ///    applies them or the file ends first; a directory is no journal.
+///  - Checkpoints: a longer shape crosses the checkpoint floor; cuts
+///    around each Checkpoint match a MaxRounds reference, a second
+///    corpus tears inside and just after them, only payloads from the
+///    last committed Checkpoint on are decoded, and the decoded bytes
+///    stay under one bound as rounds double.
 ///  - Injected I/O faults: write errors degrade journaling to off
 ///    without touching the run; short writes leave a recoverable torn
 ///    prefix; corrupt bits never survive read-back.
@@ -133,6 +138,16 @@ ParallelConfig journalWorkload() {
   return Pc;
 }
 
+/// A longer shape: more threads, rounds and small quanta, so its Deltas
+/// cross the checkpoint floor twice (journalWorkload()'s stay below it).
+ParallelConfig checkpointWorkload() {
+  ParallelConfig Pc = journalWorkload();
+  Pc.SimThreads = 4;
+  Pc.Iters = 300;
+  Pc.QuantumSteps = 2048;
+  return Pc;
+}
+
 JournalMeta testMeta() {
   JournalMeta M;
   M.Workload = "journal-test";
@@ -147,6 +162,7 @@ struct JournaledRun {
   uint64_t Rounds = 0;
   std::string Report; ///< Merged object-centric report text.
   std::vector<std::string> ProfileBytes; ///< Full encoding per thread.
+  uint64_t StateBytes = 0; ///< A Checkpoint payload of the final state.
   uint64_t JournalBytes = 0;
   uint64_t Epochs = 0;
 };
@@ -161,8 +177,9 @@ std::string encoded(const ThreadProfile &P) {
 /// barriers, closeClean at the end) and returns the live-side state the
 /// journal must reproduce. MaxRounds = 0 runs to completion.
 JournaledRun runJournaled(const std::string &Path, unsigned Jobs,
-                          uint64_t MaxRounds = 0) {
-  ParallelConfig Pc = journalWorkload();
+                          uint64_t MaxRounds = 0,
+                          const ParallelConfig &Shape = journalWorkload()) {
+  ParallelConfig Pc = Shape;
   Pc.Jobs = Jobs;
   Pc.MaxRounds = MaxRounds;
   JavaVm Vm(parallelVmConfig(Pc));
@@ -188,8 +205,13 @@ JournaledRun runJournaled(const std::string &Path, unsigned Jobs,
   }
   MergedProfile P = Prof.analyze();
   R.Report = renderObjectCentric(P, Vm.methods());
-  for (const ThreadProfile *T : Prof.profiles())
+  std::string State;
+  for (const ThreadProfile *T : Prof.profiles()) {
     R.ProfileBytes.push_back(encoded(*T));
+    putVarint(State, T->threadId());
+    putBytes(State, R.ProfileBytes.back());
+  }
+  R.StateBytes = State.size();
   return R;
 }
 
@@ -200,6 +222,19 @@ std::string recoveredReport(const JournalRecovery &R) {
   for (const ThreadProfile &P : R.Profiles)
     Parts.push_back(&P);
   return renderObjectCentric(mergeProfiles(Parts), Methods);
+}
+
+bool isType(const JournalSegmentInfo &S, SegmentType T) {
+  return S.Type == static_cast<uint32_t>(T);
+}
+
+/// Indexes of the Checkpoint segments in \p R.
+std::vector<size_t> checkpointsOf(const JournalRecovery &R) {
+  std::vector<size_t> Out;
+  for (size_t I = 0; I < R.Segments.size(); ++I)
+    if (isType(R.Segments[I], SegmentType::Checkpoint))
+      Out.push_back(I);
+  return Out;
 }
 
 // --- Checksum --------------------------------------------------------------
@@ -340,13 +375,23 @@ TEST(JournalRoundTrip, FileBytesAreJobsInvariant) {
   std::string P1 = tempPath("jobs1.djxj");
   std::string P2 = tempPath("jobs2.djxj");
   std::string P4 = tempPath("jobs4.djxj");
-  runJournaled(P1, 1);
-  runJournaled(P2, 2);
-  runJournaled(P4, 4);
-  std::string B1 = slurp(P1);
-  EXPECT_FALSE(B1.empty());
-  EXPECT_EQ(B1, slurp(P2));
-  EXPECT_EQ(B1, slurp(P4));
+  // The short shape's Deltas stay below the checkpoint floor; the long
+  // one's cross it at least twice.
+  for (bool Long : {false, true}) {
+    ParallelConfig Shape = Long ? checkpointWorkload() : journalWorkload();
+    runJournaled(P1, 1, 0, Shape);
+    runJournaled(P2, 2, 0, Shape);
+    runJournaled(P4, 4, 0, Shape);
+    std::string B1 = slurp(P1);
+    EXPECT_FALSE(B1.empty());
+    EXPECT_EQ(B1, slurp(P2)) << "long shape: " << Long;
+    EXPECT_EQ(B1, slurp(P4)) << "long shape: " << Long;
+    size_t Checkpoints = checkpointsOf(readJournal(P1)).size();
+    if (Long)
+      EXPECT_GE(Checkpoints, 2u);
+    else
+      EXPECT_EQ(Checkpoints, 0u);
+  }
   std::remove(P1.c_str());
   std::remove(P2.c_str());
   std::remove(P4.c_str());
@@ -422,22 +467,33 @@ std::string prefixThroughEpoch(const std::string &Full,
   return Full.substr(0, End);
 }
 
-TEST(JournalFuzz, SalvagesExactlyTheValidPrefix) {
-  std::string Path = tempPath("fuzz.djxj");
-  runJournaled(Path, 2);
+/// Runs \p Cases seeded mutations of the journal at \p Path and checks
+/// that each salvages exactly the valid prefix. Kinds, by Case % Kinds:
+/// truncation, bit flip, damage inside a Delta or Checkpoint payload,
+/// two swapped segments and, with Kinds == 5, a cut inside a Checkpoint
+/// or between it and its Commit.
+void fuzzSalvage(const std::string &Path, int Cases, int Kinds) {
   std::string Full = slurp(Path);
   JournalRecovery Whole = readJournal(Path);
   ASSERT_TRUE(Whole.Closed);
   ASSERT_GE(Whole.Segments.size(), 8u);
+  std::vector<const JournalSegmentInfo *> Payloads;
+  for (const JournalSegmentInfo &Seg : Whole.Segments)
+    if (isType(Seg, SegmentType::Delta) ||
+        isType(Seg, SegmentType::Checkpoint))
+      Payloads.push_back(&Seg);
+  const std::vector<size_t> Checkpoints = checkpointsOf(Whole);
+  ASSERT_FALSE(Payloads.empty());
+  ASSERT_TRUE(Kinds == 4 || !Checkpoints.empty());
 
   uint64_t Base = fuzzSeed();
-  std::string MutPath = tempPath("fuzz_mut.djxj");
-  for (int Case = 0; Case < kFuzzCases; ++Case) {
+  std::string MutPath = Path + ".mut";
+  for (int Case = 0; Case < Cases; ++Case) {
     uint64_t S = mixSeed(Base + static_cast<uint64_t>(Case));
     std::string Label = "fuzz case " + std::to_string(Case);
     std::string Mut = Full;
     uint64_t Damage;
-    switch (Case % 4) {
+    switch (Case % Kinds) {
     case 0: { // Truncate at an arbitrary byte.
       Damage = S % Full.size();
       Mut.resize(Damage);
@@ -455,22 +511,18 @@ TEST(JournalFuzz, SalvagesExactlyTheValidPrefix) {
           Damage = Seg.Offset;
       break;
     }
-    case 2: { // Damage one byte inside a Delta payload. CRC32C catches
-              // every burst of up to 32 bits, so the scan stops at that
-              // segment whatever the damaged varints would decode to.
-      std::vector<const JournalSegmentInfo *> Deltas;
-      for (const JournalSegmentInfo &Seg : Whole.Segments)
-        if (Seg.Type == static_cast<uint32_t>(SegmentType::Delta))
-          Deltas.push_back(&Seg);
-      ASSERT_FALSE(Deltas.empty());
-      const JournalSegmentInfo &Seg = *Deltas[S % Deltas.size()];
+    case 2: { // Damage one byte inside a Delta or Checkpoint payload.
+              // CRC32C catches every burst of up to 32 bits, so the scan
+              // stops at that segment whatever the damaged varints would
+              // decode to.
+      const JournalSegmentInfo &Seg = *Payloads[S % Payloads.size()];
       size_t Pos = Seg.Offset + kJournalSegmentHeaderBytes +
                    (S >> 32) % (Seg.Length - kJournalSegmentHeaderBytes);
       Mut[Pos] = static_cast<char>(Mut[Pos] ^ (1 + (S >> 8) % 255));
       Damage = Seg.Offset;
       break;
     }
-    default: { // Swap two adjacent segments: a sequence break.
+    case 3: { // Swap two adjacent segments: a sequence break.
       size_t I = S % (Whole.Segments.size() - 1);
       const JournalSegmentInfo &A = Whole.Segments[I];
       const JournalSegmentInfo &B = Whole.Segments[I + 1];
@@ -480,6 +532,16 @@ TEST(JournalFuzz, SalvagesExactlyTheValidPrefix) {
       Swapped += Full.substr(B.Offset + B.Length);
       Mut = std::move(Swapped);
       Damage = A.Offset;
+      break;
+    }
+    default: { // Cut inside a Checkpoint or before its Commit ends.
+      size_t I = Checkpoints[S % Checkpoints.size()];
+      // The Commit follows the Checkpoint directly.
+      const JournalSegmentInfo &Ck = Whole.Segments[I];
+      const JournalSegmentInfo &Commit = Whole.Segments[I + 1];
+      Damage = Ck.Offset +
+               (S >> 32) % (Commit.Offset + Commit.Length - Ck.Offset);
+      Mut.resize(Damage);
       break;
     }
     }
@@ -504,8 +566,14 @@ TEST(JournalFuzz, SalvagesExactlyTheValidPrefix) {
       EXPECT_EQ(encoded(*Back), encoded(P)) << Label;
     }
   }
-  std::remove(Path.c_str());
   std::remove(MutPath.c_str());
+}
+
+TEST(JournalFuzz, SalvagesExactlyTheValidPrefix) {
+  std::string Path = tempPath("fuzz.djxj");
+  runJournaled(Path, 2);
+  fuzzSalvage(Path, kFuzzCases, 4);
+  std::remove(Path.c_str());
 }
 
 // --- Malformed payloads ----------------------------------------------------
@@ -688,16 +756,30 @@ TEST(JournalMalformed, CrcValidBadDeltasStopTheScan) {
   std::remove(MutPath.c_str());
 }
 
-TEST(JournalMalformed, RejectsVersionOneHeader) {
+/// Reads a journal that is only a checksummed file header of \p Version.
+JournalRecovery readHeaderOfVersion(uint32_t Version) {
   std::string Header(kJournalFileMagic, sizeof(kJournalFileMagic));
-  appendU32(Header, 1);
+  appendU32(Header, Version);
   appendU32(Header, Crc32c::compute(Header.data(), Header.size()));
-  std::string Path = tempPath("v1.djxj");
+  std::string Path = tempPath("v" + std::to_string(Version) + ".djxj");
   spit(Path, Header);
   JournalRecovery R = readJournal(Path);
+  std::remove(Path.c_str());
+  return R;
+}
+
+TEST(JournalMalformed, RejectsVersionOneHeader) {
+  JournalRecovery R = readHeaderOfVersion(1);
   EXPECT_FALSE(R.HeaderValid);
   EXPECT_EQ(R.HeaderError, "unsupported journal version");
-  std::remove(Path.c_str());
+}
+
+// Version 2 had no Checkpoint segment; its reader decoded every epoch.
+TEST(JournalMalformed, RejectsVersionTwoHeader) {
+  JournalRecovery R = readHeaderOfVersion(2);
+  EXPECT_FALSE(R.HeaderValid);
+  EXPECT_EQ(R.HeaderError, "unsupported journal version");
+  EXPECT_TRUE(readHeaderOfVersion(kJournalFormatVersion).HeaderValid);
 }
 
 TEST(JournalMalformed, DirectoryIsNotAJournal) {
@@ -705,6 +787,220 @@ TEST(JournalMalformed, DirectoryIsNotAJournal) {
   JournalRecovery R = readJournal(::testing::TempDir());
   EXPECT_FALSE(R.HeaderValid);
   EXPECT_EQ(R.HeaderError, "cannot open file");
+}
+
+// --- Checkpoints -----------------------------------------------------------
+
+/// \p Full with segment \p S's payload replaced by \p Payload, CRC-valid.
+std::string withPayload(const std::string &Full, const JournalSegmentInfo &S,
+                        const std::string &Payload) {
+  std::string Out = Full.substr(0, S.Offset);
+  appendSegment(Out, static_cast<SegmentType>(S.Type), S.Seq, S.Epoch,
+                Payload);
+  Out += Full.substr(S.Offset + S.Length);
+  return Out;
+}
+
+TEST(JournalCheckpoint, CutsAroundACheckpointMatchMaxRoundsReference) {
+  std::string Path = tempPath("ckpt_full.djxj");
+  JournaledRun Live = runJournaled(Path, 2, 0, checkpointWorkload());
+  std::string Full = slurp(Path);
+  JournalRecovery Whole = readJournal(Path);
+  ASSERT_TRUE(Whole.Closed);
+  const std::vector<size_t> Checkpoints = checkpointsOf(Whole);
+  ASSERT_GE(Checkpoints.size(), 2u);
+  // Decoded from its last Checkpoint on, the whole journal is the run.
+  ASSERT_EQ(Whole.Profiles.size(), Live.ProfileBytes.size());
+  for (size_t I = 0; I < Whole.Profiles.size(); ++I)
+    EXPECT_EQ(encoded(Whole.Profiles[I]), Live.ProfileBytes[I]);
+  EXPECT_EQ(recoveredReport(Whole), Live.Report);
+
+  std::string CutPath = tempPath("ckpt_cut.djxj");
+  std::string RefPath = tempPath("ckpt_ref.djxj");
+  auto ExpectMatchesReference = [&](const std::string &Label,
+                                    const JournalRecovery &R) {
+    JournaledRun Ref =
+        runJournaled(RefPath, 2, R.LastRound, checkpointWorkload());
+    EXPECT_EQ(Ref.Rounds, R.LastRound) << Label;
+    EXPECT_EQ(recoveredReport(R), Ref.Report) << Label;
+    ASSERT_EQ(R.Profiles.size(), Ref.ProfileBytes.size()) << Label;
+    for (size_t I = 0; I < R.Profiles.size(); ++I)
+      EXPECT_EQ(encoded(R.Profiles[I]), Ref.ProfileBytes[I])
+          << Label << ", thread " << I;
+  };
+  auto Cut = [&](size_t End) {
+    spit(CutPath, Full.substr(0, End));
+    return readJournal(CutPath);
+  };
+  for (size_t Index : Checkpoints) {
+    const JournalSegmentInfo &Ck = Whole.Segments[Index];
+    const JournalSegmentInfo &Before = Whole.Segments[Index - 1];
+    const JournalSegmentInfo &Commit = Whole.Segments[Index + 1];
+    ASSERT_TRUE(isType(Before, SegmentType::Commit));
+    ASSERT_TRUE(isType(Commit, SegmentType::Commit));
+    const std::string At = " at the Checkpoint of epoch " +
+                           std::to_string(Ck.Epoch);
+
+    // The Commit just before the Checkpoint.
+    JournalRecovery R = Cut(Before.Offset + Before.Length);
+    EXPECT_EQ(R.LastEpoch, Ck.Epoch - 1);
+    EXPECT_TRUE(R.TruncationReason.empty());
+    ExpectMatchesReference("commit before" + At, R);
+    const std::string BeforeReport = recoveredReport(R);
+
+    // Inside the Checkpoint, and right after it: still the state before.
+    R = Cut(Ck.Offset + Ck.Length / 2);
+    EXPECT_EQ(R.LastEpoch, Ck.Epoch - 1);
+    EXPECT_EQ(R.TruncationReason, "segment length out of bounds");
+    EXPECT_EQ(recoveredReport(R), BeforeReport) << "inside" << At;
+    R = Cut(Ck.Offset + Ck.Length);
+    EXPECT_EQ(R.LastEpoch, Ck.Epoch - 1);
+    EXPECT_EQ(R.SegmentsUncommitted, 1u);
+    EXPECT_TRUE(R.TruncationReason.empty());
+    EXPECT_EQ(recoveredReport(R), BeforeReport) << "after" << At;
+
+    // Its own Commit: the Checkpoint alone is the state.
+    R = Cut(Commit.Offset + Commit.Length);
+    EXPECT_EQ(R.LastEpoch, Ck.Epoch);
+    EXPECT_EQ(R.DecodedBytes, Ck.Length - kJournalSegmentHeaderBytes);
+    ExpectMatchesReference("own commit" + At, R);
+  }
+  std::remove(Path.c_str());
+  std::remove(CutPath.c_str());
+  std::remove(RefPath.c_str());
+}
+
+TEST(JournalCheckpoint, FuzzSalvagesExactlyTheValidPrefix) {
+  std::string Path = tempPath("ckpt_fuzz.djxj");
+  runJournaled(Path, 2, 0, checkpointWorkload());
+  fuzzSalvage(Path, kFuzzCases, 5);
+  std::remove(Path.c_str());
+}
+
+TEST(JournalCheckpoint, OnlyPayloadsFromTheLastCheckpointOnAreDecoded) {
+  std::string Path = tempPath("ckpt_contract.djxj");
+  runJournaled(Path, 2, 0, checkpointWorkload());
+  const std::string Full = slurp(Path);
+  const JournalRecovery Whole = readJournal(Path);
+  ASSERT_TRUE(Whole.Closed);
+  const std::vector<size_t> Checkpoints = checkpointsOf(Whole);
+  ASSERT_GE(Checkpoints.size(), 2u);
+  const JournalSegmentInfo &Last = Whole.Segments[Checkpoints.back()];
+  // Deltas between the last two Checkpoints, and the first one after.
+  const JournalSegmentInfo *Superseded = nullptr, *After = nullptr;
+  for (size_t I = Checkpoints[Checkpoints.size() - 2];
+       I < Whole.Segments.size(); ++I) {
+    const JournalSegmentInfo &S = Whole.Segments[I];
+    if (!isType(S, SegmentType::Delta))
+      continue;
+    if (S.Offset < Last.Offset)
+      Superseded = &S;
+    else if (!After)
+      After = &S;
+  }
+  ASSERT_NE(Superseded, nullptr);
+  ASSERT_NE(After, nullptr);
+
+  const std::string Bad = std::string(10, '\x80') + bytesOf({1, 0});
+  std::string MutPath = tempPath("ckpt_contract_mut.djxj");
+  auto Recover = [&](const std::string &Bytes) {
+    spit(MutPath, Bytes);
+    return readJournal(MutPath);
+  };
+  auto PrefixReport = [&](uint64_t Epoch) {
+    return recoveredReport(Recover(prefixThroughEpoch(Full, Whole, Epoch)));
+  };
+
+  // A CRC-valid malformed Delta before the last committed Checkpoint is
+  // never decoded: the journal recovers whole.
+  JournalRecovery R = Recover(withPayload(Full, *Superseded, Bad));
+  EXPECT_TRUE(R.Closed);
+  EXPECT_FALSE(R.degraded());
+  EXPECT_TRUE(R.TruncationReason.empty());
+  EXPECT_EQ(R.DecodedBytes, Whole.DecodedBytes);
+  EXPECT_EQ(recoveredReport(R), recoveredReport(Whole));
+
+  // One after it still stops the scan there.
+  R = Recover(withPayload(Full, *After, Bad));
+  EXPECT_EQ(R.TruncationReason, "malformed segment payload");
+  EXPECT_EQ(R.LastEpoch, After->Epoch - 1);
+  EXPECT_EQ(recoveredReport(R), PrefixReport(After->Epoch - 1));
+
+  // So does a malformed Checkpoint: the state falls back to the one
+  // before it, decoded from the Checkpoint before that.
+  const std::string BadLast = withPayload(Full, Last, Bad);
+  R = Recover(BadLast);
+  EXPECT_EQ(R.TruncationReason, "malformed segment payload");
+  EXPECT_EQ(R.LastEpoch, Last.Epoch - 1);
+  EXPECT_EQ(recoveredReport(R), PrefixReport(Last.Epoch - 1));
+
+  // That fallback decodes Deltas the first scan skipped; a malformed one
+  // among them stops the scan earlier still.
+  R = Recover(withPayload(BadLast, *Superseded, Bad));
+  EXPECT_EQ(R.TruncationReason, "malformed segment payload");
+  EXPECT_EQ(R.LastEpoch, Superseded->Epoch - 1);
+  EXPECT_EQ(recoveredReport(R), PrefixReport(Superseded->Epoch - 1));
+
+  // A Checkpoint is the whole state, so it is checked from nothing: a
+  // delta that is well formed only over the recovered profiles stops
+  // the scan under a Checkpoint header, committed or not.
+  const std::string Prefix = prefixThroughEpoch(Full, Whole, Whole.LastEpoch);
+  const JournalRecovery AtEnd = Recover(Prefix);
+  ASSERT_FALSE(AtEnd.Profiles.empty());
+  ThreadProfile P = AtEnd.Profiles.front();
+  ASSERT_GT(P.cct().size(), 1u);
+  encoded(P); // Starts the change log, so the next encode is a delta.
+  const ProfileMark Mark = P.mark();
+  P.recordCodeSample(1, PerfEventKind::L1Miss);
+  std::string Records, DeltaOnly;
+  P.encode(Records, Mark);
+  putVarint(DeltaOnly, P.threadId());
+  putBytes(DeltaOnly, Records);
+  const uint64_t Seq = AtEnd.Segments.back().Seq;
+  std::string Commit;
+  appendU64(Commit, AtEnd.LastRound + 1);
+  for (bool Committed : {false, true}) {
+    std::string Mut = Prefix;
+    appendSegment(Mut, SegmentType::Checkpoint, Seq + 1, AtEnd.LastEpoch + 1,
+                  DeltaOnly);
+    if (Committed)
+      appendSegment(Mut, SegmentType::Commit, Seq + 2, AtEnd.LastEpoch + 1,
+                    Commit);
+    R = Recover(Mut);
+    EXPECT_EQ(R.TruncationReason, "malformed segment payload") << Committed;
+    EXPECT_EQ(R.LastEpoch, AtEnd.LastEpoch) << Committed;
+    EXPECT_EQ(recoveredReport(R), recoveredReport(AtEnd)) << Committed;
+  }
+
+  std::remove(Path.c_str());
+  std::remove(MutPath.c_str());
+}
+
+TEST(JournalCheckpoint, DecodedBytesStayFlatAsRoundsDouble) {
+  // Recovery decodes the last Checkpoint and the Deltas after it, which
+  // the writer keeps under the floor while 64 x a Checkpoint is below
+  // it. So one bound, the floor plus a Checkpoint of the final state,
+  // holds for N and 2N rounds alike.
+  std::string Path = tempPath("ckpt_decoded.djxj");
+  JournaledRun Long = runJournaled(Path, 2, 0, checkpointWorkload());
+  JournalRecovery R2 = readJournal(Path);
+  JournaledRun Short =
+      runJournaled(Path, 2, Long.Rounds / 2, checkpointWorkload());
+  JournalRecovery R1 = readJournal(Path);
+  ASSERT_TRUE(R1.Closed && R2.Closed);
+  ASSERT_LT(kJournalCheckpointRatio * Long.StateBytes,
+            kJournalCheckpointFloorBytes);
+  const uint64_t Bound = kJournalCheckpointFloorBytes + Long.StateBytes;
+
+  uint64_t Payloads = 0;
+  for (const JournalSegmentInfo &S : R2.Segments)
+    if (isType(S, SegmentType::Delta) || isType(S, SegmentType::Checkpoint))
+      Payloads += S.Length - kJournalSegmentHeaderBytes;
+  EXPECT_GT(Payloads, 2 * Bound); // Decoding them all would not fit.
+  EXPECT_GT(Long.Epochs, Short.Epochs);
+  EXPECT_LT(R1.DecodedBytes, Bound);
+  EXPECT_LT(R2.DecodedBytes, Bound);
+  std::remove(Path.c_str());
 }
 
 // --- Size ------------------------------------------------------------------
