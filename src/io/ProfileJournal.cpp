@@ -156,19 +156,29 @@ ProfileJournal::open(const std::string &Path, const JournalMeta &Meta,
       *Error = std::strerror(errno);
     return nullptr;
   }
+  // A run killed between a compaction's tmp write and its rename leaves
+  // the tmp behind; this run's file replaces both.
+  ::unlink((Path + ".tmp").c_str());
   std::unique_ptr<ProfileJournal> J(new ProfileJournal(Fd, Path));
+  J->MetaPayload = encodeJournalMeta(Meta);
+  J->bufferFileStart();
+  J->physFlush();
+  return J;
+}
+
+void ProfileJournal::bufferFileStart() {
   std::string Header(kJournalFileMagic, sizeof(kJournalFileMagic));
   appendU32(Header, kJournalFormatVersion);
   appendU32(Header, Crc32c::compute(Header.data(), Header.size()));
-  J->Pending += Header;
-  J->appendSegment(SegmentType::Meta, 0, encodeJournalMeta(Meta));
-  J->physFlush();
-  return J;
+  Pending += Header;
+  Seq = 0;
+  appendSegment(SegmentType::Meta, 0, MetaPayload);
 }
 
 void ProfileJournal::appendSegment(SegmentType Type, uint64_t EpochNo,
                                    const std::string &Payload) {
   ++Seq;
+  ++Segments;
   size_t Start = Pending.size();
   appendU32(Pending, kJournalSegmentMagic);
   appendU32(Pending, static_cast<uint32_t>(Type));
@@ -182,14 +192,15 @@ void ProfileJournal::appendSegment(SegmentType Type, uint64_t EpochNo,
   appendU32(Pending, Crc);
   Pending += Payload;
   // JournalCorruptByte: flip one payload bit after the CRC was computed,
-  // so read-back must catch it. Keyed on the segment sequence number — a
-  // logical ordinal, so the corrupted set is --jobs-invariant.
+  // so read-back must catch it. Keyed on the run-wide segment ordinal —
+  // logical, and unlike Seq never restarted by a compaction — so the
+  // corrupted set is --jobs-invariant.
   if (!Payload.empty() &&
-      FaultInjector::shouldFail(FaultSite::JournalCorruptByte, Seq)) {
+      FaultInjector::shouldFail(FaultSite::JournalCorruptByte, Segments)) {
     size_t Pos = Start + kJournalSegmentHeaderBytes +
-                 posMix(Seq) % Payload.size();
-    Pending[Pos] =
-        static_cast<char>(Pending[Pos] ^ (1u << (posMix(Seq ^ 0xb17) % 8)));
+                 posMix(Segments) % Payload.size();
+    Pending[Pos] = static_cast<char>(Pending[Pos] ^
+                                     (1u << (posMix(Segments ^ 0xb17) % 8)));
   }
 }
 
@@ -197,6 +208,36 @@ void ProfileJournal::bufferEpoch(const DjxPerf &Prof,
                                  const MethodRegistry &Methods,
                                  uint64_t Round) {
   uint64_t EpochNo = Epoch + 1;
+  // One Delta for the epoch: per changed thread, what changed since its
+  // last journaled epoch. profiles() is sorted by thread id and encode()
+  // emits in key order, so the byte stream is deterministic.
+  DeltaBuf.clear();
+  for (const ThreadProfile *P : Prof.profiles()) {
+    auto [It, First] = Journaled.try_emplace(P->threadId());
+    if (!First && !P->changedSince(It->second))
+      continue;
+    RecordBuf.clear();
+    P->encode(RecordBuf, It->second);
+    It->second = P->mark();
+    putThreadEntry(DeltaBuf, P->threadId(), RecordBuf);
+  }
+  bool Checkpoint = false;
+  if (!DeltaBuf.empty()) {
+    DeltaBytesSinceCheckpoint += DeltaBuf.size();
+    Checkpoint = DeltaBytesSinceCheckpoint >=
+                 std::max(kJournalCheckpointFloorBytes,
+                          kJournalCheckpointRatio * CheckpointBytes);
+  }
+  // A Checkpoint holds the whole state, so it roots a fresh file: the
+  // header, Meta, the method table from id 0, the Checkpoint and its
+  // Commit, which physFlush() writes to <path>.tmp and renames over
+  // <path>. Sequence numbers restart; epochs carry on. (Pending is empty
+  // here: every epoch is flushed before the next one is buffered.)
+  if (Checkpoint) {
+    bufferFileStart();
+    MethodsFlushed = 0;
+    Compacting = true;
+  }
   // Method-table delta: ids are registered contiguously, so the reader
   // rebuilds the registry by position.
   if (Methods.size() > MethodsFlushed) {
@@ -218,39 +259,22 @@ void ProfileJournal::bufferEpoch(const DjxPerf &Prof,
     appendSegment(SegmentType::MethodTable, EpochNo, P);
     MethodsFlushed = Methods.size();
   }
-  // One Delta for the epoch: per changed thread, what changed since its
-  // last journaled epoch. profiles() is sorted by thread id and encode()
-  // emits in key order, so the byte stream is deterministic.
-  DeltaBuf.clear();
-  for (const ThreadProfile *P : Prof.profiles()) {
-    auto [It, First] = Journaled.try_emplace(P->threadId());
-    if (!First && !P->changedSince(It->second))
-      continue;
-    RecordBuf.clear();
-    P->encode(RecordBuf, It->second);
-    It->second = P->mark();
-    putThreadEntry(DeltaBuf, P->threadId(), RecordBuf);
-  }
-  if (!DeltaBuf.empty()) {
-    DeltaBytesSinceCheckpoint += DeltaBuf.size();
-    if (DeltaBytesSinceCheckpoint <
-        std::max(kJournalCheckpointFloorBytes,
-                 kJournalCheckpointRatio * CheckpointBytes)) {
-      appendSegment(SegmentType::Delta, EpochNo, DeltaBuf);
-    } else {
-      // Every profile's full encoding instead. The marks stay where the
-      // loop above left them, at each mark(), and encode() restarts each
-      // change log there too, so the next epoch's deltas follow on.
-      DeltaBuf.clear();
-      for (const ThreadProfile *P : Prof.profiles()) {
-        RecordBuf.clear();
-        P->encode(RecordBuf);
-        putThreadEntry(DeltaBuf, P->threadId(), RecordBuf);
-      }
-      appendSegment(SegmentType::Checkpoint, EpochNo, DeltaBuf);
-      CheckpointBytes = DeltaBuf.size();
-      DeltaBytesSinceCheckpoint = 0;
+  if (Checkpoint) {
+    // Every profile's full encoding instead of the Delta. The marks stay
+    // where the loop above left them, at each mark(), and encode()
+    // restarts each change log there too, so the next epoch's deltas
+    // follow on.
+    DeltaBuf.clear();
+    for (const ThreadProfile *P : Prof.profiles()) {
+      RecordBuf.clear();
+      P->encode(RecordBuf);
+      putThreadEntry(DeltaBuf, P->threadId(), RecordBuf);
     }
+    appendSegment(SegmentType::Checkpoint, EpochNo, DeltaBuf);
+    CheckpointBytes = DeltaBuf.size();
+    DeltaBytesSinceCheckpoint = 0;
+  } else if (!DeltaBuf.empty()) {
+    appendSegment(SegmentType::Delta, EpochNo, DeltaBuf);
   }
   std::string Commit;
   appendU64(Commit, Round);
@@ -312,38 +336,68 @@ bool ProfileJournal::physFlush() {
   if (Pending.empty())
     return true;
   ++WriteOrdinal;
+  std::string Failure;
+  if (!Compacting) {
+    Failure = writePending(Fd);
+  } else {
+    // The new file goes to <path>.tmp whole, then rename() puts it in
+    // place: <path> is the old file, valid to its last Commit, until the
+    // rename, and the new one after it. No fsync, as for the appends:
+    // this survives SIGKILL, not power loss.
+    const std::string Tmp = Path + ".tmp";
+    int TmpFd = ::open(Tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
+    if (TmpFd < 0)
+      Failure = "open error on " + Tmp + ": " + std::strerror(errno);
+    else if ((Failure = writePending(TmpFd)).empty() &&
+             ::rename(Tmp.c_str(), Path.c_str()) != 0)
+      Failure = "rename error on " + Tmp + ": " + std::strerror(errno);
+    if (Failure.empty()) {
+      ::close(Fd);
+      Fd = TmpFd;
+    } else if (TmpFd >= 0) {
+      ::close(TmpFd);
+      ::unlink(Tmp.c_str());
+    }
+    Compacting = false;
+  }
+  if (!Failure.empty()) {
+    degrade(Failure);
+    return false;
+  }
+  Pending.clear();
+  return true;
+}
+
+std::string ProfileJournal::writePending(int To) {
   // JournalShortWrite: the kernel accepted a prefix, then the process
   // "died" — journaling turns off, the torn tail stays on disk, and the
-  // reader's CRC discipline must truncate it away.
+  // reader's CRC discipline must truncate it away. (A torn compaction
+  // tmp is removed instead; <path> stays the old file.)
   if (FaultInjector::shouldFail(FaultSite::JournalShortWrite,
                                 WriteOrdinal)) {
     size_t Cut = posMix(WriteOrdinal ^ 0x57ULL) % Pending.size();
     size_t Done = 0;
     std::string Prefix = Pending.substr(0, Cut);
-    writeFrom(Fd, Prefix, Done);
+    writeFrom(To, Prefix, Done);
     BytesOut += Done;
-    degrade("injected short write (torn tail)");
-    return false;
+    return "injected short write (torn tail)";
   }
   size_t Done = 0;
   for (unsigned Attempt = 0;; ++Attempt) {
     bool Injected = FaultInjector::shouldFail(FaultSite::JournalWriteError,
                                               WriteOrdinal, Attempt);
-    if (!Injected && writeFrom(Fd, Pending, Done))
+    if (!Injected && writeFrom(To, Pending, Done))
       break;
     if (Attempt + 1 >= kMaxWriteAttempts) {
       BytesOut += Done;
-      degrade(Injected ? std::string("injected write error (EIO)")
-                       : std::string("write error: ") +
-                             std::strerror(errno));
-      return false;
+      return Injected ? std::string("injected write error (EIO)")
+                      : std::string("write error: ") + std::strerror(errno);
     }
     // Bounded backoff before the retry; the transient-EIO model.
     std::this_thread::sleep_for(std::chrono::milliseconds(1u << Attempt));
   }
   BytesOut += Pending.size();
-  Pending.clear();
-  return true;
+  return {};
 }
 
 void ProfileJournal::degrade(const std::string &Reason) {

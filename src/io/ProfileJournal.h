@@ -47,11 +47,9 @@
 ///                 profile's full encoding (the delta from
 ///                 ProfileMark{}), in thread-id order: the whole state
 ///                 at its epoch. A reader decodes only the last committed
-///                 Checkpoint and the Deltas after it, so recovery work
-///                 is bounded by the ratio, not by the run's length; the
-///                 ratio caps the extra bytes at about 1/64 of the
-///                 Deltas, and a journal whose Deltas stay under 64 KiB
-///                 has none.
+///                 Checkpoint and the Deltas after it; the ratio caps the
+///                 extra bytes at about 1/64 of the Deltas, and a journal
+///                 whose Deltas stay under 64 KiB has none.
 ///   Commit      — epoch sentinel (u64 executor round): everything up
 ///                 to and including this segment is a consistent
 ///                 snapshot. Recovery state = state at the last valid
@@ -62,6 +60,21 @@
 ///                 reproduces the run's report — degraded banner
 ///                 included — byte for byte.
 ///
+/// Compaction: the writer starts a fresh file with every Checkpoint, so
+/// a file is rooted at its last Checkpoint. The new file is the header,
+/// Meta, one MethodTable holding every method from id 0, the
+/// Checkpoint and its Commit; sequence numbers restart at 1 and epoch
+/// numbers carry on. It is written whole to <path>.tmp and rename()d
+/// over <path>, then appended to as before. So the file holds at most
+/// that prefix plus the Deltas the checkpoint rule allows after it, and
+/// recovery reads tens of KB however long the run. At every moment
+/// <path> is either the old file, valid to its last Commit, or the new
+/// one; a crash between the tmp write and the rename recovers the epoch
+/// before the Checkpoint, and the next open() removes the stale tmp. A
+/// failed tmp open, write or rename removes the tmp and degrades the
+/// journal to off, leaving <path> the old file. Journals whose Deltas
+/// stay under 64 KiB are never rewritten.
+///
 /// Epochs are flushed at executor round barriers (single-threaded
 /// windows, so deltas are race-free and --jobs-invariant), at
 /// GC-finish for serial workloads, and on the VmError unwind path after
@@ -69,12 +82,16 @@
 /// flushed with plain append write()s: everything the kernel accepted
 /// survives SIGKILL, and the CRC + Commit discipline makes the valid
 /// prefix a consistent snapshot no matter where the byte stream tears.
+/// The compaction rename is no stronger: like the appends it is not
+/// fsync()ed, so it survives SIGKILL but not power loss.
 ///
-/// I/O fault sites (FaultInjector, keyed on logical ordinals so plans
-/// stay --jobs-invariant): JournalShortWrite (torn tail, journaling then
-/// off), JournalWriteError (transient EIO, bounded backoff then
-/// journaling off; the run always continues), JournalCorruptByte (bit
-/// flip in a buffered segment, caught by CRC on read-back).
+/// I/O fault sites (FaultInjector, keyed on run-wide logical ordinals
+/// that a compaction does not restart, so plans stay --jobs-invariant):
+/// JournalShortWrite (torn tail, journaling then off),
+/// JournalWriteError (transient EIO, bounded backoff then journaling
+/// off; the run always continues), JournalCorruptByte (bit flip in a
+/// buffered segment, caught by CRC on read-back). The first two also
+/// fire on a compaction's tmp write.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -138,9 +155,9 @@ struct JournalMeta {
 /// the run it is recording.
 class ProfileJournal {
 public:
-  /// Creates/truncates \p Path and writes the file header + Meta
-  /// segment. \returns null (with \p Error set) when the file cannot be
-  /// opened.
+  /// Creates/truncates \p Path, removes a stale <path>.tmp, and writes
+  /// the file header + Meta segment. \returns null (with \p Error set)
+  /// when the file cannot be opened.
   static std::unique_ptr<ProfileJournal>
   open(const std::string &Path, const JournalMeta &Meta,
        std::string *Error = nullptr);
@@ -173,7 +190,9 @@ public:
                    uint64_t SamplesDropped);
 
   uint64_t epochsCommitted() const { return Epoch; }
-  uint64_t segmentsWritten() const { return Seq; }
+  /// Segments and bytes written over the run, each compaction's
+  /// rewritten prefix included: not the file's current size.
+  uint64_t segmentsWritten() const { return Segments; }
   uint64_t bytesWritten() const { return BytesOut; }
 
 private:
@@ -181,22 +200,32 @@ private:
 
   void appendSegment(SegmentType Type, uint64_t EpochNo,
                      const std::string &Payload);
+  /// File header + Meta into the pending buffer; sequence numbers
+  /// restart.
+  void bufferFileStart();
   /// Method table + Delta (or Checkpoint) + Commit into the pending
-  /// buffer (no I/O).
+  /// buffer (no I/O). A Checkpoint makes the buffer a whole new file.
   void bufferEpoch(const DjxPerf &Prof, const MethodRegistry &Methods,
                    uint64_t Round);
   void bufferClose(const VmError *E, uint64_t SamplesHandled,
                    uint64_t SamplesDropped);
-  /// Writes the pending buffer through the fault-injection sites.
-  /// \returns false when the journal degraded to off.
+  /// Writes the pending buffer, appended or (after a Checkpoint) as the
+  /// new file. \returns false when the journal degraded to off.
   bool physFlush();
+  /// Writes the pending buffer to \p To through the fault-injection
+  /// sites. \returns why it failed, or an empty string.
+  std::string writePending(int To);
   void degrade(const std::string &Reason);
 
   int Fd = -1;
   std::string Path;
   std::string Pending;
+  /// Pending holds a whole new file, to go to <path>.tmp and be renamed.
+  bool Compacting = false;
   bool Closed = false;
-  uint64_t Seq = 0;   ///< Last sequence number appended.
+  std::string MetaPayload; ///< Written at the start of every file.
+  uint64_t Seq = 0;   ///< Last sequence number in the current file.
+  uint64_t Segments = 0; ///< Segments appended over the run.
   uint64_t Epoch = 0; ///< Last committed epoch.
   uint64_t BytesOut = 0;
   uint64_t WriteOrdinal = 0; ///< Logical key for write fault draws.

@@ -37,7 +37,9 @@
 //                  (write ordinal, attempt).
 //   JournalCorruptByte — one bit flipped in a buffered journal segment
 //                  after its CRC was computed; recovery must catch it
-//                  on read-back. Keyed on the segment sequence number.
+//                  on read-back. Keyed on the run-wide segment
+//                  ordinal (a compaction restarts the file's sequence
+//                  numbers, not this).
 //
 // The journal keys are logical ordinals (flushes happen at round
 // barriers), so like every other site the injected set is identical

@@ -13,13 +13,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <string>
 #include <sys/wait.h>
+#include <vector>
 
 #include "harness/TestModule.h"
 
@@ -207,6 +210,54 @@ TEST(CliJournal, JournalFileBytesAreJobsInvariant) {
   std::string B1 = slurpBytes(J1);
   EXPECT_FALSE(B1.empty());
   EXPECT_EQ(B1, slurpBytes(J4));
+  std::remove(J1.c_str());
+  std::remove(J4.c_str());
+}
+
+// The segment types of a journal file, in order: a walk over the 32-byte
+// segment headers after the 16-byte file header (type at +4, payload
+// length at +24).
+std::vector<uint32_t> segmentTypes(const std::string &J) {
+  auto U32 = [&](size_t Off) {
+    uint32_t V = 0;
+    for (int I = 3; I >= 0; --I)
+      V = (V << 8) | static_cast<uint8_t>(J[Off + I]);
+    return V;
+  };
+  std::vector<uint32_t> Types;
+  for (size_t Off = 16; Off + 32 <= J.size(); Off += 32 + U32(Off + 24))
+    Types.push_back(U32(Off + 4));
+  return Types;
+}
+
+// parallel4's Deltas cross the 64 KiB checkpoint floor, so each
+// Checkpoint starts a fresh file: the journal left behind holds one
+// Checkpoint (type 6), right after the Meta and the MethodTable, and no
+// <journal>.tmp. It is still --jobs-invariant, and recover still
+// prints the plain run's stdout.
+TEST(CliJournal, CompactedJournalIsJobsInvariantAndRecoversExactly) {
+  std::string J1 = tmpFile("compact1.djxj");
+  std::string J4 = tmpFile("compact4.djxj");
+  auto [PlainExit, Plain] = runStdout("parallel4");
+  auto [E1, O1] = runStdout("--jobs 1 --journal '" + J1 + "' parallel4");
+  auto [E4, O4] = runStdout("--jobs 4 --journal '" + J4 + "' parallel4");
+  ASSERT_EQ(PlainExit, 0) << Plain;
+  ASSERT_EQ(E1, 0) << O1;
+  ASSERT_EQ(E4, 0) << O4;
+  std::string B1 = slurpBytes(J1);
+  EXPECT_EQ(B1, slurpBytes(J4));
+  std::vector<uint32_t> Types = segmentTypes(B1);
+  ASSERT_GE(Types.size(), 4u);
+  EXPECT_EQ(Types[0], 1u); // Meta
+  EXPECT_EQ(Types[1], 2u); // MethodTable
+  EXPECT_EQ(Types[2], 6u); // Checkpoint
+  EXPECT_EQ(Types[3], 4u); // Commit
+  EXPECT_EQ(std::count(Types.begin(), Types.end(), 6u), 1);
+  EXPECT_FALSE(std::ifstream(J1 + ".tmp").good());
+  EXPECT_FALSE(std::ifstream(J4 + ".tmp").good());
+  auto [RecExit, Recovered] = runStdout("recover '" + J1 + "'");
+  ASSERT_EQ(RecExit, 0) << Recovered;
+  EXPECT_EQ(Plain, Recovered);
   std::remove(J1.c_str());
   std::remove(J4.c_str());
 }

@@ -23,11 +23,17 @@
 ///    print DJX_JOURNAL_FUZZ_SEED for replay. CRC-valid but malformed
 ///    Delta payloads stop the scan the same way, whether a sentinel
 ///    applies them or the file ends first; a directory is no journal.
-///  - Checkpoints: a longer shape crosses the checkpoint floor; cuts
-///    around each Checkpoint match a MaxRounds reference, a second
-///    corpus tears inside and just after them, only payloads from the
-///    last committed Checkpoint on are decoded, and the decoded bytes
-///    stay under one bound as rounds double.
+///  - Checkpoints: a longer shape crosses the checkpoint floor twice.
+///    Its files, spliced into the one file a writer that never compacts
+///    would write, put Checkpoints after Deltas: cuts around each match
+///    a MaxRounds reference, a second corpus tears inside and just after
+///    them, only payloads from the last committed Checkpoint on are
+///    decoded, and the decoded bytes stay under one bound as rounds
+///    double.
+///  - Compaction: each Checkpoint starts a fresh file rooted at it; a
+///    crash between the tmp write and the rename recovers the epoch
+///    before; a failed compaction leaves the old file whole; the file
+///    stays under one bound as rounds double.
 ///  - Injected I/O faults: write errors degrade journaling to off
 ///    without touching the run; short writes leave a recoverable torn
 ///    prefix; corrupt bits never survive read-back.
@@ -53,12 +59,16 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <fcntl.h>
 #include <fstream>
+#include <functional>
 #include <initializer_list>
 #include <optional>
 #include <random>
 #include <sstream>
 #include <string>
+#include <sys/stat.h>
+#include <unistd.h>
 #include <vector>
 
 #include "harness/TestModule.h"
@@ -139,7 +149,8 @@ ParallelConfig journalWorkload() {
 }
 
 /// A longer shape: more threads, rounds and small quanta, so its Deltas
-/// cross the checkpoint floor twice (journalWorkload()'s stay below it).
+/// cross the checkpoint floor twice and the writer compacts its file
+/// twice (journalWorkload()'s stay below it).
 ParallelConfig checkpointWorkload() {
   ParallelConfig Pc = journalWorkload();
   Pc.SimThreads = 4;
@@ -173,12 +184,52 @@ std::string encoded(const ThreadProfile &P) {
   return Out;
 }
 
+/// Every byte behind \p Fd, from offset 0.
+std::string readFd(int Fd) {
+  std::string Out;
+  char Buf[1 << 16];
+  ssize_t N;
+  while ((N = ::pread(Fd, Buf, sizeof(Buf), static_cast<off_t>(Out.size()))) >
+         0)
+    Out.append(Buf, static_cast<size_t>(N));
+  return Out;
+}
+
+/// Observers of one journaled run.
+struct JournalHooks {
+  /// Called before each epoch is written, with its epoch number.
+  std::function<void(uint64_t Epoch)> BeforeEpoch;
+  /// Receives every file a compaction replaced, in order, then the
+  /// final file: the run's whole history of journal files.
+  std::vector<std::string> *Files = nullptr;
+};
+
+/// Runs \p Write, one epoch of \p J, under \p Hooks. A file that a
+/// compaction renames over is still readable through a descriptor
+/// opened before it.
+template <typename FnT>
+void writeEpoch(const ProfileJournal &J, const JournalHooks &Hooks,
+                FnT &&Write) {
+  if (Hooks.BeforeEpoch)
+    Hooks.BeforeEpoch(J.epochsCommitted() + 1);
+  int Old = Hooks.Files ? ::open(J.path().c_str(), O_RDONLY) : -1;
+  Write();
+  if (Old < 0)
+    return;
+  struct stat Was, Now;
+  if (::fstat(Old, &Was) == 0 && ::stat(J.path().c_str(), &Now) == 0 &&
+      Was.st_ino != Now.st_ino)
+    Hooks.Files->push_back(readFd(Old));
+  ::close(Old);
+}
+
 /// Runs the journal workload with the CLI's wiring (flush at round
 /// barriers, closeClean at the end) and returns the live-side state the
 /// journal must reproduce. MaxRounds = 0 runs to completion.
 JournaledRun runJournaled(const std::string &Path, unsigned Jobs,
                           uint64_t MaxRounds = 0,
-                          const ParallelConfig &Shape = journalWorkload()) {
+                          const ParallelConfig &Shape = journalWorkload(),
+                          const JournalHooks &Hooks = {}) {
   ParallelConfig Pc = Shape;
   Pc.Jobs = Jobs;
   Pc.MaxRounds = MaxRounds;
@@ -190,7 +241,8 @@ JournaledRun runJournaled(const std::string &Path, unsigned Jobs,
   EXPECT_NE(Journal, nullptr) << Err;
   Pc.OnRoundEnd = [&](uint64_t Round) {
     if (Journal)
-      Journal->flush(Prof, Vm.methods(), Round);
+      writeEpoch(*Journal, Hooks,
+                 [&] { Journal->flush(Prof, Vm.methods(), Round); });
     return false;
   };
   JournaledRun R;
@@ -198,11 +250,14 @@ JournaledRun runJournaled(const std::string &Path, unsigned Jobs,
   R.Rounds = Out.Rounds;
   Prof.stop();
   if (Journal) {
-    Journal->closeClean(Prof, Vm.methods());
+    writeEpoch(*Journal, Hooks,
+               [&] { Journal->closeClean(Prof, Vm.methods()); });
     R.JournalActive = Journal->active();
     R.JournalBytes = Journal->bytesWritten();
     R.Epochs = Journal->epochsCommitted();
   }
+  if (Hooks.Files)
+    Hooks.Files->push_back(slurp(Path));
   MergedProfile P = Prof.analyze();
   R.Report = renderObjectCentric(P, Vm.methods());
   std::string State;
@@ -235,6 +290,29 @@ std::vector<size_t> checkpointsOf(const JournalRecovery &R) {
     if (isType(R.Segments[I], SegmentType::Checkpoint))
       Out.push_back(I);
   return Out;
+}
+
+/// readJournal over \p Bytes.
+JournalRecovery readBytes(const std::string &Bytes) {
+  std::string Path = tempPath("read_bytes.djxj");
+  spit(Path, Bytes);
+  JournalRecovery R = readJournal(Path);
+  std::remove(Path.c_str());
+  return R;
+}
+
+/// Checks that \p R, a file the writer compacted, is rooted at its one
+/// Checkpoint: Meta, a MethodTable from id 0, the Checkpoint, its
+/// Commit, then only later epochs' segments.
+void expectRootedAtOneCheckpoint(const JournalRecovery &R,
+                                 const std::string &Label) {
+  ASSERT_GE(R.Segments.size(), 4u) << Label;
+  EXPECT_TRUE(isType(R.Segments[0], SegmentType::Meta)) << Label;
+  EXPECT_TRUE(isType(R.Segments[1], SegmentType::MethodTable)) << Label;
+  EXPECT_TRUE(isType(R.Segments[2], SegmentType::Checkpoint)) << Label;
+  EXPECT_TRUE(isType(R.Segments[3], SegmentType::Commit)) << Label;
+  EXPECT_EQ(checkpointsOf(R), std::vector<size_t>{2}) << Label;
+  EXPECT_EQ(R.Segments[1].Epoch, R.Segments[2].Epoch) << Label;
 }
 
 // --- Checksum --------------------------------------------------------------
@@ -376,21 +454,29 @@ TEST(JournalRoundTrip, FileBytesAreJobsInvariant) {
   std::string P2 = tempPath("jobs2.djxj");
   std::string P4 = tempPath("jobs4.djxj");
   // The short shape's Deltas stay below the checkpoint floor; the long
-  // one's cross it at least twice.
+  // one's cross it at least twice, so the writer replaces its file at
+  // least twice. Every file of the run is jobs-invariant, the ones the
+  // compactions replaced too.
   for (bool Long : {false, true}) {
     ParallelConfig Shape = Long ? checkpointWorkload() : journalWorkload();
-    runJournaled(P1, 1, 0, Shape);
-    runJournaled(P2, 2, 0, Shape);
-    runJournaled(P4, 4, 0, Shape);
+    std::vector<std::string> F1, F2, F4;
+    runJournaled(P1, 1, 0, Shape, {nullptr, &F1});
+    runJournaled(P2, 2, 0, Shape, {nullptr, &F2});
+    runJournaled(P4, 4, 0, Shape, {nullptr, &F4});
     std::string B1 = slurp(P1);
     EXPECT_FALSE(B1.empty());
     EXPECT_EQ(B1, slurp(P2)) << "long shape: " << Long;
     EXPECT_EQ(B1, slurp(P4)) << "long shape: " << Long;
-    size_t Checkpoints = checkpointsOf(readJournal(P1)).size();
-    if (Long)
-      EXPECT_GE(Checkpoints, 2u);
-    else
-      EXPECT_EQ(Checkpoints, 0u);
+    EXPECT_TRUE(F1 == F2 && F1 == F4) << "long shape: " << Long;
+    JournalRecovery R = readJournal(P1);
+    if (Long) {
+      EXPECT_GE(F1.size(), 3u);
+      expectRootedAtOneCheckpoint(R, "long shape");
+    } else {
+      EXPECT_EQ(F1.size(), 1u);
+      EXPECT_TRUE(checkpointsOf(R).empty());
+    }
+    EXPECT_FALSE(std::ifstream(P1 + ".tmp").good()) << "long shape: " << Long;
   }
   std::remove(P1.c_str());
   std::remove(P2.c_str());
@@ -801,36 +887,242 @@ std::string withPayload(const std::string &Full, const JournalSegmentInfo &S,
   return Out;
 }
 
+/// A full MethodTable payload (ids from 0) cut to the methods from id
+/// \p From on: the delta a file that was never compacted holds.
+std::string methodTableFrom(const std::string &Full, uint32_t From) {
+  auto U32 = [&](size_t Off) {
+    uint32_t V = 0;
+    for (int I = 3; I >= 0; --I)
+      V = (V << 8) | static_cast<uint8_t>(Full[Off + I]);
+    return V;
+  };
+  size_t Off = 8;
+  for (uint32_t I = 0; I < From; ++I)
+    Off += 12 + U32(Off) + U32(Off + 4) + 8 * size_t{U32(Off + 8)};
+  std::string P;
+  appendU32(P, From);
+  appendU32(P, U32(4) - From);
+  P += Full.substr(Off);
+  return P;
+}
+
+/// The one file a writer that never compacts would have written, spliced
+/// from \p Files (every file of a run, oldest first): the first file,
+/// then each later one from its Checkpoint epoch on, renumbered, with its
+/// MethodTable cut to the methods new at that epoch. Its Checkpoints
+/// follow Deltas, the reader paths a compacted file never reaches.
+std::string uncompacted(const std::vector<std::string> &Files) {
+  std::string Out = Files.front();
+  const JournalRecovery First = readBytes(Out);
+  uint64_t Seq = First.Segments.back().Seq;
+  uint32_t Methods = static_cast<uint32_t>(First.Methods.size());
+  for (size_t F = 1; F < Files.size(); ++F) {
+    const JournalRecovery R = readBytes(Files[F]);
+    for (const JournalSegmentInfo &S : R.Segments) {
+      if (isType(S, SegmentType::Meta))
+        continue;
+      std::string Payload =
+          Files[F].substr(S.Offset + kJournalSegmentHeaderBytes,
+                          S.Length - kJournalSegmentHeaderBytes);
+      if (isType(S, SegmentType::MethodTable) && S.Seq == 2) {
+        Payload = methodTableFrom(Payload, Methods);
+        if (Payload.size() == 8) // No method is new at this epoch.
+          continue;
+      }
+      appendSegment(Out, static_cast<SegmentType>(S.Type), ++Seq, S.Epoch,
+                    Payload);
+    }
+    Methods = static_cast<uint32_t>(R.Methods.size());
+  }
+  return Out;
+}
+
+/// One checkpointWorkload() run with its whole file history.
+struct CompactedRun {
+  JournaledRun Live;
+  std::vector<std::string> Files; ///< Oldest first; the last is on disk.
+  std::string Uncompacted;        ///< uncompacted(Files).
+};
+
+CompactedRun runCompacted(const std::string &Path, uint64_t MaxRounds = 0) {
+  CompactedRun C;
+  C.Live = runJournaled(Path, 2, MaxRounds, checkpointWorkload(),
+                        {nullptr, &C.Files});
+  C.Uncompacted = uncompacted(C.Files);
+  return C;
+}
+
+/// Checks that \p R recovers what a run stopped at its last round does.
+void expectMatchesMaxRoundsReference(const std::string &Label,
+                                     const JournalRecovery &R) {
+  std::string RefPath = tempPath("ckpt_ref.djxj");
+  JournaledRun Ref =
+      runJournaled(RefPath, 2, R.LastRound, checkpointWorkload());
+  std::remove(RefPath.c_str());
+  EXPECT_EQ(Ref.Rounds, R.LastRound) << Label;
+  EXPECT_EQ(recoveredReport(R), Ref.Report) << Label;
+  ASSERT_EQ(R.Profiles.size(), Ref.ProfileBytes.size()) << Label;
+  for (size_t I = 0; I < R.Profiles.size(); ++I)
+    EXPECT_EQ(encoded(R.Profiles[I]), Ref.ProfileBytes[I])
+        << Label << ", thread " << I;
+}
+
+TEST(JournalCompaction, EachCheckpointStartsAFreshFile) {
+  std::string Path = tempPath("compact.djxj");
+  const CompactedRun C = runCompacted(Path);
+  ASSERT_GE(C.Files.size(), 3u);
+  // A clean run leaves no tmp.
+  EXPECT_FALSE(std::ifstream(Path + ".tmp").good());
+  EXPECT_TRUE(checkpointsOf(readBytes(C.Files.front())).empty());
+  uint64_t Written = 0;
+  for (size_t F = 0; F < C.Files.size(); ++F) {
+    const std::string Label = "file " + std::to_string(F);
+    const JournalRecovery R = readBytes(C.Files[F]);
+    Written += C.Files[F].size();
+    EXPECT_TRUE(R.TruncationReason.empty()) << Label;
+    EXPECT_EQ(R.SegmentsUncommitted, 0u) << Label;
+    EXPECT_EQ(R.Closed, F + 1 == C.Files.size()) << Label;
+    if (F == 0)
+      continue;
+    // Sequence numbers restart (the scan checks them from 1), the method
+    // table restarts at id 0, and epochs carry on from the file before.
+    expectRootedAtOneCheckpoint(R, Label);
+    EXPECT_EQ(R.Segments[2].Epoch, readBytes(C.Files[F - 1]).LastEpoch + 1)
+        << Label;
+  }
+  // bytesWritten() counts every file's bytes, each rewritten prefix too.
+  EXPECT_EQ(C.Live.JournalBytes, Written);
+
+  // The file on disk and the uncompacted one both recover the run.
+  const JournalRecovery Final = readJournal(Path);
+  const JournalRecovery Whole = readBytes(C.Uncompacted);
+  EXPECT_EQ(checkpointsOf(Whole).size(), C.Files.size() - 1);
+  EXPECT_EQ(Whole.LastEpoch, Final.LastEpoch);
+  for (const JournalRecovery *R : {&Final, &Whole}) {
+    ASSERT_EQ(R->Profiles.size(), C.Live.ProfileBytes.size());
+    for (size_t I = 0; I < R->Profiles.size(); ++I)
+      EXPECT_EQ(encoded(R->Profiles[I]), C.Live.ProfileBytes[I]);
+    EXPECT_EQ(recoveredReport(*R), C.Live.Report);
+  }
+  std::remove(Path.c_str());
+}
+
+TEST(JournalCompaction, CrashBetweenTmpWriteAndRenameRecoversTheEpochBefore) {
+  std::string Path = tempPath("compact_crash.djxj");
+  const std::string Tmp = Path + ".tmp";
+  const CompactedRun C = runCompacted(Path);
+  ASSERT_GE(C.Files.size(), 3u);
+  for (size_t F = 1; F < C.Files.size(); ++F) {
+    // Killed after the new file reached <path>.tmp, before the rename:
+    // <path> is still the file before the compaction.
+    const JournalRecovery New = readBytes(C.Files[F]);
+    const JournalSegmentInfo &Commit = New.Segments[3];
+    spit(Path, C.Files[F - 1]);
+    spit(Tmp, C.Files[F].substr(0, Commit.Offset + Commit.Length));
+    const std::string Label = "compaction at epoch " +
+                              std::to_string(Commit.Epoch);
+    JournalRecovery R = readJournal(Path);
+    EXPECT_EQ(R.LastEpoch, Commit.Epoch - 1) << Label;
+    EXPECT_TRUE(R.TruncationReason.empty()) << Label;
+    EXPECT_FALSE(R.Closed) << Label;
+    expectMatchesMaxRoundsReference(Label, R);
+    // The next run on that path removes the stale tmp.
+    EXPECT_NE(ProfileJournal::open(Path, testMeta()), nullptr) << Label;
+    EXPECT_FALSE(std::ifstream(Tmp).good()) << Label;
+  }
+  std::remove(Path.c_str());
+}
+
+TEST(JournalCompaction, FailedCompactionLeavesThePreviousFile) {
+  InjectorGuard Guard;
+  std::string Path = tempPath("compact_fail.djxj");
+  const std::string Tmp = Path + ".tmp";
+  const CompactedRun C = runCompacted(Path);
+  // The epoch of the first compaction, and its write ordinal: open()'s
+  // write is the first, and every epoch is one more.
+  const uint64_t Epoch = readBytes(C.Files[1]).Segments[2].Epoch;
+  const uint64_t Write = Epoch + 1;
+
+  auto RunWith = [&](const FaultPlan &Plan, uint64_t *Fired) {
+    JournalHooks Hooks;
+    Hooks.BeforeEpoch = [&](uint64_t E) {
+      if (E == Epoch + 1 && Fired)
+        *Fired = FaultInjector::firedCount(FaultSite::JournalWriteError);
+      if (E == Epoch)
+        FaultInjector::install(Plan);
+      else
+        FaultInjector::clear();
+    };
+    JournaledRun Run =
+        runJournaled(Path, 2, 0, checkpointWorkload(), Hooks);
+    FaultInjector::clear();
+    // Journaling is an observer: the run's own results never change.
+    EXPECT_EQ(Run.Report, C.Live.Report);
+    return Run;
+  };
+  // The compaction's tmp write fails: the journal turns off, removes the
+  // tmp and leaves <path> the file before the compaction, whole.
+  auto ExpectPreviousFileKept = [&](const std::string &Label,
+                                    const JournaledRun &Run) {
+    EXPECT_FALSE(Run.JournalActive) << Label;
+    EXPECT_EQ(slurp(Path), C.Files[0]) << Label;
+    EXPECT_EQ(readJournal(Path).LastEpoch, Epoch - 1) << Label;
+  };
+  FaultPlan Short;
+  Short.rate(FaultSite::JournalShortWrite) = 1.0;
+  ExpectPreviousFileKept("short write", RunWith(Short, nullptr));
+  EXPECT_FALSE(std::ifstream(Tmp).good());
+  FaultPlan Error;
+  Error.rate(FaultSite::JournalWriteError) = 1.0;
+  ExpectPreviousFileKept("write error", RunWith(Error, nullptr));
+  EXPECT_FALSE(std::ifstream(Tmp).good());
+  // A directory in the tmp's place: open() cannot remove it, and the
+  // compaction cannot open it.
+  ASSERT_EQ(::mkdir(Tmp.c_str(), 0755), 0);
+  ExpectPreviousFileKept("tmp unopenable", RunWith(FaultPlan{}, nullptr));
+  ASSERT_EQ(::rmdir(Tmp.c_str()), 0);
+
+  // A transient error on the tmp write is retried like an append's: the
+  // run's files are those of the clean run.
+  FaultPlan Transient;
+  Transient.rate(FaultSite::JournalWriteError) = 0.5;
+  for (Transient.Seed = 1;; ++Transient.Seed) {
+    FaultInjector::install(Transient);
+    bool First = FaultInjector::shouldFail(FaultSite::JournalWriteError,
+                                           Write, 0);
+    bool Second = FaultInjector::shouldFail(FaultSite::JournalWriteError,
+                                            Write, 1);
+    FaultInjector::clear();
+    if (First && !Second)
+      break;
+  }
+  uint64_t Fired = 0;
+  JournaledRun Run = RunWith(Transient, &Fired);
+  EXPECT_EQ(Fired, 1u);
+  EXPECT_TRUE(Run.JournalActive);
+  EXPECT_EQ(slurp(Path), C.Files.back());
+  EXPECT_FALSE(std::ifstream(Tmp).good());
+  std::remove(Path.c_str());
+}
+
 TEST(JournalCheckpoint, CutsAroundACheckpointMatchMaxRoundsReference) {
   std::string Path = tempPath("ckpt_full.djxj");
-  JournaledRun Live = runJournaled(Path, 2, 0, checkpointWorkload());
-  std::string Full = slurp(Path);
-  JournalRecovery Whole = readJournal(Path);
+  const CompactedRun C = runCompacted(Path);
+  // The reader's side: Checkpoints after Deltas, in the file a writer
+  // that never compacts would have written.
+  const std::string Full = C.Uncompacted;
+  JournalRecovery Whole = readBytes(Full);
   ASSERT_TRUE(Whole.Closed);
   const std::vector<size_t> Checkpoints = checkpointsOf(Whole);
   ASSERT_GE(Checkpoints.size(), 2u);
   // Decoded from its last Checkpoint on, the whole journal is the run.
-  ASSERT_EQ(Whole.Profiles.size(), Live.ProfileBytes.size());
+  ASSERT_EQ(Whole.Profiles.size(), C.Live.ProfileBytes.size());
   for (size_t I = 0; I < Whole.Profiles.size(); ++I)
-    EXPECT_EQ(encoded(Whole.Profiles[I]), Live.ProfileBytes[I]);
-  EXPECT_EQ(recoveredReport(Whole), Live.Report);
+    EXPECT_EQ(encoded(Whole.Profiles[I]), C.Live.ProfileBytes[I]);
+  EXPECT_EQ(recoveredReport(Whole), C.Live.Report);
 
-  std::string CutPath = tempPath("ckpt_cut.djxj");
-  std::string RefPath = tempPath("ckpt_ref.djxj");
-  auto ExpectMatchesReference = [&](const std::string &Label,
-                                    const JournalRecovery &R) {
-    JournaledRun Ref =
-        runJournaled(RefPath, 2, R.LastRound, checkpointWorkload());
-    EXPECT_EQ(Ref.Rounds, R.LastRound) << Label;
-    EXPECT_EQ(recoveredReport(R), Ref.Report) << Label;
-    ASSERT_EQ(R.Profiles.size(), Ref.ProfileBytes.size()) << Label;
-    for (size_t I = 0; I < R.Profiles.size(); ++I)
-      EXPECT_EQ(encoded(R.Profiles[I]), Ref.ProfileBytes[I])
-          << Label << ", thread " << I;
-  };
-  auto Cut = [&](size_t End) {
-    spit(CutPath, Full.substr(0, End));
-    return readJournal(CutPath);
+  auto Cut = [](const std::string &Bytes, size_t End) {
+    return readBytes(Bytes.substr(0, End));
   };
   for (size_t Index : Checkpoints) {
     const JournalSegmentInfo &Ck = Whole.Segments[Index];
@@ -842,46 +1134,72 @@ TEST(JournalCheckpoint, CutsAroundACheckpointMatchMaxRoundsReference) {
                            std::to_string(Ck.Epoch);
 
     // The Commit just before the Checkpoint.
-    JournalRecovery R = Cut(Before.Offset + Before.Length);
+    JournalRecovery R = Cut(Full, Before.Offset + Before.Length);
     EXPECT_EQ(R.LastEpoch, Ck.Epoch - 1);
     EXPECT_TRUE(R.TruncationReason.empty());
-    ExpectMatchesReference("commit before" + At, R);
+    expectMatchesMaxRoundsReference("commit before" + At, R);
     const std::string BeforeReport = recoveredReport(R);
 
     // Inside the Checkpoint, and right after it: still the state before.
-    R = Cut(Ck.Offset + Ck.Length / 2);
+    R = Cut(Full, Ck.Offset + Ck.Length / 2);
     EXPECT_EQ(R.LastEpoch, Ck.Epoch - 1);
     EXPECT_EQ(R.TruncationReason, "segment length out of bounds");
     EXPECT_EQ(recoveredReport(R), BeforeReport) << "inside" << At;
-    R = Cut(Ck.Offset + Ck.Length);
+    R = Cut(Full, Ck.Offset + Ck.Length);
     EXPECT_EQ(R.LastEpoch, Ck.Epoch - 1);
     EXPECT_EQ(R.SegmentsUncommitted, 1u);
     EXPECT_TRUE(R.TruncationReason.empty());
     EXPECT_EQ(recoveredReport(R), BeforeReport) << "after" << At;
 
     // Its own Commit: the Checkpoint alone is the state.
-    R = Cut(Commit.Offset + Commit.Length);
+    R = Cut(Full, Commit.Offset + Commit.Length);
     EXPECT_EQ(R.LastEpoch, Ck.Epoch);
     EXPECT_EQ(R.DecodedBytes, Ck.Length - kJournalSegmentHeaderBytes);
-    ExpectMatchesReference("own commit" + At, R);
+    expectMatchesMaxRoundsReference("own commit" + At, R);
   }
+
+  // The writer's side: the compacted file starts at its Checkpoint, so a
+  // cut before the Checkpoint's Commit recovers nothing, and the Commit
+  // recovers the Checkpoint alone. (The file before the compaction
+  // stays in place until the new one is whole; see JournalCompaction.)
+  const std::string Final = C.Files.back();
+  const JournalRecovery Compacted = readBytes(Final);
+  expectRootedAtOneCheckpoint(Compacted, "compacted file");
+  const JournalSegmentInfo &Table = Compacted.Segments[1];
+  const JournalSegmentInfo &Ck = Compacted.Segments[2];
+  const JournalSegmentInfo &Commit = Compacted.Segments[3];
+  for (size_t End : {Table.Offset + Table.Length, Ck.Offset + Ck.Length / 2,
+                     Ck.Offset + Ck.Length}) {
+    JournalRecovery R = Cut(Final, End);
+    EXPECT_EQ(R.LastEpoch, 0u) << End;
+    EXPECT_TRUE(R.Profiles.empty()) << End;
+    EXPECT_TRUE(R.Methods.empty()) << End;
+  }
+  JournalRecovery R = Cut(Final, Commit.Offset + Commit.Length);
+  EXPECT_EQ(R.LastEpoch, Ck.Epoch);
+  EXPECT_EQ(R.DecodedBytes, Ck.Length - kJournalSegmentHeaderBytes);
+  expectMatchesMaxRoundsReference("own commit of the compacted file", R);
   std::remove(Path.c_str());
-  std::remove(CutPath.c_str());
-  std::remove(RefPath.c_str());
 }
 
 TEST(JournalCheckpoint, FuzzSalvagesExactlyTheValidPrefix) {
+  // The uncompacted file's Checkpoints follow Deltas; the compacted one
+  // starts at its Checkpoint.
   std::string Path = tempPath("ckpt_fuzz.djxj");
-  runJournaled(Path, 2, 0, checkpointWorkload());
+  const CompactedRun C = runCompacted(Path);
+  spit(Path, C.Uncompacted);
+  fuzzSalvage(Path, kFuzzCases, 5);
+  spit(Path, C.Files.back());
   fuzzSalvage(Path, kFuzzCases, 5);
   std::remove(Path.c_str());
 }
 
 TEST(JournalCheckpoint, OnlyPayloadsFromTheLastCheckpointOnAreDecoded) {
+  // A compacted file has one Checkpoint and nothing before it, so the
+  // contract is pinned on the file a writer that never compacts writes.
   std::string Path = tempPath("ckpt_contract.djxj");
-  runJournaled(Path, 2, 0, checkpointWorkload());
-  const std::string Full = slurp(Path);
-  const JournalRecovery Whole = readJournal(Path);
+  const std::string Full = runCompacted(Path).Uncompacted;
+  const JournalRecovery Whole = readBytes(Full);
   ASSERT_TRUE(Whole.Closed);
   const std::vector<size_t> Checkpoints = checkpointsOf(Whole);
   ASSERT_GE(Checkpoints.size(), 2u);
@@ -980,26 +1298,29 @@ TEST(JournalCheckpoint, DecodedBytesStayFlatAsRoundsDouble) {
   // Recovery decodes the last Checkpoint and the Deltas after it, which
   // the writer keeps under the floor while 64 x a Checkpoint is below
   // it. So one bound, the floor plus a Checkpoint of the final state,
-  // holds for N and 2N rounds alike.
+  // holds for N and 2N rounds alike, in the compacted file and in the
+  // file a writer that never compacts would have written.
   std::string Path = tempPath("ckpt_decoded.djxj");
-  JournaledRun Long = runJournaled(Path, 2, 0, checkpointWorkload());
-  JournalRecovery R2 = readJournal(Path);
-  JournaledRun Short =
-      runJournaled(Path, 2, Long.Rounds / 2, checkpointWorkload());
-  JournalRecovery R1 = readJournal(Path);
-  ASSERT_TRUE(R1.Closed && R2.Closed);
-  ASSERT_LT(kJournalCheckpointRatio * Long.StateBytes,
+  const CompactedRun Long = runCompacted(Path);
+  const CompactedRun Short = runCompacted(Path, Long.Live.Rounds / 2);
+  ASSERT_LT(kJournalCheckpointRatio * Long.Live.StateBytes,
             kJournalCheckpointFloorBytes);
-  const uint64_t Bound = kJournalCheckpointFloorBytes + Long.StateBytes;
+  const uint64_t Bound = kJournalCheckpointFloorBytes + Long.Live.StateBytes;
 
+  const JournalRecovery Uncompacted = readBytes(Long.Uncompacted);
   uint64_t Payloads = 0;
-  for (const JournalSegmentInfo &S : R2.Segments)
+  for (const JournalSegmentInfo &S : Uncompacted.Segments)
     if (isType(S, SegmentType::Delta) || isType(S, SegmentType::Checkpoint))
       Payloads += S.Length - kJournalSegmentHeaderBytes;
   EXPECT_GT(Payloads, 2 * Bound); // Decoding them all would not fit.
-  EXPECT_GT(Long.Epochs, Short.Epochs);
-  EXPECT_LT(R1.DecodedBytes, Bound);
-  EXPECT_LT(R2.DecodedBytes, Bound);
+  EXPECT_GT(Long.Live.Epochs, Short.Live.Epochs);
+  for (const CompactedRun *C : {&Short, &Long}) {
+    for (const JournalRecovery &R :
+         {readBytes(C->Files.back()), readBytes(C->Uncompacted)}) {
+      ASSERT_TRUE(R.Closed);
+      EXPECT_LT(R.DecodedBytes, Bound) << "rounds " << C->Live.Rounds;
+    }
+  }
   std::remove(Path.c_str());
 }
 
@@ -1020,6 +1341,41 @@ TEST(JournalSize, BytesPerEpochDoNotGrowWithRounds) {
   double HalfPerEpoch =
       static_cast<double>(Half.JournalBytes) / static_cast<double>(Half.Epochs);
   EXPECT_LE(FullPerEpoch, HalfPerEpoch);
+  std::remove(Path.c_str());
+}
+
+TEST(JournalSize, FileBytesStayBoundedAsRoundsDouble) {
+  // Each Checkpoint starts a fresh file, and the checkpoint rule keeps
+  // the Deltas after it under the floor. So the file after N and after 2N
+  // rounds holds at most its header, Meta, the full method table and the
+  // sentinels, a segment header per Delta or Checkpoint, the floor's
+  // worth of Deltas and one Checkpoint of the final state, while the
+  // bytes written keep growing with the rounds.
+  std::string Path = tempPath("size_bound.djxj");
+  JournaledRun Long = runJournaled(Path, 2, 0, checkpointWorkload());
+  const JournalRecovery R2 = readJournal(Path);
+  const uint64_t File2 = slurp(Path).size();
+  JournaledRun Short =
+      runJournaled(Path, 2, Long.Rounds / 2, checkpointWorkload());
+  const JournalRecovery R1 = readJournal(Path);
+  const uint64_t File1 = slurp(Path).size();
+  ASSERT_TRUE(R1.Closed && R2.Closed);
+  ASSERT_LT(kJournalCheckpointRatio * Long.StateBytes,
+            kJournalCheckpointFloorBytes);
+  auto Bound = [](const JournalRecovery &R, uint64_t StateBytes) {
+    uint64_t B = kJournalFileHeaderBytes + kJournalCheckpointFloorBytes +
+                 StateBytes;
+    for (const JournalSegmentInfo &S : R.Segments)
+      B += isType(S, SegmentType::Delta) || isType(S, SegmentType::Checkpoint)
+               ? kJournalSegmentHeaderBytes
+               : S.Length;
+    return B;
+  };
+  EXPECT_EQ(Short.Rounds, Long.Rounds / 2);
+  EXPECT_EQ(checkpointsOf(R2).size(), 1u);
+  EXPECT_LE(File1, Bound(R1, Short.StateBytes));
+  EXPECT_LE(File2, Bound(R2, Long.StateBytes));
+  EXPECT_GT(Long.JournalBytes, 2 * Bound(R2, Long.StateBytes));
   std::remove(Path.c_str());
 }
 
@@ -1085,6 +1441,31 @@ TEST(JournalFaults, CorruptBitsNeverSurviveReadBack) {
   EXPECT_EQ(R.LastEpoch, 0u);
   EXPECT_FALSE(R.HasMeta);
   EXPECT_EQ(R.TruncationReason, "segment checksum mismatch");
+  std::remove(Path.c_str());
+}
+
+TEST(JournalFaults, PlansStayJobsInvariantAcrossCompactions) {
+  // Fault draws are keyed on run-wide ordinals, which a compaction does
+  // not restart, so one plan corrupts and retries the same segments and
+  // writes at every --jobs value, in every file of the run.
+  InjectorGuard Guard;
+  FaultPlan Plan;
+  Plan.Seed = 0x5eed;
+  Plan.rate(FaultSite::JournalCorruptByte) = 0.002;
+  Plan.rate(FaultSite::JournalWriteError) = 0.02;
+  std::string Path = tempPath("faults_jobs.djxj");
+  std::vector<std::string> Files[2];
+  for (unsigned I = 0; I < 2; ++I) {
+    FaultInjector::install(Plan);
+    JournaledRun Run = runJournaled(Path, I == 0 ? 1 : 4, 0,
+                                    checkpointWorkload(), {nullptr, &Files[I]});
+    EXPECT_TRUE(Run.JournalActive);
+    EXPECT_GE(FaultInjector::firedCount(FaultSite::JournalCorruptByte), 1u);
+    EXPECT_GE(FaultInjector::firedCount(FaultSite::JournalWriteError), 1u);
+    FaultInjector::clear();
+  }
+  EXPECT_GE(Files[0].size(), 3u);
+  EXPECT_TRUE(Files[0] == Files[1]);
   std::remove(Path.c_str());
 }
 

@@ -17,6 +17,15 @@ A second campaign re-runs the matrix under injected journal I/O faults
 still succeed, and recover must never crash and never read past a bad
 checksum.
 
+The writer compacts a journal whose deltas cross the 64 KiB checkpoint
+floor: each Checkpoint starts a fresh file, written to <journal>.tmp
+and renamed over <journal>. The calibrate step checks that the complete
+journal starts with its Checkpoint, so the workload must be one whose
+journal crosses the floor (parallel2/4/8 do; figure1 does not), and
+that no .tmp is left behind. Each kill point says whether the file it
+recovered had been compacted (a kill between the tmp write and the
+rename leaves the old file, and the .tmp, in place).
+
 Usage: crash_matrix.py --djxperf PATH [--workload parallel4] [--jobs 2]
                        [--points 6] [--seed N]
 """
@@ -32,6 +41,8 @@ import time
 
 REPORT_MARKER = "=== DJXPerf object-centric profile ==="
 FAILURES = []
+# Segment types (src/io/ProfileJournal.h).
+META, METHOD_TABLE, COMMIT, CHECKPOINT = 1, 2, 4, 6
 
 
 def fail(label, message):
@@ -60,6 +71,28 @@ def recover(djxperf, journal):
     return run([djxperf, "recover", journal])
 
 
+def segment_types(journal):
+    """The journal's segment types in file order, from a walk over the
+    32-byte segment headers after the 16-byte file header (type at +4,
+    payload length at +24). A torn tail ends the walk."""
+    try:
+        with open(journal, "rb") as f:
+            data = f.read()
+    except OSError:
+        return []
+    types, off = [], 16
+    while off + 32 <= len(data):
+        types.append(int.from_bytes(data[off + 4:off + 8], "little"))
+        off += 32 + int.from_bytes(data[off + 24:off + 28], "little")
+    return types
+
+
+def compacted(journal):
+    """True when the file was written by a compaction: it starts with
+    Meta, MethodTable, Checkpoint."""
+    return segment_types(journal)[:3] == [META, METHOD_TABLE, CHECKPOINT]
+
+
 def parse_last_round(stderr):
     m = re.search(r"last durable epoch \d+ \(round (\d+)\)", stderr)
     if m:
@@ -85,6 +118,8 @@ def kill_campaign(djxperf, workload, jobs, points, base_duration):
             if killed:
                 proc.send_signal(signal.SIGKILL)
             proc.wait()
+            state = (f"compacted={compacted(journal)}, "
+                     f"tmp={os.path.exists(journal + '.tmp')}")
 
             rc, out, err = recover(djxperf, journal)
             if rc != 0:
@@ -109,7 +144,8 @@ def kill_campaign(djxperf, workload, jobs, points, base_duration):
                 # Nothing durable yet, or the journal closed cleanly —
                 # no reference point to compare against.
                 ok(label, f"recovered (round {last_round}, "
-                          f"killed={killed}); no torn-prefix comparison")
+                          f"killed={killed}, {state}); no torn-prefix "
+                          f"comparison")
                 continue
 
             ref_rc, ref_out, _ = run(
@@ -124,7 +160,7 @@ def kill_campaign(djxperf, workload, jobs, points, base_duration):
                             f"{last_round} reference")
                 continue
             ok(label, f"salvaged report == --max-rounds {last_round} "
-                      f"reference")
+                      f"reference ({state})")
 
 
 def fault_campaign(djxperf, workload, jobs, seed):
@@ -185,6 +221,18 @@ def main():
                               "reproduce the run's stdout")
         else:
             ok("calibrate", f"clean round trip in {duration:.2f}s")
+        types = segment_types(journal)
+        if types[:4] != [META, METHOD_TABLE, CHECKPOINT, COMMIT] or \
+                types.count(CHECKPOINT) != 1:
+            fail("calibrate", "complete journal does not start with its "
+                              f"one Checkpoint (segment types {types[:4]})")
+        else:
+            ok("calibrate", "complete journal starts with its Checkpoint "
+                            "(compacted)")
+        if os.path.exists(journal + ".tmp"):
+            fail("calibrate", "clean run left " + journal + ".tmp behind")
+        else:
+            ok("calibrate", "no .tmp left behind")
 
     kill_campaign(args.djxperf, args.workload, args.jobs, args.points,
                   duration)
