@@ -239,7 +239,9 @@ double recoverVsCrc(const std::string &Path, int Samples, int PerSample) {
 /// simulated work, so journal_vs_plain isolates the journal's cost.
 /// \p BytesPerEpoch receives the journal's bytes per committed epoch,
 /// which depends only on the simulated run, not on the host, and
-/// \p RecoverVsCrc the last repetition's recoverVsCrc.
+/// \p RecoverVsCrc the last repetition's recoverVsCrc on its journal as
+/// a crash leaves it, before closeClean() replaces every Delta since the
+/// last Checkpoint with the final Checkpoint alone.
 PhaseResult mtPhase(int Reps, int64_t Iters, bool Journal,
                     double *BytesPerEpoch = nullptr,
                     double *RecoverVsCrc = nullptr) {
@@ -271,6 +273,8 @@ PhaseResult mtPhase(int Reps, int64_t Iters, bool Journal,
     double Seconds = secondsSince(Start);
     Prof.stop();
     if (J) {
+      if (RecoverVsCrc && R + 1 == Reps)
+        *RecoverVsCrc = recoverVsCrc(Path, 31, 32);
       J->closeClean(Prof, Vm.methods());
       if (BytesPerEpoch && J->epochsCommitted() > 0)
         *BytesPerEpoch = static_cast<double>(J->bytesWritten()) /
@@ -280,8 +284,6 @@ PhaseResult mtPhase(int Reps, int64_t Iters, bool Journal,
     Best.Dropped += Prof.samplesDropped();
     keepBest(Best, Run.Steps, Seconds);
   }
-  if (Journal && RecoverVsCrc)
-    *RecoverVsCrc = recoverVsCrc(Path, 31, 32);
   std::remove(Path.c_str());
   return Best;
 }

@@ -149,26 +149,42 @@ enum RecordTag : uint8_t {
   TagCpuNode = 6,
   TagCode = 7,
   TagTotals = 8,
+  TagKnownThread = 9,
+  TagKnownGroup = 10,
 };
 
+/// A mask of the kinds with a nonzero count, then those counts.
 void putMetrics(std::string &Out, const MetricCounts &M) {
+  uint64_t Mask = 0;
+  for (size_t K = 0; K < kNumPerfEventKinds; ++K)
+    if (M.Counts[K] != 0)
+      Mask |= uint64_t{1} << K;
+  putVarint(Out, Mask);
   for (uint64_t C : M.Counts)
-    putVarint(Out, C);
+    if (C != 0)
+      putVarint(Out, C);
 }
 
+/// Reads what putMetrics writes, and only that: no kind past the last,
+/// no zero count. Unlisted kinds read as zero.
 bool readMetrics(VarintReader &R, MetricCounts &M) {
-  for (uint64_t &C : M.Counts)
-    if (!R.u64(C))
+  uint64_t Mask;
+  if (!R.u64(Mask) || Mask >> kNumPerfEventKinds != 0)
+    return false;
+  M = MetricCounts();
+  for (size_t K = 0; K < kNumPerfEventKinds; ++K)
+    if ((Mask >> K & 1) != 0 && (!R.u64(M.Counts[K]) || M.Counts[K] == 0))
       return false;
   return true;
 }
 
 void putGroup(std::string &Out, const AllocKey &Key,
-              const ObjectGroupStats &G) {
-  putVarint(Out, TagGroup);
+              const ObjectGroupStats &G, bool Named) {
+  putVarint(Out, Named ? TagGroup : TagKnownGroup);
   putVarint(Out, Key.AllocThread);
   putVarint(Out, Key.AllocNode);
-  putBytes(Out, G.TypeName);
+  if (Named)
+    putBytes(Out, G.TypeName);
   putVarint(Out, G.AllocCount);
   putVarint(Out, G.AllocBytes);
   putVarint(Out, G.RemoteSamples);
@@ -200,9 +216,14 @@ template <typename T> void sortUnique(std::vector<T> &V) {
 } // namespace
 
 void ThreadProfile::encode(std::string &Out, const ProfileMark &Since) const {
-  putVarint(Out, TagThread);
+  // Past the empty mark the reader holds the thread, and every group
+  // that existed at the mark.
+  const bool Full = Since.Version == 0;
+  const bool NameGroups = Full || Groups.size() != Since.Groups;
+  putVarint(Out, Full ? TagThread : TagKnownThread);
   putVarint(Out, ThreadId);
-  putBytes(Out, ThreadName);
+  if (Full)
+    putBytes(Out, ThreadName);
 
   // The CCT only grows, so its delta is the id range appended since.
   size_t First = std::max<size_t>(Since.CctNodes, 1);
@@ -251,7 +272,7 @@ void ThreadProfile::encode(std::string &Out, const ProfileMark &Since) const {
     auto C = Cpus.begin();
     for (const AllocKey &Key : Keys) {
       const ObjectGroupStats &G = Groups.at(Key);
-      putGroup(Out, Key, G);
+      putGroup(Out, Key, G, NameGroups);
       for (; A != Accesses.end() && A->first == Key; ++A)
         putNodeMetrics(Out, TagAccess, A->second,
                        G.AccessBreakdown.at(A->second));
@@ -266,7 +287,7 @@ void ThreadProfile::encode(std::string &Out, const ProfileMark &Since) const {
       putNodeMetrics(Out, TagCode, Node, CodeCentric.at(Node));
   } else {
     for (const auto &[Key, G] : Groups) {
-      putGroup(Out, Key, G);
+      putGroup(Out, Key, G, NameGroups);
       for (const auto &[Node, M] : G.AccessBreakdown)
         putNodeMetrics(Out, TagAccess, Node, M);
       for (const auto &[Node, Count] : G.HomeNodeSamples)
@@ -296,10 +317,12 @@ bool ThreadProfile::decodeInto(std::string_view Delta,
   VarintReader R(Delta);
   uint64_t Tag, Tid;
   std::string_view Name;
-  if (!R.u64(Tag) || Tag != TagThread || !R.u64(Tid) || !R.bytes(Name) ||
-      Tid != ThreadId)
+  // Only a profile past the empty mark holds its thread.
+  if (!R.u64(Tag) ||
+      (Tag != TagThread && (Tag != TagKnownThread || Version == 0)) ||
+      !R.u64(Tid) || (Tag == TagThread && !R.bytes(Name)) || Tid != ThreadId)
     return false;
-  if (Target)
+  if (Target && Tag == TagThread)
     Target->ThreadName.assign(Name);
   // Checked against the tree as the delta extends it; Target's tree is
   // this tree when applying. Known is the size before this delta.
@@ -339,19 +362,23 @@ bool ThreadProfile::decodeInto(std::string_view Delta,
       }
       break;
     }
-    case TagGroup: {
+    case TagGroup:
+    case TagKnownGroup: {
       AllocKey Key;
       std::string_view Type;
       ObjectGroupStats G;
+      const bool Named = Tag == TagGroup;
       if (!R.u64(Key.AllocThread) || !R.u32(Key.AllocNode) ||
-          !R.bytes(Type) || !R.u64(G.AllocCount) || !R.u64(G.AllocBytes) ||
-          !R.u64(G.RemoteSamples) || !R.u64(G.AddressSamples) ||
-          !readMetrics(R, G.Metrics))
+          (Named && !R.bytes(Type)) || !R.u64(G.AllocCount) ||
+          !R.u64(G.AllocBytes) || !R.u64(G.RemoteSamples) ||
+          !R.u64(G.AddressSamples) || !readMetrics(R, G.Metrics) ||
+          (!Named && Groups.count(Key) == 0))
         return false;
       InGroup = true;
       if (Target) {
         Group = &Target->Groups[Key];
-        Group->TypeName.assign(Type);
+        if (Named)
+          Group->TypeName.assign(Type);
         Group->AllocCount = G.AllocCount;
         Group->AllocBytes = G.AllocBytes;
         Group->RemoteSamples = G.RemoteSamples;
@@ -407,9 +434,10 @@ bool ThreadProfile::check(std::string_view Delta) const {
 }
 
 bool ThreadProfile::apply(std::string_view Delta) {
-  ++Version;
   forgetChanges(); // The log cannot say what the delta touched.
-  return decodeInto(Delta, this);
+  bool Ok = decodeInto(Delta, this); // Checks Version before the bump.
+  ++Version;
+  return Ok;
 }
 
 std::optional<ThreadProfile> ThreadProfile::decode(std::string_view Bytes) {

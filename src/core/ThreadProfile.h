@@ -18,19 +18,31 @@
 /// delta from an empty one.
 ///
 /// Encoding, one record after another, each a varint tag then varint
-/// fields (strings length-prefixed, metrics as kNumPerfEventKinds
-/// counts):
+/// fields (strings length-prefixed):
 ///
-///   Thread   tid, name                         always first
-///   Nodes    first id, count, count x (parent, method, bci)
-///   Group    alloc tid, alloc node, type, allocs, bytes, remote,
-///            address samples, metrics
-///   Access   node, metrics       } of the Group record before them
-///   HomeNode numa node, count    }
-///   CpuNode  numa node, count    }
-///   Code     node, metrics
-///   Totals   metrics, unattributed
+///   Thread      tid, name                    first, from a version-0 mark
+///   KnownThread tid                          first, from any later mark
+///   Nodes       first id, count, count x (parent, method, bci)
+///   Group       alloc tid, alloc node, type, allocs, bytes, remote,
+///               address samples, metrics
+///   KnownGroup  a Group record without the type
+///   Access      node, metrics      } of the group record before them
+///   HomeNode    numa node, count   }
+///   CpuNode     numa node, count   }
+///   Code        node, metrics
+///   Totals      metrics, unattributed
 ///   End
+///
+/// A metrics field is a varint mask of the event kinds whose count is
+/// nonzero, then those counts in kind order; a zero count is never
+/// written, as proto3 never writes a field at its default.
+///
+/// Each name is sent once. An encoding from a version-0 mark (a full
+/// one included) names the thread and every group. A later delta names
+/// its groups only when the profile gained a group since its mark:
+/// groups are never erased, so every group that existed at the mark has
+/// already reached the reader. A reader that holds no such thread or
+/// group rejects the nameless record.
 ///
 /// Every record carries absolute values, so applying one is an
 /// idempotent overwrite. Records come in key order (groups by AllocKey,
@@ -94,16 +106,18 @@ struct ObjectGroupStats {
   std::map<CctNodeId, MetricCounts> AccessBreakdown;
 };
 
-/// "DJXPROF2": leads every `.djxprof` file, followed by one full
-/// encoding.
+/// "DJXPROF3": leads every `.djxprof` file, followed by one full
+/// encoding. The digit moves with the codec's byte layout ('3': sparse
+/// metric masks), so a file of an older layout is skipped, not misread.
 inline constexpr char kProfileFileMagic[8] = {'D', 'J', 'X', 'P',
-                                              'R', 'O', 'F', '2'};
+                                              'R', 'O', 'F', '3'};
 
 /// A point in a profile's history; ThreadProfile::encode() emits what
 /// changed after it. The default mark is the empty profile.
 struct ProfileMark {
   uint64_t Version = 0;
   size_t CctNodes = 1; ///< The root is implicit.
+  size_t Groups = 0;   ///< Groups are never erased.
 };
 
 /// One thread's complete profile.
@@ -150,8 +164,8 @@ public:
   uint64_t unattributedSamples() const { return Unattributed; }
 
   /// Where the profile stands now: its change counter (bumped by every
-  /// record* call) and CCT size.
-  ProfileMark mark() const { return {Version, Tree.size()}; }
+  /// record* call), CCT size and group count.
+  ProfileMark mark() const { return {Version, Tree.size(), Groups.size()}; }
   /// False when nothing (records or CCT nodes) changed after \p Since.
   bool changedSince(const ProfileMark &Since) const {
     return Version != Since.Version || Tree.size() != Since.CctNodes;
@@ -173,8 +187,10 @@ public:
               const ProfileMark &Since = ProfileMark()) const;
 
   /// True when \p Delta is a well-formed encoding for this profile: its
-  /// Thread record names threadId(), its Nodes continue this CCT, and
-  /// every node it references exists. Never modifies the profile.
+  /// Thread record names threadId(), its Nodes continue this CCT, every
+  /// node it references exists, and a nameless record only refers to a
+  /// thread or group the profile holds (a profile holds its thread once
+  /// it is past the empty mark). Never modifies the profile.
   bool check(std::string_view Delta) const;
 
   /// Applies an encoded delta in one pass that validates each record

@@ -102,7 +102,16 @@ template <typename FnT> bool forEachThreadDelta(std::string_view Payload,
   return Any;
 }
 
-constexpr size_t kNoStop = SIZE_MAX;
+constexpr const char *kMalformed = "malformed segment payload";
+
+/// Where a rescan stops, and why: the payload a decode found bad.
+struct ScanStop {
+  size_t Offset = SIZE_MAX;
+  const char *Reason = kMalformed;
+  bool stops() const { return Offset != SIZE_MAX; }
+};
+
+constexpr ScanStop kNoStop;
 
 /// An undecoded Delta or Checkpoint payload and where its segment lies.
 struct ProfilePayload {
@@ -114,11 +123,12 @@ struct ProfilePayload {
 /// Scans the segments after the file header into \p R. Delta and
 /// Checkpoint payloads are kept undecoded; only the last committed
 /// Checkpoint and the Deltas after it are decoded, once the scan ends,
-/// so a malformed one is found past it: the scan then returns its
-/// offset, leaving \p R partly built, and a scan with \p StopAt there
-/// stops at it. \returns kNoStop when \p R stands.
-size_t scanSegments(const std::string &Data, size_t StopAt,
-                    JournalRecovery &R) {
+/// so a bad one is found past it: malformed, or naming a method id the
+/// committed MethodTables never defined. The scan then returns its
+/// offset and reason, leaving \p R partly built, and a scan with
+/// \p StopAt there stops at it. \returns kNoStop when \p R stands.
+ScanStop scanSegments(const std::string &Data, const ScanStop &StopAt,
+                      JournalRecovery &R) {
   R.HeaderValid = true;
   R.BytesKept = kJournalFileHeaderBytes;
 
@@ -171,6 +181,7 @@ size_t scanSegments(const std::string &Data, size_t StopAt,
     PayloadCursor C{Payload, PayloadLen};
     const size_t End = Off + kJournalSegmentHeaderBytes + PayloadLen;
     bool Ok = true;
+    const char *Bad = kMalformed;
     switch (static_cast<SegmentType>(Type)) {
     case SegmentType::Meta: {
       JournalMeta M;
@@ -209,7 +220,9 @@ size_t scanSegments(const std::string &Data, size_t StopAt,
       // One Delta or Checkpoint per epoch; a second before the sentinel
       // is malformed, and so is an empty one. Its entries are checked
       // when decoded.
-      Ok = Pending.Bytes.empty() && PayloadLen != 0 && Off != StopAt;
+      Ok = Pending.Bytes.empty() && PayloadLen != 0 && Off != StopAt.Offset;
+      if (Off == StopAt.Offset)
+        Bad = StopAt.Reason;
       if (Ok)
         Pending = {std::string_view(Payload, PayloadLen), Off,
                    Type == static_cast<uint32_t>(SegmentType::Checkpoint)};
@@ -248,7 +261,7 @@ size_t scanSegments(const std::string &Data, size_t StopAt,
       break;
     }
     if (!Ok) {
-      Truncate("malformed segment payload");
+      Truncate(Bad);
       break;
     }
     R.Segments.push_back({Off, End - Off, Type, Seq, Epoch});
@@ -273,16 +286,25 @@ size_t scanSegments(const std::string &Data, size_t StopAt,
   }
 
   // Decode the committed state, each thread entry once: the Checkpoint
-  // into fresh profiles, then each Delta over them.
+  // into fresh profiles, then each Delta over them. The CCT nodes an
+  // entry adds must name methods the committed tables define; the
+  // remapper and the renderer index with them.
   std::map<uint64_t, ThreadProfile> Profiles;
   for (const ProfilePayload &P : Committed) {
     R.DecodedBytes += P.Bytes.size();
+    bool MethodsKnown = true;
     if (!forEachThreadDelta(P.Bytes, [&](uint64_t Tid,
                                          std::string_view Records) {
-          return Profiles.try_emplace(Tid, Tid, "").first->second.apply(
-              Records);
+          ThreadProfile &T = Profiles.try_emplace(Tid, Tid, "").first->second;
+          const size_t Known = T.cct().size();
+          if (!T.apply(Records))
+            return false;
+          for (size_t N = Known; N < T.cct().size() && MethodsKnown; ++N)
+            MethodsKnown = T.cct().methodOf(static_cast<CctNodeId>(N)) <
+                           R.Methods.size();
+          return MethodsKnown;
         }))
-      return P.Offset;
+      return {P.Offset, MethodsKnown ? kMalformed : "method id out of range"};
   }
   // No sentinel committed the last payload; a malformed one must still
   // stop the scan where it lies. A Checkpoint starts from nothing.
@@ -295,7 +317,7 @@ size_t scanSegments(const std::string &Data, size_t StopAt,
                      ? It->second.check(Records)
                      : ThreadProfile(Tid, "").check(Records);
         }))
-      return Pending.Offset;
+      return {Pending.Offset};
   }
 
   R.SegmentsUncommitted = R.Segments.size() - R.SegmentsCommitted;
@@ -336,15 +358,16 @@ JournalRecovery djx::readJournal(const std::string &Path) {
     R.HeaderError = "file header checksum mismatch";
     return R;
   }
-  // Rescans happen only on a malformed file. Each stops earlier than the
-  // one before: stopping at a malformed Checkpoint can bring Deltas
-  // before it, never decoded so far, into the committed state.
-  size_t Malformed = scanSegments(Data, kNoStop, R);
-  while (Malformed != kNoStop) {
+  // Rescans happen only on a bad file. Each stops earlier than the one
+  // before: stopping at a malformed Checkpoint can bring Deltas before
+  // it, never decoded so far, into the committed state, and stopping
+  // early can drop a MethodTable an earlier payload relied on.
+  ScanStop Stop = scanSegments(Data, kNoStop, R);
+  while (Stop.stops()) {
     uint64_t Decoded = R.DecodedBytes;
     R = JournalRecovery();
     R.DecodedBytes = Decoded;
-    Malformed = scanSegments(Data, Malformed, R);
+    Stop = scanSegments(Data, Stop, R);
   }
   return R;
 }

@@ -23,7 +23,11 @@
 /// Deltas the writer's checkpoint rule allows after it, however long
 /// the run. A malformed payload among those makes the scan run again and
 /// stop at it, as if checked when read; one before the last committed
-/// Checkpoint is never decoded, so it does not stop the scan.
+/// Checkpoint is never decoded, so it does not stop the scan. So does a
+/// committed payload whose CCT nodes name a method id past the rebuilt
+/// method table ("method id out of range"): every recovered node's
+/// method is one the table defines, so merge and render never index
+/// past it.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -19,6 +19,7 @@
 #include <cstring>
 #include <fcntl.h>
 #include <sstream>
+#include <sys/stat.h>
 #include <thread>
 #include <unistd.h>
 
@@ -150,7 +151,14 @@ ProfileJournal::~ProfileJournal() {
 std::unique_ptr<ProfileJournal>
 ProfileJournal::open(const std::string &Path, const JournalMeta &Meta,
                      std::string *Error) {
-  int Fd = ::open(Path.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
+  struct stat St;
+  if (::lstat(Path.c_str(), &St) == 0 && !S_ISREG(St.st_mode)) {
+    if (Error)
+      *Error = "not a regular file";
+    return nullptr;
+  }
+  int Fd = ::open(Path.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_NOFOLLOW,
+                  0644);
   if (Fd < 0) {
     if (Error)
       *Error = std::strerror(errno);
@@ -206,7 +214,7 @@ void ProfileJournal::appendSegment(SegmentType Type, uint64_t EpochNo,
 
 void ProfileJournal::bufferEpoch(const DjxPerf &Prof,
                                  const MethodRegistry &Methods,
-                                 uint64_t Round) {
+                                 uint64_t Round, bool Closing) {
   uint64_t EpochNo = Epoch + 1;
   // One Delta for the epoch: per changed thread, what changed since its
   // last journaled epoch. profiles() is sorted by thread id and encode()
@@ -221,18 +229,19 @@ void ProfileJournal::bufferEpoch(const DjxPerf &Prof,
     It->second = P->mark();
     putThreadEntry(DeltaBuf, P->threadId(), RecordBuf);
   }
-  bool Checkpoint = false;
-  if (!DeltaBuf.empty()) {
-    DeltaBytesSinceCheckpoint += DeltaBuf.size();
-    Checkpoint = DeltaBytesSinceCheckpoint >=
-                 std::max(kJournalCheckpointFloorBytes,
-                          kJournalCheckpointRatio * CheckpointBytes);
-  }
+  DeltaBytesSinceCheckpoint += DeltaBuf.size();
+  const bool Checkpoint =
+      Closing || (!DeltaBuf.empty() &&
+                  DeltaBytesSinceCheckpoint >=
+                      std::max(kJournalCheckpointFloorBytes,
+                               kJournalCheckpointRatio * CheckpointBytes));
   // A Checkpoint holds the whole state, so it roots a fresh file: the
   // header, Meta, the method table from id 0, the Checkpoint and its
   // Commit, which physFlush() writes to <path>.tmp and renames over
-  // <path>. Sequence numbers restart; epochs carry on. (Pending is empty
-  // here: every epoch is flushed before the next one is buffered.)
+  // <path>. Sequence numbers restart; epochs carry on. The closing epoch
+  // is always one, so a closed journal is its final state alone.
+  // (Pending is empty here: every epoch is flushed before the next one
+  // is buffered.)
   if (Checkpoint) {
     bufferFileStart();
     MethodsFlushed = 0;
@@ -270,12 +279,13 @@ void ProfileJournal::bufferEpoch(const DjxPerf &Prof,
       P->encode(RecordBuf);
       putThreadEntry(DeltaBuf, P->threadId(), RecordBuf);
     }
-    appendSegment(SegmentType::Checkpoint, EpochNo, DeltaBuf);
     CheckpointBytes = DeltaBuf.size();
     DeltaBytesSinceCheckpoint = 0;
-  } else if (!DeltaBuf.empty()) {
-    appendSegment(SegmentType::Delta, EpochNo, DeltaBuf);
   }
+  // A run with no profile closes on a file without a Checkpoint.
+  if (!DeltaBuf.empty())
+    appendSegment(Checkpoint ? SegmentType::Checkpoint : SegmentType::Delta,
+                  EpochNo, DeltaBuf);
   std::string Commit;
   appendU64(Commit, Round);
   appendSegment(SegmentType::Commit, EpochNo, Commit);
@@ -310,7 +320,7 @@ void ProfileJournal::closeClean(const DjxPerf &Prof,
                                 const MethodRegistry &Methods) {
   if (!active() || Closed)
     return;
-  bufferEpoch(Prof, Methods, Epoch == 0 ? 0 : Epoch);
+  bufferEpoch(Prof, Methods, Epoch == 0 ? 0 : Epoch, /*Closing=*/true);
   bufferClose(nullptr, 0, 0);
   Closed = true;
   physFlush();
@@ -322,7 +332,7 @@ void ProfileJournal::closeFailed(const DjxPerf &Prof,
                                  uint64_t SamplesDropped) {
   if (!active() || Closed)
     return;
-  bufferEpoch(Prof, Methods, Epoch == 0 ? 0 : Epoch);
+  bufferEpoch(Prof, Methods, Epoch == 0 ? 0 : Epoch, /*Closing=*/true);
   bufferClose(&E, SamplesHandled, SamplesDropped);
   Closed = true;
   physFlush();

@@ -14,7 +14,7 @@
 ///
 ///   file header (16 bytes)
 ///     +0  magic    "DJXJRNL1"                                (8 bytes)
-///     +8  version  u32 = 3
+///     +8  version  u32 = 4
 ///     +12 crc      u32 CRC32C of bytes [0, 12)
 ///
 ///   segment (32-byte header + payload), repeated to EOF
@@ -38,7 +38,14 @@
 ///                 changed (the full profile the first time a thread
 ///                 appears). Records hold absolute values, so the reader
 ///                 overwrites; the journal grows with the changes, not
-///                 with rounds x profile size.
+///                 with rounds x profile size. Since version 4 the
+///                 records are compact: a metrics field lists only its
+///                 nonzero counts, behind a mask of their kinds, and a
+///                 name is sent once (the thread's in its first
+///                 encoding, a group's type only in a Delta whose
+///                 profile gained a group since the thread's last
+///                 epoch; every group older than that is already in
+///                 the file, in its Checkpoint or a Delta after it).
 ///   Checkpoint  — written in place of an epoch's Delta (so still at
 ///                 most one of the two per epoch) when that Delta would
 ///                 bring the Delta payload bytes since the last
@@ -49,7 +56,8 @@
 ///                 at its epoch. A reader decodes only the last committed
 ///                 Checkpoint and the Deltas after it; the ratio caps the
 ///                 extra bytes at about 1/64 of the Deltas, and a journal
-///                 whose Deltas stay under 64 KiB has none.
+///                 whose Deltas stay under 64 KiB has none before its
+///                 closing one (see Compaction).
 ///   Commit      — epoch sentinel (u64 executor round): everything up
 ///                 to and including this segment is a consistent
 ///                 snapshot. Recovery state = state at the last valid
@@ -67,13 +75,17 @@
 /// numbers carry on. It is written whole to <path>.tmp and rename()d
 /// over <path>, then appended to as before. So the file holds at most
 /// that prefix plus the Deltas the checkpoint rule allows after it, and
-/// recovery reads tens of KB however long the run. At every moment
+/// recovery reads tens of KB however long the run. closeClean() and
+/// closeFailed() make the closing epoch a Checkpoint too, so a closed
+/// journal is one file of Meta, the MethodTable, its final Checkpoint,
+/// the Commit and the Close, and `recover` or `merge` of a finished run
+/// decodes that one Checkpoint. At every moment
 /// <path> is either the old file, valid to its last Commit, or the new
 /// one; a crash between the tmp write and the rename recovers the epoch
 /// before the Checkpoint, and the next open() removes the stale tmp. A
 /// failed tmp open, write or rename removes the tmp and degrades the
 /// journal to off, leaving <path> the old file. Journals whose Deltas
-/// stay under 64 KiB are never rewritten.
+/// stay under 64 KiB are rewritten only at close.
 ///
 /// Epochs are flushed at executor round barriers (single-threaded
 /// windows, so deltas are race-free and --jobs-invariant), at
@@ -114,7 +126,7 @@ class MethodRegistry;
 /// "DJXJRNL1"
 inline constexpr char kJournalFileMagic[8] = {'D', 'J', 'X', 'J',
                                               'R', 'N', 'L', '1'};
-inline constexpr uint32_t kJournalFormatVersion = 3;
+inline constexpr uint32_t kJournalFormatVersion = 4;
 /// "DJSG" little-endian.
 inline constexpr uint32_t kJournalSegmentMagic = 0x47534a44u;
 inline constexpr size_t kJournalFileHeaderBytes = 16;
@@ -157,7 +169,9 @@ class ProfileJournal {
 public:
   /// Creates/truncates \p Path, removes a stale <path>.tmp, and writes
   /// the file header + Meta segment. \returns null (with \p Error set)
-  /// when the file cannot be opened.
+  /// when the file cannot be opened, or when \p Path names something
+  /// other than a regular file (a symlink, FIFO or device): every
+  /// compaction, the closing one included, renames a fresh file over it.
   static std::unique_ptr<ProfileJournal>
   open(const std::string &Path, const JournalMeta &Meta,
        std::string *Error = nullptr);
@@ -204,9 +218,10 @@ private:
   /// restart.
   void bufferFileStart();
   /// Method table + Delta (or Checkpoint) + Commit into the pending
-  /// buffer (no I/O). A Checkpoint makes the buffer a whole new file.
+  /// buffer (no I/O). A Checkpoint makes the buffer a whole new file;
+  /// the \p Closing epoch is always one.
   void bufferEpoch(const DjxPerf &Prof, const MethodRegistry &Methods,
-                   uint64_t Round);
+                   uint64_t Round, bool Closing = false);
   void bufferClose(const VmError *E, uint64_t SamplesHandled,
                    uint64_t SamplesDropped);
   /// Writes the pending buffer, appended or (after a Checkpoint) as the

@@ -18,10 +18,13 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <sys/stat.h>
 #include <sys/wait.h>
+#include <unistd.h>
 #include <vector>
 
 #include "harness/TestModule.h"
@@ -230,11 +233,15 @@ std::vector<uint32_t> segmentTypes(const std::string &J) {
   return Types;
 }
 
-// parallel4's Deltas cross the 64 KiB checkpoint floor, so each
-// Checkpoint starts a fresh file: the journal left behind holds one
-// Checkpoint (type 6), right after the Meta and the MethodTable, and no
+// parallel4's Deltas cross the 64 KiB checkpoint floor, and each
+// Checkpoint starts a fresh file; the closing epoch is one too. The
+// journal left behind holds one Checkpoint (type 6), right after the
+// Meta and the MethodTable, then its Commit and the Close, and no
 // <journal>.tmp. It is still --jobs-invariant, and recover still
-// prints the plain run's stdout.
+// prints the plain run's stdout. The first compaction comes mid-run, at
+// round 311 of 388: a short write that tears the journal at round 363
+// leaves that compaction's file, which starts with its Checkpoint and
+// holds the Deltas after it, and recover salvages exactly round 363.
 TEST(CliJournal, CompactedJournalIsJobsInvariantAndRecoversExactly) {
   std::string J1 = tmpFile("compact1.djxj");
   std::string J4 = tmpFile("compact4.djxj");
@@ -252,22 +259,55 @@ TEST(CliJournal, CompactedJournalIsJobsInvariantAndRecoversExactly) {
   EXPECT_EQ(Types[1], 2u); // MethodTable
   EXPECT_EQ(Types[2], 6u); // Checkpoint
   EXPECT_EQ(Types[3], 4u); // Commit
+  EXPECT_EQ(Types.size(), 5u); // ... and the Close.
   EXPECT_EQ(std::count(Types.begin(), Types.end(), 6u), 1);
   EXPECT_FALSE(std::ifstream(J1 + ".tmp").good());
   EXPECT_FALSE(std::ifstream(J4 + ".tmp").good());
   auto [RecExit, Recovered] = runStdout("recover '" + J1 + "'");
   ASSERT_EQ(RecExit, 0) << Recovered;
   EXPECT_EQ(Plain, Recovered);
+
+  const std::string Tear =
+      "' --fault-rate journal-short=0.004 --fault-seed 3 parallel4";
+  auto [TE1, TO1] = runStdout("--jobs 1 --journal '" + J1 + Tear);
+  auto [TE4, TO4] = runStdout("--jobs 4 --journal '" + J4 + Tear);
+  ASSERT_EQ(TE1, 0) << TO1;
+  ASSERT_EQ(TE4, 0) << TO4;
+  std::string Torn = slurpBytes(J1);
+  EXPECT_EQ(Torn, slurpBytes(J4));
+  Types = segmentTypes(Torn);
+  ASSERT_GE(Types.size(), 5u);
+  EXPECT_EQ(Types[0], 1u); // Meta
+  EXPECT_EQ(Types[1], 2u); // MethodTable
+  EXPECT_EQ(Types[2], 6u); // Checkpoint
+  EXPECT_EQ(Types[3], 4u); // Commit
+  EXPECT_GE(std::count(Types.begin() + 4, Types.end(), 3u), 1); // Deltas
+  EXPECT_EQ(std::count(Types.begin(), Types.end(), 6u), 1);
+  EXPECT_EQ(std::count(Types.begin(), Types.end(), 5u), 0); // no Close
+  auto [TornExit, TornOut] = runStdout("recover '" + J1 + "'");
+  ASSERT_EQ(TornExit, 0) << TornOut;
+  EXPECT_NE(TornOut.find("last durable epoch 363 (round 363)"),
+            std::string::npos)
+      << TornOut;
+  auto [RefExit, Ref] = runStdout("--max-rounds 363 parallel4");
+  ASSERT_EQ(RefExit, 0) << Ref;
+  const std::string Marker = "=== DJXPerf object-centric profile ===";
+  ASSERT_NE(TornOut.find(Marker), std::string::npos) << TornOut;
+  EXPECT_EQ(TornOut.substr(TornOut.find(Marker)),
+            Ref.substr(Ref.find(Marker)));
   std::remove(J1.c_str());
   std::remove(J4.c_str());
 }
 
 // Torn journals (the SIGKILL shape) recover with exit 0, a DEGRADED
-// banner, and truthful kept/dropped accounting.
+// banner, and truthful kept/dropped accounting. A closed journal is its
+// final Checkpoint alone, so the torn source is a run whose journal an
+// injected short write tore at epoch 209 of 389, with its Deltas.
 TEST(CliJournal, RecoverOfTruncatedJournalIsDegradedButExitsZero) {
   std::string J = tmpFile("torn.djxj");
   auto [RunExit, RunOut] =
-      runStdout("--jobs 2 --journal '" + J + "' parallel2");
+      runStdout("--jobs 2 --journal '" + J +
+                "' --fault-rate journal-short=0.005 --fault-seed 1 parallel2");
   ASSERT_EQ(RunExit, 0) << RunOut;
   std::string Full = slurpBytes(J);
   ASSERT_GT(Full.size(), 4000u);
@@ -321,6 +361,19 @@ TEST(CliJournal, RecoverOfVersionTwoJournalExitsJournalCorruptCode) {
   std::remove(J.c_str());
 }
 
+// Version 3 journals wrote every metric count and resent every name;
+// their records are not version 4's.
+TEST(CliJournal, RecoverOfVersionThreeJournalExitsJournalCorruptCode) {
+  std::string J = tmpFile("v3.djxj");
+  // "DJXJRNL1", version 3, CRC32C of those 12 bytes.
+  spitBytes(J, std::string("DJXJRNL1\x03\x00\x00\x00\xf2\x7b\xe3\x53", 16));
+  auto [Exit, Out] = run("'" + DjxperfPath + "' recover '" + J + "'");
+  EXPECT_EQ(Exit, 7) << Out;
+  EXPECT_NE(Out.find("unsupported journal version"), std::string::npos)
+      << Out;
+  std::remove(J.c_str());
+}
+
 // A directory is no journal: recover exits JournalCorrupt and merge
 // skips it like any other unusable input.
 TEST(CliJournal, DirectoryIsSkippedNotFatal) {
@@ -337,6 +390,37 @@ TEST(CliJournal, DirectoryIsSkippedNotFatal) {
       << MergeOut;
   EXPECT_NE(MergeOut.find("2 thread(s)"), std::string::npos) << MergeOut;
   std::remove(J.c_str());
+}
+
+// Every compaction, the closing one included, renames a fresh file over
+// the journal path, so that path must be a regular file: a symlink
+// (dangling or not) or a FIFO is refused before the run (exit 1) and
+// left as it was, and the symlink's target is not written.
+TEST(CliJournal, NonRegularJournalPathIsRefused) {
+  const std::string Target = tmpFile("link_target.txt");
+  const std::string Link = tmpFile("link.djxj");
+  const std::string Dangling = tmpFile("dangling.djxj");
+  const std::string Fifo = tmpFile("fifo.djxj");
+  spitBytes(Target, "keep me\n");
+  for (const std::string &P : {Link, Dangling, Fifo, Target + ".absent"})
+    std::remove(P.c_str());
+  ASSERT_EQ(::symlink(Target.c_str(), Link.c_str()), 0);
+  ASSERT_EQ(::symlink((Target + ".absent").c_str(), Dangling.c_str()), 0);
+  ASSERT_EQ(::mkfifo(Fifo.c_str(), 0600), 0);
+  for (const std::string &P : {Link, Dangling, Fifo}) {
+    // Opening a FIFO for writing would block; the timeout bounds that.
+    auto [Exit, Out] =
+        run("timeout 20 '" + DjxperfPath + "' --journal '" + P + "' figure1");
+    EXPECT_EQ(Exit, 1) << P << ": " << Out;
+    EXPECT_NE(Out.find("not a regular file"), std::string::npos) << Out;
+  }
+  EXPECT_EQ(slurpBytes(Target), "keep me\n");
+  EXPECT_TRUE(std::filesystem::is_symlink(Link));
+  EXPECT_TRUE(std::filesystem::is_symlink(Dangling));
+  EXPECT_FALSE(std::filesystem::exists(Target + ".absent"));
+  EXPECT_TRUE(std::filesystem::is_fifo(Fifo));
+  for (const std::string &P : {Target, Link, Dangling, Fifo})
+    std::remove(P.c_str());
 }
 
 // merge folds N journals into one aggregate report with per-file

@@ -325,8 +325,28 @@ TEST(ProfileCodec, UnchangedProfileEncodesNoEntries) {
   encoded(P);
   ProfileMark Now = P.mark();
   EXPECT_FALSE(P.changedSince(Now));
-  // Only the Thread and End records.
-  EXPECT_EQ(encoded(P, Now), bytesOf({1, 2, 4, 'i', 'd', 'l', 'e', 0}));
+  // Only the KnownThread record, which leaves the name out, and End.
+  EXPECT_EQ(encoded(P, Now), bytesOf({9, 2, 0}));
+}
+
+TEST(ProfileCodec, L1OnlySampleDeltaLayout) {
+  ThreadProfile P(3, "w");
+  CctNodeId A = P.cct().insertPath({{1, 0}});
+  P.recordAllocation(A, "int[]", 256);
+  encoded(P);
+  ProfileMark Then = P.mark();
+  P.recordObjectSample(AllocKey{3, A}, "int[]", PerfEventKind::L1Miss, A,
+                       false);
+  // No group is new, so neither name is sent, and each metrics field is
+  // the mask of its one nonzero kind (L1Miss, bit 1) and that count.
+  EXPECT_EQ(encoded(P, Then), bytesOf({
+                                  9, 3,                   // KnownThread
+                                  10, 3, 1,               // KnownGroup key
+                                  1, 0x80, 2, 0, 1, 2, 1, // its fields
+                                  4, 1, 2, 1,             // Access
+                                  8, 2, 1, 0,             // Totals
+                                  0,                      // End
+                              }));
 }
 
 TEST(ProfileCodec, DeltaSizeTracksChangesNotProfileSize) {
@@ -380,7 +400,7 @@ TEST(ProfileCodec, CheckRejectsMalformedRecordsWithoutSideEffects) {
   ThreadProfile P(1, "t");
   P.recordAllocation(P.cct().insertPath({{1, 0}}), "X", 64);
   const std::string Before = encoded(P);
-  // Thread record for tid 1 named "t", as every encoding starts.
+  // Thread record for tid 1 named "t", as every full encoding starts.
   const std::string Thread = bytesOf({1, 1, 1, 't'});
   const std::vector<std::pair<std::string, std::string>> Cases = {
       {"overlong varint",
@@ -389,12 +409,16 @@ TEST(ProfileCodec, CheckRejectsMalformedRecordsWithoutSideEffects) {
       {"node-id gap", Thread + bytesOf({2, 5, 1, 0, 1, 0, 0})},
       {"parent past the tree", Thread + bytesOf({2, 2, 1, 7, 1, 0, 0})},
       {"unknown record tag", Thread + bytesOf({0x63, 0})},
-      {"access before any group",
-       Thread + bytesOf({4, 0, 0, 0, 0, 0, 0, 0, 0, 0})},
-      {"code node past the tree",
-       Thread + bytesOf({7, 9, 0, 0, 0, 0, 0, 0, 0, 0})},
+      {"access before any group", Thread + bytesOf({4, 0, 0, 0})},
+      {"code node past the tree", Thread + bytesOf({7, 9, 0, 0})},
       {"another thread's delta", bytesOf({1, 2, 1, 't', 0})},
       {"no End record", Thread},
+      // Metrics carry a mask of their nonzero kinds, then those counts.
+      {"mask bit past the last kind",
+       Thread + bytesOf({8, 0x80, 1, 1, 0, 0})},
+      {"zero count under a set bit", Thread + bytesOf({8, 1, 0, 0, 0})},
+      {"nameless group the profile lacks",
+       Thread + bytesOf({10, 1, 5, 0, 0, 0, 0, 0, 0})},
   };
   for (const auto &[Label, Bytes] : Cases) {
     EXPECT_FALSE(P.check(Bytes)) << Label;
@@ -404,8 +428,17 @@ TEST(ProfileCodec, CheckRejectsMalformedRecordsWithoutSideEffects) {
     ThreadProfile Copy = P;
     EXPECT_FALSE(Copy.apply(Bytes)) << Label;
   }
-  // The well-formed control case.
+  // A nameless thread record needs a profile that holds the thread,
+  // one past the empty mark.
+  const std::string Nameless = bytesOf({9, 1, 0});
+  ThreadProfile Empty(1, "t");
+  EXPECT_FALSE(Empty.check(Nameless));
+  EXPECT_FALSE(Empty.apply(Nameless));
+  EXPECT_FALSE(ThreadProfile::decode(Nameless).has_value());
+  // The well-formed control cases, a nameless group included.
   EXPECT_TRUE(P.check(Thread + bytesOf({0})));
+  EXPECT_TRUE(P.check(Nameless));
+  EXPECT_TRUE(P.check(Thread + bytesOf({10, 1, 1, 1, 64, 0, 0, 0, 0})));
 }
 
 TEST(ProfileCodec, RemapIdsRewritesThreadAndMethodIds) {
@@ -529,6 +562,10 @@ TEST(Analyzer, DirectoryRoundTrip) {
     std::ofstream Torn(Dir + "/thread_3.djxprof", std::ios::binary);
     Torn.write(kProfileFileMagic, sizeof(kProfileFileMagic));
     Torn << encoded(ThreadProfile(3, "t3")).substr(0, 3);
+    // The previous layout's magic is skipped even before a body that
+    // would decode: that layout wrote every metric count.
+    std::ofstream(Dir + "/thread_4.djxprof", std::ios::binary)
+        << "DJXPROF2" << encoded(ThreadProfile(4, "t4"));
   }
   auto M = mergeProfileDir(Dir);
   ASSERT_TRUE(M.has_value());

@@ -13,6 +13,8 @@
 ///  - Clean round trip: journal -> readJournal reproduces the run's
 ///    per-thread profile encodings and merged report byte for byte,
 ///    across --jobs values (the journal file itself is jobs-invariant).
+///    A closed journal is its final Checkpoint, so the crash-path cases
+///    below cut and edit the file the closing compaction replaced.
 ///  - Size: journal bytes per epoch follow the changes, not the rounds.
 ///  - Truncation: cutting the file after commit R recovers the same
 ///    state as a reference run stopped at MaxRounds = R.
@@ -22,7 +24,9 @@
 ///    keeps exactly the commits that precede the damage. Failures
 ///    print DJX_JOURNAL_FUZZ_SEED for replay. CRC-valid but malformed
 ///    Delta payloads stop the scan the same way, whether a sentinel
-///    applies them or the file ends first; a directory is no journal.
+///    applies them or the file ends first, and so does a payload naming
+///    a method no MethodTable defined (recover and merge exit 0 or 7 on
+///    it, never from a signal); a directory is no journal.
 ///  - Checkpoints: a longer shape crosses the checkpoint floor twice.
 ///    Its files, spliced into the one file a writer that never compacts
 ///    would write, put Checkpoints after Deltas: cuts around each match
@@ -68,6 +72,7 @@
 #include <sstream>
 #include <string>
 #include <sys/stat.h>
+#include <sys/wait.h>
 #include <unistd.h>
 #include <vector>
 
@@ -150,11 +155,12 @@ ParallelConfig journalWorkload() {
 
 /// A longer shape: more threads, rounds and small quanta, so its Deltas
 /// cross the checkpoint floor twice and the writer compacts its file
-/// twice (journalWorkload()'s stay below it).
+/// twice before the closing compaction (journalWorkload()'s stay below
+/// it).
 ParallelConfig checkpointWorkload() {
   ParallelConfig Pc = journalWorkload();
   Pc.SimThreads = 4;
-  Pc.Iters = 300;
+  Pc.Iters = 600;
   Pc.QuantumSteps = 2048;
   return Pc;
 }
@@ -299,6 +305,32 @@ JournalRecovery readBytes(const std::string &Bytes) {
   JournalRecovery R = readJournal(Path);
   std::remove(Path.c_str());
   return R;
+}
+
+/// \p Files (every file of a run, oldest first) without the closing
+/// compaction's file: the run's history as a crash before close leaves
+/// it.
+std::vector<std::string> beforeClose(const std::vector<std::string> &Files) {
+  return {Files.begin(), Files.end() - 1};
+}
+
+/// The file the closing compaction replaced: every Delta since the last
+/// Checkpoint, the stand-in for a run killed just before close.
+std::string crashSource(const std::vector<std::string> &Files) {
+  return beforeClose(Files).back();
+}
+
+/// A journal that journalWorkload() leaves just before close.
+std::string crashSourceOfJournalWorkload(const std::string &Path) {
+  std::vector<std::string> Files;
+  runJournaled(Path, 2, 0, journalWorkload(), {nullptr, &Files});
+  return crashSource(Files);
+}
+
+/// True when \p R scanned its file to the end, every segment committed.
+bool scansWhole(const JournalRecovery &R) {
+  return R.HeaderValid && R.TruncationReason.empty() &&
+         R.SegmentsUncommitted == 0 && R.TrailingBytes == 0;
 }
 
 /// Checks that \p R, a file the writer compacted, is rooted at its one
@@ -453,10 +485,11 @@ TEST(JournalRoundTrip, FileBytesAreJobsInvariant) {
   std::string P1 = tempPath("jobs1.djxj");
   std::string P2 = tempPath("jobs2.djxj");
   std::string P4 = tempPath("jobs4.djxj");
-  // The short shape's Deltas stay below the checkpoint floor; the long
-  // one's cross it at least twice, so the writer replaces its file at
-  // least twice. Every file of the run is jobs-invariant, the ones the
-  // compactions replaced too.
+  // The short shape's Deltas stay below the checkpoint floor, so only
+  // the closing compaction replaces its file; the long one's cross it at
+  // least twice before that. Every file of the run is jobs-invariant, the
+  // ones the compactions replaced too, and the last is the final
+  // Checkpoint alone.
   for (bool Long : {false, true}) {
     ParallelConfig Shape = Long ? checkpointWorkload() : journalWorkload();
     std::vector<std::string> F1, F2, F4;
@@ -469,12 +502,14 @@ TEST(JournalRoundTrip, FileBytesAreJobsInvariant) {
     EXPECT_EQ(B1, slurp(P4)) << "long shape: " << Long;
     EXPECT_TRUE(F1 == F2 && F1 == F4) << "long shape: " << Long;
     JournalRecovery R = readJournal(P1);
+    expectRootedAtOneCheckpoint(R, Long ? "long shape" : "short shape");
+    EXPECT_EQ(R.Segments.size(), 5u) << "long shape: " << Long;
+    EXPECT_TRUE(R.Closed) << "long shape: " << Long;
     if (Long) {
-      EXPECT_GE(F1.size(), 3u);
-      expectRootedAtOneCheckpoint(R, "long shape");
+      EXPECT_GE(F1.size(), 4u);
     } else {
-      EXPECT_EQ(F1.size(), 1u);
-      EXPECT_TRUE(checkpointsOf(R).empty());
+      EXPECT_EQ(F1.size(), 2u);
+      EXPECT_TRUE(checkpointsOf(readBytes(F1.front())).empty());
     }
     EXPECT_FALSE(std::ifstream(P1 + ".tmp").good()) << "long shape: " << Long;
   }
@@ -487,10 +522,9 @@ TEST(JournalRoundTrip, FileBytesAreJobsInvariant) {
 
 TEST(JournalTruncation, CutAtCommitMatchesMaxRoundsReference) {
   std::string Path = tempPath("full.djxj");
-  runJournaled(Path, 2);
-  std::string Full = slurp(Path);
-  JournalRecovery Whole = readJournal(Path);
-  ASSERT_TRUE(Whole.Closed);
+  const std::string Full = crashSourceOfJournalWorkload(Path);
+  JournalRecovery Whole = readBytes(Full);
+  ASSERT_TRUE(scansWhole(Whole));
 
   // Pick a Commit sentinel mid-run and cut the file right after it;
   // recovery must equal a reference run stopped at that round.
@@ -561,7 +595,7 @@ std::string prefixThroughEpoch(const std::string &Full,
 void fuzzSalvage(const std::string &Path, int Cases, int Kinds) {
   std::string Full = slurp(Path);
   JournalRecovery Whole = readJournal(Path);
-  ASSERT_TRUE(Whole.Closed);
+  ASSERT_TRUE(scansWhole(Whole));
   ASSERT_GE(Whole.Segments.size(), 8u);
   std::vector<const JournalSegmentInfo *> Payloads;
   for (const JournalSegmentInfo &Seg : Whole.Segments)
@@ -657,7 +691,7 @@ void fuzzSalvage(const std::string &Path, int Cases, int Kinds) {
 
 TEST(JournalFuzz, SalvagesExactlyTheValidPrefix) {
   std::string Path = tempPath("fuzz.djxj");
-  runJournaled(Path, 2);
+  spit(Path, crashSourceOfJournalWorkload(Path));
   fuzzSalvage(Path, kFuzzCases, 4);
   std::remove(Path.c_str());
 }
@@ -698,10 +732,9 @@ std::string bytesOf(std::initializer_list<int> Bytes) {
 
 TEST(JournalMalformed, CrcValidBadDeltasStopTheScan) {
   std::string Path = tempPath("malformed_base.djxj");
-  runJournaled(Path, 2);
-  std::string Full = slurp(Path);
-  JournalRecovery Whole = readJournal(Path);
-  ASSERT_TRUE(Whole.Closed);
+  const std::string Full = crashSourceOfJournalWorkload(Path);
+  JournalRecovery Whole = readBytes(Full);
+  ASSERT_TRUE(scansWhole(Whole));
   ASSERT_FALSE(Whole.Profiles.empty());
 
   // Keep the journal up to its second commit, then append a CRC-valid
@@ -753,6 +786,11 @@ TEST(JournalMalformed, CrcValidBadDeltasStopTheScan) {
   const std::string GoodThenBad =
       Entry(encoded(Changed)) +
       EntryFor(Second.threadId(), SecondThread + bytesOf({0x63, 0}));
+  // A KnownThread record (tag 9) for a thread the prefix never named.
+  const uint64_t Stranger = AtCut.Profiles.back().threadId() + 1;
+  std::string Nameless = bytesOf({9});
+  putVarint(Nameless, Stranger);
+  Nameless += bytesOf({0});
   std::string Commit;
   appendU64(Commit, 3);
 
@@ -787,6 +825,7 @@ TEST(JournalMalformed, CrcValidBadDeltasStopTheScan) {
       {"thread ids out of order",
        Entry(Thread + bytesOf({0})) + Entry(Thread + bytesOf({0}))},
       {"second thread's entry malformed", GoodThenBad},
+      {"nameless thread the file never named", EntryFor(Stranger, Nameless)},
   };
   for (const auto &[Label, Payload] : Cases) {
     std::string Mut = Prefix;
@@ -866,6 +905,14 @@ TEST(JournalMalformed, RejectsVersionTwoHeader) {
   EXPECT_FALSE(R.HeaderValid);
   EXPECT_EQ(R.HeaderError, "unsupported journal version");
   EXPECT_TRUE(readHeaderOfVersion(kJournalFormatVersion).HeaderValid);
+}
+
+// Version 3 wrote every metric count and resent every name; its records
+// do not parse as version 4's.
+TEST(JournalMalformed, RejectsVersionThreeHeader) {
+  JournalRecovery R = readHeaderOfVersion(3);
+  EXPECT_FALSE(R.HeaderValid);
+  EXPECT_EQ(R.HeaderError, "unsupported journal version");
 }
 
 TEST(JournalMalformed, DirectoryIsNotAJournal) {
@@ -1184,23 +1231,25 @@ TEST(JournalCheckpoint, CutsAroundACheckpointMatchMaxRoundsReference) {
 
 TEST(JournalCheckpoint, FuzzSalvagesExactlyTheValidPrefix) {
   // The uncompacted file's Checkpoints follow Deltas; the compacted one
-  // starts at its Checkpoint.
+  // the closing compaction replaced starts at its Checkpoint.
   std::string Path = tempPath("ckpt_fuzz.djxj");
   const CompactedRun C = runCompacted(Path);
   spit(Path, C.Uncompacted);
   fuzzSalvage(Path, kFuzzCases, 5);
-  spit(Path, C.Files.back());
+  spit(Path, crashSource(C.Files));
   fuzzSalvage(Path, kFuzzCases, 5);
   std::remove(Path.c_str());
 }
 
 TEST(JournalCheckpoint, OnlyPayloadsFromTheLastCheckpointOnAreDecoded) {
   // A compacted file has one Checkpoint and nothing before it, so the
-  // contract is pinned on the file a writer that never compacts writes.
+  // contract is pinned on the file a writer that never compacts writes,
+  // as a crash before close leaves it: the closing Checkpoint has no
+  // Delta after it.
   std::string Path = tempPath("ckpt_contract.djxj");
-  const std::string Full = runCompacted(Path).Uncompacted;
+  const std::string Full = uncompacted(beforeClose(runCompacted(Path).Files));
   const JournalRecovery Whole = readBytes(Full);
-  ASSERT_TRUE(Whole.Closed);
+  ASSERT_TRUE(scansWhole(Whole));
   const std::vector<size_t> Checkpoints = checkpointsOf(Whole);
   ASSERT_GE(Checkpoints.size(), 2u);
   const JournalSegmentInfo &Last = Whole.Segments[Checkpoints.back()];
@@ -1232,8 +1281,8 @@ TEST(JournalCheckpoint, OnlyPayloadsFromTheLastCheckpointOnAreDecoded) {
   // A CRC-valid malformed Delta before the last committed Checkpoint is
   // never decoded: the journal recovers whole.
   JournalRecovery R = Recover(withPayload(Full, *Superseded, Bad));
-  EXPECT_TRUE(R.Closed);
-  EXPECT_FALSE(R.degraded());
+  EXPECT_TRUE(scansWhole(R));
+  EXPECT_EQ(R.LastEpoch, Whole.LastEpoch);
   EXPECT_TRUE(R.TruncationReason.empty());
   EXPECT_EQ(R.DecodedBytes, Whole.DecodedBytes);
   EXPECT_EQ(recoveredReport(R), recoveredReport(Whole));
@@ -1320,8 +1369,114 @@ TEST(JournalCheckpoint, DecodedBytesStayFlatAsRoundsDouble) {
       ASSERT_TRUE(R.Closed);
       EXPECT_LT(R.DecodedBytes, Bound) << "rounds " << C->Live.Rounds;
     }
+    // The file the closing compaction replaced: its Checkpoint and the
+    // Deltas after it.
+    const JournalRecovery Crash = readBytes(crashSource(C->Files));
+    ASSERT_TRUE(scansWhole(Crash));
+    EXPECT_LT(Crash.DecodedBytes, Bound) << "rounds " << C->Live.Rounds;
   }
   std::remove(Path.c_str());
+}
+
+// --- References across segments -------------------------------------------
+
+/// Runs the djxperf CLI on \p Args. \returns its exit code (the shell's
+/// 128 + signal number when a signal killed it) and its stdout.
+std::pair<int, std::string> runCli(const std::string &Args) {
+  std::string Out;
+  FILE *Pipe = ::popen(
+      ("'" DJX_DJXPERF_PATH "' " + Args + " 2>/dev/null").c_str(), "r");
+  if (!Pipe)
+    return {-1, Out};
+  char Buf[4096];
+  size_t N;
+  while ((N = std::fread(Buf, 1, sizeof(Buf), Pipe)) > 0)
+    Out.append(Buf, N);
+  int Status = ::pclose(Pipe);
+  return {WIFEXITED(Status) ? WEXITSTATUS(Status) : -1, Out};
+}
+
+/// Checks that every CCT node \p R recovered names a method its table
+/// defines.
+void expectMethodsDefined(const JournalRecovery &R) {
+  for (const ThreadProfile &P : R.Profiles)
+    for (size_t N = 1; N < P.cct().size(); ++N)
+      EXPECT_LT(P.cct().methodOf(static_cast<CctNodeId>(N)), R.Methods.size())
+          << "thread " << P.threadId() << ", node " << N;
+}
+
+TEST(JournalReferences, MethodIdsPastTheTableStopTheScan) {
+  std::string Path = tempPath("refs.djxj");
+  const std::string Good = crashSource(runCompacted(Path).Files);
+  const JournalRecovery Whole = readBytes(Good);
+  ASSERT_TRUE(scansWhole(Whole));
+  expectRootedAtOneCheckpoint(Whole, "good");
+  ASSERT_FALSE(Whole.Profiles.empty());
+
+  // The compacted file resealed without its MethodTable: its Checkpoint
+  // names methods no table defines, so the scan stops there and nothing
+  // is committed.
+  std::string Bad = Good.substr(0, kJournalFileHeaderBytes);
+  uint64_t Seq = 0;
+  for (const JournalSegmentInfo &S : Whole.Segments)
+    if (!isType(S, SegmentType::MethodTable))
+      appendSegment(Bad, static_cast<SegmentType>(S.Type), ++Seq, S.Epoch,
+                    Good.substr(S.Offset + kJournalSegmentHeaderBytes,
+                                S.Length - kJournalSegmentHeaderBytes));
+  JournalRecovery R = readBytes(Bad);
+  ASSERT_TRUE(R.HeaderValid);
+  EXPECT_EQ(R.TruncationReason, "method id out of range");
+  EXPECT_EQ(R.LastEpoch, 0u);
+  EXPECT_TRUE(R.Methods.empty());
+  EXPECT_TRUE(R.Profiles.empty());
+  recoveredReport(R);
+
+  // recover and merge salvage what is left or exit 7, never die from a
+  // signal, and the bad journal adds nothing to a merge.
+  const std::string GoodPath = tempPath("refs_good.djxj");
+  const std::string BadPath = tempPath("refs_bad.djxj");
+  spit(GoodPath, Good);
+  spit(BadPath, Bad);
+  for (const std::string Verb : {"recover", "merge"}) {
+    auto [Exit, Out] = runCli(Verb + " '" + BadPath + "'");
+    EXPECT_TRUE(Exit == 0 || Exit == 7) << Verb << " exited " << Exit;
+  }
+  auto [GoodExit, GoodOut] = runCli("merge '" + GoodPath + "'");
+  auto [BothExit, BothOut] =
+      runCli("merge '" + GoodPath + "' '" + BadPath + "'");
+  EXPECT_EQ(GoodExit, 0) << GoodOut;
+  EXPECT_EQ(BothExit, 0) << BothOut;
+  EXPECT_NE(GoodOut.find("object-centric"), std::string::npos) << GoodOut;
+  EXPECT_EQ(BothOut, GoodOut);
+
+  // A committed Delta whose new CCT node names the first undefined id:
+  // the scan keeps everything before it and stops at it.
+  ThreadProfile P = Whole.Profiles.front();
+  encoded(P); // Starts the change log, so the next encode is a delta.
+  const ProfileMark Mark = P.mark();
+  P.cct().child(kCctRoot, static_cast<MethodId>(Whole.Methods.size()), 0);
+  std::string Records, Payload, Commit;
+  P.encode(Records, Mark);
+  putVarint(Payload, P.threadId());
+  putBytes(Payload, Records);
+  appendU64(Commit, Whole.LastRound + 1);
+  std::string Mut = Good;
+  const uint64_t Last = Whole.Segments.back().Seq;
+  appendSegment(Mut, SegmentType::Delta, Last + 1, Whole.LastEpoch + 1,
+                Payload);
+  appendSegment(Mut, SegmentType::Commit, Last + 2, Whole.LastEpoch + 1,
+                Commit);
+  R = readBytes(Mut);
+  EXPECT_EQ(R.TruncationReason, "method id out of range");
+  EXPECT_EQ(R.LastEpoch, Whole.LastEpoch);
+  EXPECT_EQ(R.BytesKept, Good.size());
+  EXPECT_EQ(recoveredReport(R), recoveredReport(Whole));
+  expectMethodsDefined(R);
+  expectMethodsDefined(Whole);
+
+  std::remove(Path.c_str());
+  std::remove(GoodPath.c_str());
+  std::remove(BadPath.c_str());
 }
 
 // --- Size ------------------------------------------------------------------
@@ -1418,6 +1573,10 @@ TEST(JournalFaults, ShortWriteLeavesRecoverableTornPrefix) {
   if (R.HeaderValid) {
     EXPECT_TRUE(R.degraded());
     EXPECT_FALSE(R.Closed);
+    // The write tore an append mid-run, not the closing compaction,
+    // which would have left the previous file whole.
+    EXPECT_GT(R.TrailingBytes, 0u);
+    EXPECT_GT(R.LastEpoch, 0u);
     recoveredReport(R);
   }
   std::remove(Path.c_str());

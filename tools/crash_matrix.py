@@ -19,15 +19,27 @@ checksum.
 
 The writer compacts a journal whose deltas cross the 64 KiB checkpoint
 floor: each Checkpoint starts a fresh file, written to <journal>.tmp
-and renamed over <journal>. The calibrate step checks that the complete
-journal starts with its Checkpoint, so the workload must be one whose
-journal crosses the floor (parallel2/4/8 do; figure1 does not), and
+and renamed over <journal>. The closing epoch is always a Checkpoint,
+so the calibrate step checks that the complete journal is its one
+Checkpoint (Meta, MethodTable, Checkpoint, Commit, then the Close), and
 that no .tmp is left behind. Each kill point says whether the file it
 recovered had been compacted (a kill between the tmp write and the
-rename leaves the old file, and the .tmp, in place).
+rename leaves the old file, and the .tmp, in place). On parallel4 at
+--jobs 2 the first mid-run compaction comes at round 311 of 388,
+so only the late kill points can find one, and whether one does is
+left to timing. The calibrate step therefore also tears the journal
+deterministically with an injected short write (--tear-rate,
+--tear-seed; fault draws are keyed on the write ordinal, so the tear
+lands at the same epoch on every host and at every --jobs). The file it
+leaves must be a mid-run compacted one: Meta, MethodTable, Checkpoint,
+Commit, then Deltas and no Close, and its salvaged report must equal
+the --max-rounds reference. The defaults tear parallel4 at round 363,
+52 Deltas after its first compaction; another workload may need
+another --tear-seed.
 
 Usage: crash_matrix.py --djxperf PATH [--workload parallel4] [--jobs 2]
                        [--points 6] [--seed N]
+                       [--tear-rate 0.004] [--tear-seed 3]
 """
 
 import argparse
@@ -42,7 +54,7 @@ import time
 REPORT_MARKER = "=== DJXPerf object-centric profile ==="
 FAILURES = []
 # Segment types (src/io/ProfileJournal.h).
-META, METHOD_TABLE, COMMIT, CHECKPOINT = 1, 2, 4, 6
+META, METHOD_TABLE, DELTA, COMMIT, CLOSE, CHECKPOINT = 1, 2, 3, 4, 5, 6
 
 
 def fail(label, message):
@@ -148,19 +160,61 @@ def kill_campaign(djxperf, workload, jobs, points, base_duration):
                           f"comparison")
                 continue
 
-            ref_rc, ref_out, _ = run(
-                [djxperf, workload, "--jobs", str(jobs),
-                 "--max-rounds", str(last_round)])
-            if ref_rc != 0:
-                fail(label, f"reference --max-rounds {last_round} "
-                            f"exited {ref_rc}")
-                continue
-            if report_body(out) != report_body(ref_out):
-                fail(label, f"salvaged report != --max-rounds "
-                            f"{last_round} reference")
-                continue
-            ok(label, f"salvaged report == --max-rounds {last_round} "
-                      f"reference ({state})")
+            if matches_reference(label, djxperf, workload, jobs, out,
+                                 last_round):
+                ok(label, f"salvaged report == --max-rounds {last_round} "
+                          f"reference ({state})")
+
+
+def matches_reference(label, djxperf, workload, jobs, out, last_round):
+    """True when the salvaged report `out` equals a plain run stopped
+    at `last_round`; otherwise records the failure."""
+    ref_rc, ref_out, _ = run(
+        [djxperf, workload, "--jobs", str(jobs),
+         "--max-rounds", str(last_round)])
+    if ref_rc != 0:
+        fail(label, f"reference --max-rounds {last_round} exited {ref_rc}")
+        return False
+    if report_body(out) != report_body(ref_out):
+        fail(label, f"salvaged report != --max-rounds {last_round} "
+                    f"reference")
+        return False
+    return True
+
+
+def torn_compaction(djxperf, workload, jobs, rate, seed):
+    """A short write tears the journal at a fixed epoch after a mid-run
+    compaction: the file left behind starts with that compaction's
+    Checkpoint and holds the Deltas after it, and recover salvages
+    exactly the state at its last commit."""
+    label = "calibrate:torn"
+    with tempfile.TemporaryDirectory() as td:
+        journal = os.path.join(td, "torn.djxj")
+        rc, _, _ = run([djxperf, workload, "--jobs", str(jobs),
+                        "--journal", journal, "--fault-rate",
+                        f"journal-short={rate}", "--fault-seed", str(seed)])
+        if rc != 0:
+            fail(label, f"torn journaled run exited {rc}")
+            return
+        types = segment_types(journal)
+        if types[:4] != [META, METHOD_TABLE, CHECKPOINT, COMMIT] or \
+                DELTA not in types[4:] or CLOSE in types:
+            fail(label, "torn journal is not a mid-run compacted file with "
+                        f"Deltas after its Checkpoint (segment types "
+                        f"{types[:6]}, {types.count(DELTA)} Delta(s)); "
+                        f"pick another --tear-seed for {workload}")
+            return
+        rc, out, err = recover(djxperf, journal)
+        last_round = parse_last_round(err)
+        if rc != 0 or last_round is None:
+            fail(label, f"recover exited {rc}: {err.strip()}")
+            return
+        if matches_reference(label, djxperf, workload, jobs, out,
+                             last_round):
+            ok(label, f"torn at round {last_round}, "
+                      f"{types.count(DELTA)} Delta(s) after a mid-run "
+                      f"Checkpoint; salvaged report == --max-rounds "
+                      f"reference")
 
 
 def fault_campaign(djxperf, workload, jobs, seed):
@@ -202,6 +256,10 @@ def main():
                     help="SIGKILL points spread across the run")
     ap.add_argument("--seed", type=int, default=1234,
                     help="base seed for the fault campaigns")
+    ap.add_argument("--tear-rate", default="0.004",
+                    help="journal-short rate of the calibrate step's tear")
+    ap.add_argument("--tear-seed", type=int, default=3,
+                    help="fault seed of the calibrate step's tear")
     args = ap.parse_args()
 
     # Calibrate: one clean journaled run measures the kill window and
@@ -222,17 +280,18 @@ def main():
         else:
             ok("calibrate", f"clean round trip in {duration:.2f}s")
         types = segment_types(journal)
-        if types[:4] != [META, METHOD_TABLE, CHECKPOINT, COMMIT] or \
-                types.count(CHECKPOINT) != 1:
-            fail("calibrate", "complete journal does not start with its "
-                              f"one Checkpoint (segment types {types[:4]})")
+        if types != [META, METHOD_TABLE, CHECKPOINT, COMMIT, CLOSE]:
+            fail("calibrate", "complete journal is not its one final "
+                              f"Checkpoint (segment types {types[:6]})")
         else:
-            ok("calibrate", "complete journal starts with its Checkpoint "
+            ok("calibrate", "complete journal is its final Checkpoint "
                             "(compacted)")
         if os.path.exists(journal + ".tmp"):
             fail("calibrate", "clean run left " + journal + ".tmp behind")
         else:
             ok("calibrate", "no .tmp left behind")
+    torn_compaction(args.djxperf, args.workload, args.jobs, args.tear_rate,
+                    args.tear_seed)
 
     kill_campaign(args.djxperf, args.workload, args.jobs, args.points,
                   duration)
