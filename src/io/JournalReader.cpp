@@ -113,20 +113,12 @@ struct ScanStop {
 
 constexpr ScanStop kNoStop;
 
-/// An undecoded Delta or Checkpoint payload and where its segment lies.
-struct ProfilePayload {
-  std::string_view Bytes;
-  size_t Offset = 0;
-  bool Checkpoint = false;
-};
-
-/// Scans the segments after the file header into \p R. Delta and
-/// Checkpoint payloads are kept undecoded; only the last committed
-/// Checkpoint and the Deltas after it are decoded, once the scan ends,
-/// so a bad one is found past it: malformed, or naming a method id the
-/// committed MethodTables never defined. The scan then returns its
-/// offset and reason, leaving \p R partly built, and a scan with
-/// \p StopAt there stops at it. \returns kNoStop when \p R stands.
+/// Scans the segments after the file header into \p R. A Delta or
+/// Checkpoint is kept undecoded until its sentinel applies it, so a bad
+/// one is found past it: malformed, or naming a method id the committed
+/// MethodTables do not define. The scan then returns its offset and
+/// reason, leaving \p R partly built, and a scan with \p StopAt there
+/// stops at it. \returns kNoStop when \p R stands.
 ScanStop scanSegments(const std::string &Data, const ScanStop &StopAt,
                       JournalRecovery &R) {
   R.HeaderValid = true;
@@ -136,10 +128,9 @@ ScanStop scanSegments(const std::string &Data, const ScanStop &StopAt,
   // sentinel, so a tear between a Delta and its commit drops the Delta
   // — the state is always the one at the last sentinel.
   std::vector<MethodInfo> PendingMethods;
-  // Committed payloads since the last committed Checkpoint, which leads
-  // the list when there is one: the state at the last sentinel.
-  std::vector<ProfilePayload> Committed;
-  ProfilePayload Pending;
+  std::map<uint64_t, ThreadProfile> Committed;
+  std::string_view Pending;
+  size_t PendingOff = 0;
   uint64_t NextSeq = 1;
   size_t Off = kJournalFileHeaderBytes;
   size_t LastValidEnd = Off;
@@ -218,14 +209,18 @@ ScanStop scanSegments(const std::string &Data, const ScanStop &StopAt,
     case SegmentType::Delta:
     case SegmentType::Checkpoint:
       // One Delta or Checkpoint per epoch; a second before the sentinel
-      // is malformed, and so is an empty one. Its entries are checked
-      // when decoded.
-      Ok = Pending.Bytes.empty() && PayloadLen != 0 && Off != StopAt.Offset;
+      // is malformed, and so is an empty one. A Checkpoint opens its
+      // file: after a Delta or Checkpoint, pending or committed, it is
+      // not the writer's. Its entries are checked when applied.
+      Ok = Pending.empty() && PayloadLen != 0 && Off != StopAt.Offset &&
+           (Type == static_cast<uint32_t>(SegmentType::Delta) ||
+            Committed.empty());
       if (Off == StopAt.Offset)
         Bad = StopAt.Reason;
-      if (Ok)
-        Pending = {std::string_view(Payload, PayloadLen), Off,
-                   Type == static_cast<uint32_t>(SegmentType::Checkpoint)};
+      if (Ok) {
+        Pending = std::string_view(Payload, PayloadLen);
+        PendingOff = Off;
+      }
       break;
     case SegmentType::Commit: {
       uint64_t Round = 0;
@@ -270,54 +265,48 @@ ScanStop scanSegments(const std::string &Data, const ScanStop &StopAt,
     if (Type != static_cast<uint32_t>(SegmentType::Commit) &&
         Type != static_cast<uint32_t>(SegmentType::Close))
       continue;
-    // A sentinel makes the pending state committed; a Checkpoint
-    // supersedes everything committed before it.
-    if (!Pending.Bytes.empty()) {
-      if (Pending.Checkpoint)
-        Committed.clear();
-      Committed.push_back(Pending);
-      Pending = {};
-    }
+    // A sentinel commits the pending methods, then applies the pending
+    // payload, each thread entry once. The CCT nodes an entry adds must
+    // name methods the committed tables define; the remapper and the
+    // renderer index with them.
     for (auto &M : PendingMethods)
       R.Methods.push_back(std::move(M));
     PendingMethods.clear();
+    if (!Pending.empty()) {
+      R.DecodedBytes += Pending.size();
+      bool MethodsKnown = true;
+      if (!forEachThreadDelta(Pending, [&](uint64_t Tid,
+                                           std::string_view Records) {
+            ThreadProfile &T =
+                Committed.try_emplace(Tid, Tid, "").first->second;
+            const size_t Known = T.cct().size();
+            if (!T.apply(Records))
+              return false;
+            for (size_t N = Known; N < T.cct().size() && MethodsKnown; ++N)
+              MethodsKnown = T.cct().methodOf(static_cast<CctNodeId>(N)) <
+                             R.Methods.size();
+            return MethodsKnown;
+          }))
+        return {PendingOff,
+                MethodsKnown ? kMalformed : "method id out of range"};
+      Pending = {};
+    }
     R.SegmentsCommitted = R.Segments.size();
     R.BytesKept = End;
   }
 
-  // Decode the committed state, each thread entry once: the Checkpoint
-  // into fresh profiles, then each Delta over them. The CCT nodes an
-  // entry adds must name methods the committed tables define; the
-  // remapper and the renderer index with them.
-  std::map<uint64_t, ThreadProfile> Profiles;
-  for (const ProfilePayload &P : Committed) {
-    R.DecodedBytes += P.Bytes.size();
-    bool MethodsKnown = true;
-    if (!forEachThreadDelta(P.Bytes, [&](uint64_t Tid,
+  // No sentinel applied the last payload; a malformed one must still
+  // stop the scan where it lies. A Checkpoint has nothing committed
+  // before it, so it is checked from nothing.
+  if (!Pending.empty()) {
+    R.DecodedBytes += Pending.size();
+    if (!forEachThreadDelta(Pending, [&](uint64_t Tid,
                                          std::string_view Records) {
-          ThreadProfile &T = Profiles.try_emplace(Tid, Tid, "").first->second;
-          const size_t Known = T.cct().size();
-          if (!T.apply(Records))
-            return false;
-          for (size_t N = Known; N < T.cct().size() && MethodsKnown; ++N)
-            MethodsKnown = T.cct().methodOf(static_cast<CctNodeId>(N)) <
-                           R.Methods.size();
-          return MethodsKnown;
+          auto It = Committed.find(Tid);
+          return It != Committed.end() ? It->second.check(Records)
+                                       : ThreadProfile(Tid, "").check(Records);
         }))
-      return {P.Offset, MethodsKnown ? kMalformed : "method id out of range"};
-  }
-  // No sentinel committed the last payload; a malformed one must still
-  // stop the scan where it lies. A Checkpoint starts from nothing.
-  if (!Pending.Bytes.empty()) {
-    R.DecodedBytes += Pending.Bytes.size();
-    if (!forEachThreadDelta(Pending.Bytes, [&](uint64_t Tid,
-                                               std::string_view Records) {
-          auto It = Profiles.find(Tid);
-          return It != Profiles.end() && !Pending.Checkpoint
-                     ? It->second.check(Records)
-                     : ThreadProfile(Tid, "").check(Records);
-        }))
-      return {Pending.Offset};
+      return {PendingOff};
   }
 
   R.SegmentsUncommitted = R.Segments.size() - R.SegmentsCommitted;
@@ -325,8 +314,8 @@ ScanStop scanSegments(const std::string &Data, const ScanStop &StopAt,
   if (R.Closed && R.TrailingBytes != 0 && R.TruncationReason.empty())
     R.TruncationReason = "bytes after the Close sentinel";
 
-  R.Profiles.reserve(Profiles.size());
-  for (auto &[Tid, P] : Profiles)
+  R.Profiles.reserve(Committed.size());
+  for (auto &[Tid, P] : Committed)
     R.Profiles.push_back(std::move(P));
   return kNoStop;
 }
@@ -358,16 +347,14 @@ JournalRecovery djx::readJournal(const std::string &Path) {
     R.HeaderError = "file header checksum mismatch";
     return R;
   }
-  // Rescans happen only on a bad file. Each stops earlier than the one
-  // before: stopping at a malformed Checkpoint can bring Deltas before
-  // it, never decoded so far, into the committed state, and stopping
-  // early can drop a MethodTable an earlier payload relied on.
-  ScanStop Stop = scanSegments(Data, kNoStop, R);
-  while (Stop.stops()) {
+  // At most one rescan, and only on a bad file: every payload before
+  // the bad one applied cleanly, so the rescan stops at it.
+  const ScanStop Stop = scanSegments(Data, kNoStop, R);
+  if (Stop.stops()) {
     uint64_t Decoded = R.DecodedBytes;
     R = JournalRecovery();
     R.DecodedBytes = Decoded;
-    Stop = scanSegments(Data, Stop, R);
+    scanSegments(Data, Stop, R);
   }
   return R;
 }

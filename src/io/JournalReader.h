@@ -13,21 +13,21 @@
 /// valid Commit (or Close) sentinel; structurally valid segments after
 /// it are uncommitted and reported as dropped.
 ///
-/// What gets decoded: the scan verifies every segment but keeps Delta
-/// and Checkpoint payloads as undecoded views, dropping the list at
-/// each committed Checkpoint (it holds the whole state). Once the scan
-/// ends, the last committed Checkpoint is decoded into fresh profiles
-/// and each committed Delta after it is applied over them, each thread
-/// entry once by a validating apply; a trailing uncommitted payload is
-/// only checked. So recovery decodes at most a Checkpoint plus the
+/// What gets decoded: the scan verifies every segment and keeps a Delta
+/// or Checkpoint payload as an undecoded view until its Commit/Close
+/// sentinel applies it over the committed profiles, each thread entry
+/// once by a validating apply; a trailing uncommitted payload is only
+/// checked. The reader accepts only what the writer writes: a
+/// Checkpoint opens its file, so one after a Delta or Checkpoint is a
+/// malformed segment, and nothing committed is ever superseded. A
+/// malformed payload makes the scan run once more and stop at it, as if
+/// checked when read. So does a committed payload whose CCT nodes name
+/// a method id past the tables committed with or before it ("method id
+/// out of range"): every recovered node's method is one the table
+/// defines, so merge and render never index past it. Recovery decodes
+/// every payload in the file once: at most its one Checkpoint and the
 /// Deltas the writer's checkpoint rule allows after it, however long
-/// the run. A malformed payload among those makes the scan run again and
-/// stop at it, as if checked when read; one before the last committed
-/// Checkpoint is never decoded, so it does not stop the scan. So does a
-/// committed payload whose CCT nodes name a method id past the rebuilt
-/// method table ("method id out of range"): every recovered node's
-/// method is one the table defines, so merge and render never index
-/// past it.
+/// the run.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -78,8 +78,8 @@ struct JournalRecovery {
   /// File bytes contributing to the recovered state (header + committed
   /// segments).
   uint64_t BytesKept = 0;
-  /// Delta and Checkpoint payload bytes decoded to get here, over every
-  /// scan pass.
+  /// Delta and Checkpoint payload bytes decoded to get here, over both
+  /// scan passes.
   uint64_t DecodedBytes = 0;
   /// Bytes after the last structurally valid segment (torn/corrupt
   /// tail).

@@ -53,11 +53,12 @@
 ///                 payload bytes). Framed as a Delta, but it holds every
 ///                 profile's full encoding (the delta from
 ///                 ProfileMark{}), in thread-id order: the whole state
-///                 at its epoch. A reader decodes only the last committed
-///                 Checkpoint and the Deltas after it; the ratio caps the
-///                 extra bytes at about 1/64 of the Deltas, and a journal
-///                 whose Deltas stay under 64 KiB has none before its
-///                 closing one (see Compaction).
+///                 at its epoch. It opens a fresh file (see
+///                 Compaction), so it is a file's first Delta or
+///                 Checkpoint, and a reader treats one anywhere else as
+///                 malformed. The ratio caps the extra bytes at about
+///                 1/64 of the Deltas, and a journal whose Deltas stay
+///                 under 64 KiB has none before its closing one.
 ///   Commit      — epoch sentinel (u64 executor round): everything up
 ///                 to and including this segment is a consistent
 ///                 snapshot. Recovery state = state at the last valid

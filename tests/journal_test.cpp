@@ -25,15 +25,19 @@
 ///    print DJX_JOURNAL_FUZZ_SEED for replay. CRC-valid but malformed
 ///    Delta payloads stop the scan the same way, whether a sentinel
 ///    applies them or the file ends first, and so does a payload naming
-///    a method no MethodTable defined (recover and merge exit 0 or 7 on
-///    it, never from a signal); a directory is no journal.
+///    a method no MethodTable committed so far defined (recover and
+///    merge exit 0 or 7 on it, never from a signal); a directory is no
+///    journal.
+///  - Resealing fuzzer: seeded record-level edits of a writer-made
+///    journal (ids, parent links, table bounds, dropped, copied or moved
+///    segments), every CRC resealed; readJournal returns with every
+///    method defined, and recover and merge never die from a signal.
 ///  - Checkpoints: a longer shape crosses the checkpoint floor twice.
-///    Its files, spliced into the one file a writer that never compacts
-///    would write, put Checkpoints after Deltas: cuts around each match
-///    a MaxRounds reference, a second corpus tears inside and just after
-///    them, only payloads from the last committed Checkpoint on are
-///    decoded, and the decoded bytes stay under one bound as rounds
-///    double.
+///    Cuts around each compacted file's Checkpoint match a MaxRounds
+///    reference, a second corpus tears inside and just after them, a
+///    Checkpoint anywhere but first in its file and a malformed payload
+///    anywhere stop the scan at them, and the decoded bytes stay under
+///    one bound as rounds double.
 ///  - Compaction: each Checkpoint starts a fresh file rooted at it; a
 ///    crash between the tmp write and the rename recovers the epoch
 ///    before; a failed compaction leaves the old file whole; the file
@@ -59,6 +63,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
@@ -934,68 +940,16 @@ std::string withPayload(const std::string &Full, const JournalSegmentInfo &S,
   return Out;
 }
 
-/// A full MethodTable payload (ids from 0) cut to the methods from id
-/// \p From on: the delta a file that was never compacted holds.
-std::string methodTableFrom(const std::string &Full, uint32_t From) {
-  auto U32 = [&](size_t Off) {
-    uint32_t V = 0;
-    for (int I = 3; I >= 0; --I)
-      V = (V << 8) | static_cast<uint8_t>(Full[Off + I]);
-    return V;
-  };
-  size_t Off = 8;
-  for (uint32_t I = 0; I < From; ++I)
-    Off += 12 + U32(Off) + U32(Off + 4) + 8 * size_t{U32(Off + 8)};
-  std::string P;
-  appendU32(P, From);
-  appendU32(P, U32(4) - From);
-  P += Full.substr(Off);
-  return P;
-}
-
-/// The one file a writer that never compacts would have written, spliced
-/// from \p Files (every file of a run, oldest first): the first file,
-/// then each later one from its Checkpoint epoch on, renumbered, with its
-/// MethodTable cut to the methods new at that epoch. Its Checkpoints
-/// follow Deltas, the reader paths a compacted file never reaches.
-std::string uncompacted(const std::vector<std::string> &Files) {
-  std::string Out = Files.front();
-  const JournalRecovery First = readBytes(Out);
-  uint64_t Seq = First.Segments.back().Seq;
-  uint32_t Methods = static_cast<uint32_t>(First.Methods.size());
-  for (size_t F = 1; F < Files.size(); ++F) {
-    const JournalRecovery R = readBytes(Files[F]);
-    for (const JournalSegmentInfo &S : R.Segments) {
-      if (isType(S, SegmentType::Meta))
-        continue;
-      std::string Payload =
-          Files[F].substr(S.Offset + kJournalSegmentHeaderBytes,
-                          S.Length - kJournalSegmentHeaderBytes);
-      if (isType(S, SegmentType::MethodTable) && S.Seq == 2) {
-        Payload = methodTableFrom(Payload, Methods);
-        if (Payload.size() == 8) // No method is new at this epoch.
-          continue;
-      }
-      appendSegment(Out, static_cast<SegmentType>(S.Type), ++Seq, S.Epoch,
-                    Payload);
-    }
-    Methods = static_cast<uint32_t>(R.Methods.size());
-  }
-  return Out;
-}
-
 /// One checkpointWorkload() run with its whole file history.
 struct CompactedRun {
   JournaledRun Live;
   std::vector<std::string> Files; ///< Oldest first; the last is on disk.
-  std::string Uncompacted;        ///< uncompacted(Files).
 };
 
 CompactedRun runCompacted(const std::string &Path, uint64_t MaxRounds = 0) {
   CompactedRun C;
   C.Live = runJournaled(Path, 2, MaxRounds, checkpointWorkload(),
                         {nullptr, &C.Files});
-  C.Uncompacted = uncompacted(C.Files);
   return C;
 }
 
@@ -1040,17 +994,12 @@ TEST(JournalCompaction, EachCheckpointStartsAFreshFile) {
   // bytesWritten() counts every file's bytes, each rewritten prefix too.
   EXPECT_EQ(C.Live.JournalBytes, Written);
 
-  // The file on disk and the uncompacted one both recover the run.
+  // The file on disk recovers the run.
   const JournalRecovery Final = readJournal(Path);
-  const JournalRecovery Whole = readBytes(C.Uncompacted);
-  EXPECT_EQ(checkpointsOf(Whole).size(), C.Files.size() - 1);
-  EXPECT_EQ(Whole.LastEpoch, Final.LastEpoch);
-  for (const JournalRecovery *R : {&Final, &Whole}) {
-    ASSERT_EQ(R->Profiles.size(), C.Live.ProfileBytes.size());
-    for (size_t I = 0; I < R->Profiles.size(); ++I)
-      EXPECT_EQ(encoded(R->Profiles[I]), C.Live.ProfileBytes[I]);
-    EXPECT_EQ(recoveredReport(*R), C.Live.Report);
-  }
+  ASSERT_EQ(Final.Profiles.size(), C.Live.ProfileBytes.size());
+  for (size_t I = 0; I < Final.Profiles.size(); ++I)
+    EXPECT_EQ(encoded(Final.Profiles[I]), C.Live.ProfileBytes[I]);
+  EXPECT_EQ(recoveredReport(Final), C.Live.Report);
   std::remove(Path.c_str());
 }
 
@@ -1153,202 +1102,196 @@ TEST(JournalCompaction, FailedCompactionLeavesThePreviousFile) {
 }
 
 TEST(JournalCheckpoint, CutsAroundACheckpointMatchMaxRoundsReference) {
+  // Every compacted file starts at its Checkpoint, so a cut before the
+  // Checkpoint's Commit recovers nothing, and the Commit recovers the
+  // Checkpoint alone. (The file before a compaction stays in place until
+  // the new one is whole; see JournalCompaction.)
   std::string Path = tempPath("ckpt_full.djxj");
   const CompactedRun C = runCompacted(Path);
-  // The reader's side: Checkpoints after Deltas, in the file a writer
-  // that never compacts would have written.
-  const std::string Full = C.Uncompacted;
-  JournalRecovery Whole = readBytes(Full);
-  ASSERT_TRUE(Whole.Closed);
-  const std::vector<size_t> Checkpoints = checkpointsOf(Whole);
-  ASSERT_GE(Checkpoints.size(), 2u);
-  // Decoded from its last Checkpoint on, the whole journal is the run.
-  ASSERT_EQ(Whole.Profiles.size(), C.Live.ProfileBytes.size());
-  for (size_t I = 0; I < Whole.Profiles.size(); ++I)
-    EXPECT_EQ(encoded(Whole.Profiles[I]), C.Live.ProfileBytes[I]);
-  EXPECT_EQ(recoveredReport(Whole), C.Live.Report);
-
-  auto Cut = [](const std::string &Bytes, size_t End) {
-    return readBytes(Bytes.substr(0, End));
-  };
-  for (size_t Index : Checkpoints) {
-    const JournalSegmentInfo &Ck = Whole.Segments[Index];
-    const JournalSegmentInfo &Before = Whole.Segments[Index - 1];
-    const JournalSegmentInfo &Commit = Whole.Segments[Index + 1];
-    ASSERT_TRUE(isType(Before, SegmentType::Commit));
-    ASSERT_TRUE(isType(Commit, SegmentType::Commit));
-    const std::string At = " at the Checkpoint of epoch " +
-                           std::to_string(Ck.Epoch);
-
-    // The Commit just before the Checkpoint.
-    JournalRecovery R = Cut(Full, Before.Offset + Before.Length);
-    EXPECT_EQ(R.LastEpoch, Ck.Epoch - 1);
-    EXPECT_TRUE(R.TruncationReason.empty());
-    expectMatchesMaxRoundsReference("commit before" + At, R);
-    const std::string BeforeReport = recoveredReport(R);
-
-    // Inside the Checkpoint, and right after it: still the state before.
-    R = Cut(Full, Ck.Offset + Ck.Length / 2);
-    EXPECT_EQ(R.LastEpoch, Ck.Epoch - 1);
-    EXPECT_EQ(R.TruncationReason, "segment length out of bounds");
-    EXPECT_EQ(recoveredReport(R), BeforeReport) << "inside" << At;
-    R = Cut(Full, Ck.Offset + Ck.Length);
-    EXPECT_EQ(R.LastEpoch, Ck.Epoch - 1);
-    EXPECT_EQ(R.SegmentsUncommitted, 1u);
-    EXPECT_TRUE(R.TruncationReason.empty());
-    EXPECT_EQ(recoveredReport(R), BeforeReport) << "after" << At;
-
-    // Its own Commit: the Checkpoint alone is the state.
-    R = Cut(Full, Commit.Offset + Commit.Length);
-    EXPECT_EQ(R.LastEpoch, Ck.Epoch);
-    EXPECT_EQ(R.DecodedBytes, Ck.Length - kJournalSegmentHeaderBytes);
-    expectMatchesMaxRoundsReference("own commit" + At, R);
+  ASSERT_GE(C.Files.size(), 3u);
+  for (size_t F = 1; F < C.Files.size(); ++F) {
+    const std::string &File = C.Files[F];
+    const std::string Label = "file " + std::to_string(F);
+    const JournalRecovery Compacted = readBytes(File);
+    expectRootedAtOneCheckpoint(Compacted, Label);
+    const JournalSegmentInfo &Table = Compacted.Segments[1];
+    const JournalSegmentInfo &Ck = Compacted.Segments[2];
+    const JournalSegmentInfo &Commit = Compacted.Segments[3];
+    for (size_t End : {Table.Offset + Table.Length, Ck.Offset + Ck.Length / 2,
+                       Ck.Offset + Ck.Length}) {
+      JournalRecovery R = readBytes(File.substr(0, End));
+      EXPECT_EQ(R.LastEpoch, 0u) << Label << ", cut at " << End;
+      EXPECT_TRUE(R.Profiles.empty()) << Label << ", cut at " << End;
+      EXPECT_TRUE(R.Methods.empty()) << Label << ", cut at " << End;
+    }
+    JournalRecovery R =
+        readBytes(File.substr(0, Commit.Offset + Commit.Length));
+    EXPECT_EQ(R.LastEpoch, Ck.Epoch) << Label;
+    EXPECT_EQ(R.DecodedBytes, Ck.Length - kJournalSegmentHeaderBytes) << Label;
+    expectMatchesMaxRoundsReference("own commit of " + Label, R);
   }
-
-  // The writer's side: the compacted file starts at its Checkpoint, so a
-  // cut before the Checkpoint's Commit recovers nothing, and the Commit
-  // recovers the Checkpoint alone. (The file before the compaction
-  // stays in place until the new one is whole; see JournalCompaction.)
-  const std::string Final = C.Files.back();
-  const JournalRecovery Compacted = readBytes(Final);
-  expectRootedAtOneCheckpoint(Compacted, "compacted file");
-  const JournalSegmentInfo &Table = Compacted.Segments[1];
-  const JournalSegmentInfo &Ck = Compacted.Segments[2];
-  const JournalSegmentInfo &Commit = Compacted.Segments[3];
-  for (size_t End : {Table.Offset + Table.Length, Ck.Offset + Ck.Length / 2,
-                     Ck.Offset + Ck.Length}) {
-    JournalRecovery R = Cut(Final, End);
-    EXPECT_EQ(R.LastEpoch, 0u) << End;
-    EXPECT_TRUE(R.Profiles.empty()) << End;
-    EXPECT_TRUE(R.Methods.empty()) << End;
-  }
-  JournalRecovery R = Cut(Final, Commit.Offset + Commit.Length);
-  EXPECT_EQ(R.LastEpoch, Ck.Epoch);
-  EXPECT_EQ(R.DecodedBytes, Ck.Length - kJournalSegmentHeaderBytes);
-  expectMatchesMaxRoundsReference("own commit of the compacted file", R);
   std::remove(Path.c_str());
 }
 
 TEST(JournalCheckpoint, FuzzSalvagesExactlyTheValidPrefix) {
-  // The uncompacted file's Checkpoints follow Deltas; the compacted one
-  // the closing compaction replaced starts at its Checkpoint.
+  // Each file a mid-run compaction started, as the next compaction
+  // replaced it: its Checkpoint, then Deltas.
   std::string Path = tempPath("ckpt_fuzz.djxj");
-  const CompactedRun C = runCompacted(Path);
-  spit(Path, C.Uncompacted);
-  fuzzSalvage(Path, kFuzzCases, 5);
-  spit(Path, crashSource(C.Files));
-  fuzzSalvage(Path, kFuzzCases, 5);
+  const std::vector<std::string> Files = beforeClose(runCompacted(Path).Files);
+  ASSERT_GE(Files.size(), 3u);
+  for (size_t F = 1; F < Files.size(); ++F) {
+    spit(Path, Files[F]);
+    fuzzSalvage(Path, kFuzzCases, 5);
+  }
   std::remove(Path.c_str());
 }
 
-TEST(JournalCheckpoint, OnlyPayloadsFromTheLastCheckpointOnAreDecoded) {
-  // A compacted file has one Checkpoint and nothing before it, so the
-  // contract is pinned on the file a writer that never compacts writes,
-  // as a crash before close leaves it: the closing Checkpoint has no
-  // Delta after it.
-  std::string Path = tempPath("ckpt_contract.djxj");
-  const std::string Full = uncompacted(beforeClose(runCompacted(Path).Files));
-  const JournalRecovery Whole = readBytes(Full);
-  ASSERT_TRUE(scansWhole(Whole));
-  const std::vector<size_t> Checkpoints = checkpointsOf(Whole);
-  ASSERT_GE(Checkpoints.size(), 2u);
-  const JournalSegmentInfo &Last = Whole.Segments[Checkpoints.back()];
-  // Deltas between the last two Checkpoints, and the first one after.
-  const JournalSegmentInfo *Superseded = nullptr, *After = nullptr;
-  for (size_t I = Checkpoints[Checkpoints.size() - 2];
-       I < Whole.Segments.size(); ++I) {
-    const JournalSegmentInfo &S = Whole.Segments[I];
-    if (!isType(S, SegmentType::Delta))
-      continue;
-    if (S.Offset < Last.Offset)
-      Superseded = &S;
-    else if (!After)
-      After = &S;
+/// The payload of segment \p S of \p File.
+std::string payloadOf(const std::string &File, const JournalSegmentInfo &S) {
+  return File.substr(S.Offset + kJournalSegmentHeaderBytes,
+                     S.Length - kJournalSegmentHeaderBytes);
+}
+
+/// The state \p R recovered as a Checkpoint payload: each profile's
+/// full encoding, in thread-id order.
+std::string checkpointPayload(const JournalRecovery &R) {
+  std::string Out;
+  for (const ThreadProfile &P : R.Profiles) {
+    putVarint(Out, P.threadId());
+    putBytes(Out, encoded(P));
   }
-  ASSERT_NE(Superseded, nullptr);
-  ASSERT_NE(After, nullptr);
+  return Out;
+}
 
-  const std::string Bad = std::string(10, '\x80') + bytesOf({1, 0});
-  std::string MutPath = tempPath("ckpt_contract_mut.djxj");
-  auto Recover = [&](const std::string &Bytes) {
-    spit(MutPath, Bytes);
-    return readJournal(MutPath);
-  };
-  auto PrefixReport = [&](uint64_t Epoch) {
-    return recoveredReport(Recover(prefixThroughEpoch(Full, Whole, Epoch)));
-  };
+/// Appends to \p Out, a file that recovers as \p At, one more epoch: a
+/// \p Type segment holding \p Payload and its Commit.
+void appendEpoch(std::string &Out, const JournalRecovery &At, SegmentType Type,
+                 const std::string &Payload) {
+  const uint64_t Seq = At.Segments.back().Seq;
+  std::string Commit;
+  appendU64(Commit, At.LastRound + 1);
+  appendSegment(Out, Type, Seq + 1, At.LastEpoch + 1, Payload);
+  appendSegment(Out, SegmentType::Commit, Seq + 2, At.LastEpoch + 1, Commit);
+}
 
-  // A CRC-valid malformed Delta before the last committed Checkpoint is
-  // never decoded: the journal recovers whole.
-  JournalRecovery R = Recover(withPayload(Full, *Superseded, Bad));
-  EXPECT_TRUE(scansWhole(R));
-  EXPECT_EQ(R.LastEpoch, Whole.LastEpoch);
-  EXPECT_TRUE(R.TruncationReason.empty());
-  EXPECT_EQ(R.DecodedBytes, Whole.DecodedBytes);
-  EXPECT_EQ(recoveredReport(R), recoveredReport(Whole));
+/// Checks that \p Mut, whose first bad segment lies at offset \p Stop,
+/// stops the scan there as malformed and recovers exactly the state of
+/// the last Commit before it, through \p Epoch: the prefix cut there
+/// recovers the same, and with \p Reference so does a run stopped at
+/// that round (no state at all for epoch 0).
+void expectStopsAt(const std::string &Label, const std::string &Mut,
+                   size_t Stop, uint64_t Epoch, bool Reference = true) {
+  const JournalRecovery R = readBytes(Mut);
+  ASSERT_TRUE(R.HeaderValid) << Label;
+  EXPECT_EQ(R.TruncationReason, "malformed segment payload") << Label;
+  EXPECT_EQ(R.TrailingBytes, Mut.size() - Stop) << Label;
+  EXPECT_EQ(R.LastEpoch, Epoch) << Label;
+  const JournalRecovery Prefix = readBytes(Mut.substr(0, R.BytesKept));
+  EXPECT_TRUE(scansWhole(Prefix)) << Label;
+  EXPECT_EQ(Prefix.LastEpoch, Epoch) << Label;
+  ASSERT_EQ(R.Profiles.size(), Prefix.Profiles.size()) << Label;
+  for (size_t I = 0; I < R.Profiles.size(); ++I)
+    EXPECT_EQ(encoded(R.Profiles[I]), encoded(Prefix.Profiles[I]))
+        << Label << ", thread " << I;
+  if (Epoch == 0)
+    EXPECT_TRUE(R.Profiles.empty()) << Label;
+  else if (Reference)
+    expectMatchesMaxRoundsReference(Label, R);
+}
 
-  // One after it still stops the scan there.
-  R = Recover(withPayload(Full, *After, Bad));
-  EXPECT_EQ(R.TruncationReason, "malformed segment payload");
-  EXPECT_EQ(R.LastEpoch, After->Epoch - 1);
-  EXPECT_EQ(recoveredReport(R), PrefixReport(After->Epoch - 1));
+TEST(JournalCheckpoint, ACheckpointOnlyOpensItsFile) {
+  // The writer puts a Checkpoint only at the head of a fresh file, right
+  // after Meta and the full MethodTable. Anywhere else it is malformed,
+  // even when it holds a whole well-formed state.
+  std::string Path = tempPath("ckpt_strict.djxj");
+  const CompactedRun C = runCompacted(Path);
 
-  // So does a malformed Checkpoint: the state falls back to the one
-  // before it, decoded from the Checkpoint before that.
-  const std::string BadLast = withPayload(Full, Last, Bad);
-  R = Recover(BadLast);
-  EXPECT_EQ(R.TruncationReason, "malformed segment payload");
-  EXPECT_EQ(R.LastEpoch, Last.Epoch - 1);
-  EXPECT_EQ(recoveredReport(R), PrefixReport(Last.Epoch - 1));
+  // After a Delta: the run's first file, which has none, cut mid-run.
+  const std::string &First = C.Files.front();
+  const JournalRecovery FirstWhole = readBytes(First);
+  ASSERT_TRUE(scansWhole(FirstWhole));
+  ASSERT_TRUE(checkpointsOf(FirstWhole).empty());
+  const std::string Mid =
+      prefixThroughEpoch(First, FirstWhole, FirstWhole.LastEpoch / 2);
+  const JournalRecovery AtMid = readBytes(Mid);
+  ASSERT_GT(AtMid.LastEpoch, 0u);
+  std::string Mut = Mid;
+  appendEpoch(Mut, AtMid, SegmentType::Checkpoint, checkpointPayload(AtMid));
+  expectStopsAt("Checkpoint after a Delta", Mut, Mid.size(), AtMid.LastEpoch);
 
-  // That fallback decodes Deltas the first scan skipped; a malformed one
-  // among them stops the scan earlier still.
-  R = Recover(withPayload(BadLast, *Superseded, Bad));
-  EXPECT_EQ(R.TruncationReason, "malformed segment payload");
-  EXPECT_EQ(R.LastEpoch, Superseded->Epoch - 1);
-  EXPECT_EQ(recoveredReport(R), PrefixReport(Superseded->Epoch - 1));
+  // Right after the first Checkpoint's Commit: a copy of it.
+  const std::string Crash = crashSource(C.Files);
+  const JournalRecovery Rooted = readBytes(Crash);
+  expectRootedAtOneCheckpoint(Rooted, "crash source");
+  const JournalSegmentInfo &Ck = Rooted.Segments[2];
+  const JournalSegmentInfo &Commit = Rooted.Segments[3];
+  const std::string Head = Crash.substr(0, Commit.Offset + Commit.Length);
+  const JournalRecovery AtHead = readBytes(Head);
+  Mut = Head;
+  appendEpoch(Mut, AtHead, SegmentType::Checkpoint, payloadOf(Crash, Ck));
+  expectStopsAt("second Checkpoint", Mut, Head.size(), Ck.Epoch);
 
-  // A Checkpoint is the whole state, so it is checked from nothing: a
-  // delta that is well formed only over the recovered profiles stops
-  // the scan under a Checkpoint header, committed or not.
-  const std::string Prefix = prefixThroughEpoch(Full, Whole, Whole.LastEpoch);
-  const JournalRecovery AtEnd = Recover(Prefix);
-  ASSERT_FALSE(AtEnd.Profiles.empty());
-  ThreadProfile P = AtEnd.Profiles.front();
-  ASSERT_GT(P.cct().size(), 1u);
+  // A file's first Checkpoint has nothing before it, so it is checked
+  // from nothing: a delta whose thread record is nameless (KnownThread),
+  // well formed only over the state it follows, stops the scan at it,
+  // committed or not.
+  ASSERT_FALSE(AtHead.Profiles.empty());
+  ThreadProfile P = AtHead.Profiles.front();
   encoded(P); // Starts the change log, so the next encode is a delta.
   const ProfileMark Mark = P.mark();
   P.recordCodeSample(1, PerfEventKind::L1Miss);
-  std::string Records, DeltaOnly;
+  std::string Records, Nameless;
   P.encode(Records, Mark);
-  putVarint(DeltaOnly, P.threadId());
-  putBytes(DeltaOnly, Records);
-  const uint64_t Seq = AtEnd.Segments.back().Seq;
-  std::string Commit;
-  appendU64(Commit, AtEnd.LastRound + 1);
+  putVarint(Nameless, P.threadId());
+  putBytes(Nameless, Records);
   for (bool Committed : {false, true}) {
-    std::string Mut = Prefix;
-    appendSegment(Mut, SegmentType::Checkpoint, Seq + 1, AtEnd.LastEpoch + 1,
-                  DeltaOnly);
+    Mut = Crash.substr(0, Ck.Offset);
+    appendSegment(Mut, SegmentType::Checkpoint, Ck.Seq, Ck.Epoch, Nameless);
     if (Committed)
-      appendSegment(Mut, SegmentType::Commit, Seq + 2, AtEnd.LastEpoch + 1,
-                    Commit);
-    R = Recover(Mut);
-    EXPECT_EQ(R.TruncationReason, "malformed segment payload") << Committed;
-    EXPECT_EQ(R.LastEpoch, AtEnd.LastEpoch) << Committed;
-    EXPECT_EQ(recoveredReport(R), recoveredReport(AtEnd)) << Committed;
+      Mut += Crash.substr(Commit.Offset, Commit.Length);
+    expectStopsAt(std::string("nameless file-first Checkpoint, ") +
+                      (Committed ? "committed" : "uncommitted"),
+                  Mut, Ck.Offset, 0);
   }
-
   std::remove(Path.c_str());
-  std::remove(MutPath.c_str());
+}
+
+TEST(JournalCheckpoint, AMalformedPayloadStopsTheScanWhereverItLies) {
+  // Nothing committed is ever superseded, so every committed payload is
+  // decoded: a CRC-valid malformed one stops the scan where it lies, in
+  // the run's first file and in a compacted one, at its Checkpoint or at
+  // a Delta near the start, in the middle or near the end.
+  std::string Path = tempPath("ckpt_anywhere.djxj");
+  const CompactedRun C = runCompacted(Path);
+  const std::string Bad = std::string(10, '\x80') + bytesOf({1, 0});
+  for (const std::string &File : {C.Files.front(), crashSource(C.Files)}) {
+    const JournalRecovery Whole = readBytes(File);
+    ASSERT_TRUE(scansWhole(Whole));
+    std::vector<const JournalSegmentInfo *> Payloads;
+    for (const JournalSegmentInfo &S : Whole.Segments)
+      if (isType(S, SegmentType::Delta) || isType(S, SegmentType::Checkpoint))
+        Payloads.push_back(&S);
+    const size_t N = Payloads.size();
+    ASSERT_GE(N, 8u);
+    for (size_t I : {size_t{0}, size_t{1}, size_t{2}, N / 4, N / 2, 3 * N / 4,
+                     N - 3, N - 2, N - 1}) {
+      const JournalSegmentInfo &S = *Payloads[I];
+      // A reference run for the middle payload only.
+      expectStopsAt("bad payload at epoch " + std::to_string(S.Epoch),
+                    withPayload(File, S, Bad), S.Offset,
+                    lastDurableEpochBefore(Whole, S.Offset), I == N / 2);
+    }
+  }
+  std::remove(Path.c_str());
 }
 
 TEST(JournalCheckpoint, DecodedBytesStayFlatAsRoundsDouble) {
-  // Recovery decodes the last Checkpoint and the Deltas after it, which
+  // Recovery decodes a file's Checkpoint and the Deltas after it, which
   // the writer keeps under the floor while 64 x a Checkpoint is below
   // it. So one bound, the floor plus a Checkpoint of the final state,
-  // holds for N and 2N rounds alike, in the compacted file and in the
-  // file a writer that never compacts would have written.
+  // holds for N and 2N rounds alike, in the closed file and in the one
+  // a crash before close leaves, while the payloads the run wrote over
+  // all its files pass it twice over.
   std::string Path = tempPath("ckpt_decoded.djxj");
   const CompactedRun Long = runCompacted(Path);
   const CompactedRun Short = runCompacted(Path, Long.Live.Rounds / 2);
@@ -1356,19 +1299,17 @@ TEST(JournalCheckpoint, DecodedBytesStayFlatAsRoundsDouble) {
             kJournalCheckpointFloorBytes);
   const uint64_t Bound = kJournalCheckpointFloorBytes + Long.Live.StateBytes;
 
-  const JournalRecovery Uncompacted = readBytes(Long.Uncompacted);
   uint64_t Payloads = 0;
-  for (const JournalSegmentInfo &S : Uncompacted.Segments)
-    if (isType(S, SegmentType::Delta) || isType(S, SegmentType::Checkpoint))
-      Payloads += S.Length - kJournalSegmentHeaderBytes;
+  for (const std::string &File : Long.Files)
+    for (const JournalSegmentInfo &S : readBytes(File).Segments)
+      if (isType(S, SegmentType::Delta) || isType(S, SegmentType::Checkpoint))
+        Payloads += S.Length - kJournalSegmentHeaderBytes;
   EXPECT_GT(Payloads, 2 * Bound); // Decoding them all would not fit.
   EXPECT_GT(Long.Live.Epochs, Short.Live.Epochs);
   for (const CompactedRun *C : {&Short, &Long}) {
-    for (const JournalRecovery &R :
-         {readBytes(C->Files.back()), readBytes(C->Uncompacted)}) {
-      ASSERT_TRUE(R.Closed);
-      EXPECT_LT(R.DecodedBytes, Bound) << "rounds " << C->Live.Rounds;
-    }
+    const JournalRecovery Final = readBytes(C->Files.back());
+    ASSERT_TRUE(Final.Closed);
+    EXPECT_LT(Final.DecodedBytes, Bound) << "rounds " << C->Live.Rounds;
     // The file the closing compaction replaced: its Checkpoint and the
     // Deltas after it.
     const JournalRecovery Crash = readBytes(crashSource(C->Files));
@@ -1398,11 +1339,52 @@ std::pair<int, std::string> runCli(const std::string &Args) {
 
 /// Checks that every CCT node \p R recovered names a method its table
 /// defines.
-void expectMethodsDefined(const JournalRecovery &R) {
+void expectMethodsDefined(const JournalRecovery &R,
+                          const std::string &Label = "") {
   for (const ThreadProfile &P : R.Profiles)
     for (size_t N = 1; N < P.cct().size(); ++N)
       EXPECT_LT(P.cct().methodOf(static_cast<CctNodeId>(N)), R.Methods.size())
-          << "thread " << P.threadId() << ", node " << N;
+          << Label << " thread " << P.threadId() << ", node " << N;
+}
+
+/// One segment of a journal file: its type, epoch and payload.
+struct Segment {
+  SegmentType Type;
+  uint64_t Epoch;
+  std::string Payload;
+};
+
+/// The segments of \p File, a journal that scans whole.
+std::vector<Segment> segmentsOf(const std::string &File) {
+  std::vector<Segment> Out;
+  for (const JournalSegmentInfo &S : readBytes(File).Segments)
+    Out.push_back({static_cast<SegmentType>(S.Type), S.Epoch,
+                   payloadOf(File, S)});
+  return Out;
+}
+
+/// \p Segments after a file header, numbered from 1 with every CRC
+/// resealed, so only what they hold can stop a scan.
+std::string resealed(const std::vector<Segment> &Segments) {
+  std::string Out(kJournalFileMagic, sizeof(kJournalFileMagic));
+  appendU32(Out, kJournalFormatVersion);
+  appendU32(Out, Crc32c::compute(Out.data(), Out.size()));
+  uint64_t Seq = 0;
+  for (const Segment &S : Segments)
+    appendSegment(Out, S.Type, ++Seq, S.Epoch, S.Payload);
+  return Out;
+}
+
+/// A Delta payload over \p P that adds one CCT node naming \p Method.
+std::string deltaNaming(ThreadProfile P, MethodId Method) {
+  encoded(P); // Starts the change log, so the next encode is a delta.
+  const ProfileMark Mark = P.mark();
+  P.cct().child(kCctRoot, Method, 0);
+  std::string Records, Payload;
+  P.encode(Records, Mark);
+  putVarint(Payload, P.threadId());
+  putBytes(Payload, Records);
+  return Payload;
 }
 
 TEST(JournalReferences, MethodIdsPastTheTableStopTheScan) {
@@ -1416,13 +1398,9 @@ TEST(JournalReferences, MethodIdsPastTheTableStopTheScan) {
   // The compacted file resealed without its MethodTable: its Checkpoint
   // names methods no table defines, so the scan stops there and nothing
   // is committed.
-  std::string Bad = Good.substr(0, kJournalFileHeaderBytes);
-  uint64_t Seq = 0;
-  for (const JournalSegmentInfo &S : Whole.Segments)
-    if (!isType(S, SegmentType::MethodTable))
-      appendSegment(Bad, static_cast<SegmentType>(S.Type), ++Seq, S.Epoch,
-                    Good.substr(S.Offset + kJournalSegmentHeaderBytes,
-                                S.Length - kJournalSegmentHeaderBytes));
+  std::vector<Segment> Segs = segmentsOf(Good);
+  Segs.erase(Segs.begin() + 1);
+  const std::string Bad = resealed(Segs);
   JournalRecovery R = readBytes(Bad);
   ASSERT_TRUE(R.HeaderValid);
   EXPECT_EQ(R.TruncationReason, "method id out of range");
@@ -1451,21 +1429,10 @@ TEST(JournalReferences, MethodIdsPastTheTableStopTheScan) {
 
   // A committed Delta whose new CCT node names the first undefined id:
   // the scan keeps everything before it and stops at it.
-  ThreadProfile P = Whole.Profiles.front();
-  encoded(P); // Starts the change log, so the next encode is a delta.
-  const ProfileMark Mark = P.mark();
-  P.cct().child(kCctRoot, static_cast<MethodId>(Whole.Methods.size()), 0);
-  std::string Records, Payload, Commit;
-  P.encode(Records, Mark);
-  putVarint(Payload, P.threadId());
-  putBytes(Payload, Records);
-  appendU64(Commit, Whole.LastRound + 1);
   std::string Mut = Good;
-  const uint64_t Last = Whole.Segments.back().Seq;
-  appendSegment(Mut, SegmentType::Delta, Last + 1, Whole.LastEpoch + 1,
-                Payload);
-  appendSegment(Mut, SegmentType::Commit, Last + 2, Whole.LastEpoch + 1,
-                Commit);
+  appendEpoch(Mut, Whole, SegmentType::Delta,
+              deltaNaming(Whole.Profiles.front(),
+                          static_cast<MethodId>(Whole.Methods.size())));
   R = readBytes(Mut);
   EXPECT_EQ(R.TruncationReason, "method id out of range");
   EXPECT_EQ(R.LastEpoch, Whole.LastEpoch);
@@ -1474,6 +1441,329 @@ TEST(JournalReferences, MethodIdsPastTheTableStopTheScan) {
   expectMethodsDefined(R);
   expectMethodsDefined(Whole);
 
+  std::remove(Path.c_str());
+  std::remove(GoodPath.c_str());
+  std::remove(BadPath.c_str());
+}
+
+TEST(JournalReferences, MethodIdsAreCheckedAgainstTheTablesCommittedSoFar) {
+  // Each payload is checked at its sentinel, against the MethodTables
+  // committed with it or before it: a later table does not make an id
+  // defined in time.
+  std::string Path = tempPath("refs_later.djxj");
+  const std::string Good = crashSource(runCompacted(Path).Files);
+  const JournalRecovery Whole = readBytes(Good);
+  ASSERT_TRUE(scansWhole(Whole));
+  ASSERT_FALSE(Whole.Profiles.empty());
+  const uint32_t Next = static_cast<uint32_t>(Whole.Methods.size());
+  const std::string Delta = deltaNaming(Whole.Profiles.front(), Next);
+  // A MethodTable defining id Next: "Later.run()", no line table.
+  std::string Table;
+  appendU32(Table, Next);
+  appendU32(Table, 1);
+  appendU32(Table, 5);
+  appendU32(Table, 3);
+  appendU32(Table, 0);
+  Table += "Laterrun";
+
+  // The table one epoch after the Delta that names its id.
+  std::vector<Segment> Segs = segmentsOf(Good);
+  const uint64_t E = Whole.LastEpoch;
+  std::string Commit;
+  appendU64(Commit, Whole.LastRound + 1);
+  Segs.push_back({SegmentType::Delta, E + 1, Delta});
+  Segs.push_back({SegmentType::Commit, E + 1, Commit});
+  Segs.push_back({SegmentType::MethodTable, E + 2, Table});
+  Segs.push_back({SegmentType::Commit, E + 2, Commit});
+  JournalRecovery R = readBytes(resealed(Segs));
+  EXPECT_EQ(R.TruncationReason, "method id out of range");
+  EXPECT_EQ(R.LastEpoch, E);
+  EXPECT_EQ(R.BytesKept, Good.size());
+  EXPECT_EQ(R.Methods.size(), Next);
+  EXPECT_EQ(recoveredReport(R), recoveredReport(Whole));
+  expectMethodsDefined(R);
+
+  // The same table in the Delta's own epoch, as the writer puts it.
+  Segs.resize(Segs.size() - 4);
+  Segs.push_back({SegmentType::MethodTable, E + 1, Table});
+  Segs.push_back({SegmentType::Delta, E + 1, Delta});
+  Segs.push_back({SegmentType::Commit, E + 1, Commit});
+  R = readBytes(resealed(Segs));
+  EXPECT_TRUE(scansWhole(R));
+  EXPECT_EQ(R.LastEpoch, E + 1);
+  ASSERT_EQ(R.Methods.size(), Next + 1);
+  EXPECT_EQ(R.Methods.back().ClassName, "Later");
+  expectMethodsDefined(R);
+  std::remove(Path.c_str());
+}
+
+// --- Resealing fuzzer -------------------------------------------------------
+
+/// Resealing fuzz iterations; each runs recover and merge twice.
+constexpr int kResealCases = 160;
+
+/// Consumes one varint from the front of \p S. Writer-made varints are
+/// minimal, so re-encoding the value gives the bytes consumed.
+uint64_t takeVarint(std::string_view &S) {
+  uint64_t V = 0;
+  VarintReader R(S);
+  EXPECT_TRUE(R.u64(V));
+  std::string Bytes;
+  putVarint(Bytes, V);
+  S.remove_prefix(std::min(Bytes.size(), S.size()));
+  return V;
+}
+
+/// One thread entry of a Delta or Checkpoint payload, split where the
+/// fuzzer edits it: the entry's thread id, its Thread or KnownThread
+/// record, the CCT nodes it adds as (parent, method, bci), and the
+/// records after them verbatim.
+struct ThreadEntry {
+  uint64_t Tid = 0;
+  uint64_t Tag = 0;
+  uint64_t RecordTid = 0;
+  std::string Name;
+  uint64_t FirstNode = 0;
+  std::vector<std::array<uint64_t, 3>> Nodes;
+  std::string Rest;
+};
+
+constexpr uint64_t kThreadTag = 1; // Named; KnownThread (9) has no name.
+constexpr uint64_t kNodesTag = 2;
+
+/// The thread entries of a writer-made payload.
+std::vector<ThreadEntry> entriesOf(std::string_view Payload) {
+  std::vector<ThreadEntry> Out;
+  while (!Payload.empty()) {
+    ThreadEntry E;
+    E.Tid = takeVarint(Payload);
+    std::string_view Records = Payload.substr(0, takeVarint(Payload));
+    Payload.remove_prefix(Records.size());
+    E.Tag = takeVarint(Records);
+    E.RecordTid = takeVarint(Records);
+    if (E.Tag == kThreadTag) {
+      E.Name = Records.substr(0, takeVarint(Records));
+      Records.remove_prefix(E.Name.size());
+    }
+    std::string_view Next = Records;
+    if (takeVarint(Next) == kNodesTag) {
+      Records = Next;
+      E.FirstNode = takeVarint(Records);
+      E.Nodes.resize(takeVarint(Records));
+      for (auto &Node : E.Nodes)
+        for (uint64_t &V : Node)
+          V = takeVarint(Records);
+    }
+    E.Rest = Records;
+    Out.push_back(std::move(E));
+  }
+  return Out;
+}
+
+/// \p Entries encoded back into a payload.
+std::string encodedEntries(const std::vector<ThreadEntry> &Entries) {
+  std::string Out;
+  for (const ThreadEntry &E : Entries) {
+    std::string Records;
+    putVarint(Records, E.Tag);
+    putVarint(Records, E.RecordTid);
+    if (E.Tag == kThreadTag)
+      putBytes(Records, E.Name);
+    if (!E.Nodes.empty()) {
+      putVarint(Records, kNodesTag);
+      putVarint(Records, E.FirstNode);
+      putVarint(Records, E.Nodes.size());
+      for (const auto &Node : E.Nodes)
+        for (uint64_t V : Node)
+          putVarint(Records, V);
+    }
+    Records += E.Rest;
+    putVarint(Out, E.Tid);
+    putBytes(Out, Records);
+  }
+  return Out;
+}
+
+bool holdsProfiles(const Segment &S) {
+  return S.Type == SegmentType::Delta || S.Type == SegmentType::Checkpoint;
+}
+
+/// One seeded record-level edit of \p Segs, a journal holding
+/// \p Methods methods. \returns what it did, for the failure message.
+std::string mutate(std::vector<Segment> &Segs, std::mt19937_64 &Rng,
+                   uint64_t Methods) {
+  auto Pick = [&](size_t N) { return static_cast<size_t>(Rng() % N); };
+  auto IndexesOf = [&](auto &&Pred) {
+    std::vector<size_t> Out;
+    for (size_t I = 0; I < Segs.size(); ++I)
+      if (Pred(Segs[I]))
+        Out.push_back(I);
+    return Out;
+  };
+  // Edits one thread entry of a random payload, re-encoded.
+  auto EditEntry = [&](auto &&Edit) {
+    const std::vector<size_t> Payloads = IndexesOf(holdsProfiles);
+    if (Payloads.empty())
+      return false;
+    Segment &S = Segs[Payloads[Pick(Payloads.size())]];
+    std::vector<ThreadEntry> Entries = entriesOf(S.Payload);
+    if (!Edit(Entries, Entries[Pick(Entries.size())]))
+      return false;
+    S.Payload = encodedEntries(Entries);
+    return true;
+  };
+  switch (Pick(8)) {
+  case 0: {
+    const uint64_t Ids[] = {Pick(Methods), Methods, Methods + 1 + Pick(8),
+                            uint64_t{1} << (16 + Pick(16)), UINT32_MAX};
+    const uint64_t Id = Ids[Pick(5)];
+    if (EditEntry([&](auto &, ThreadEntry &E) {
+          if (E.Nodes.empty())
+            return false;
+          E.Nodes[Pick(E.Nodes.size())][1] = Id;
+          return true;
+        }))
+      return "method id " + std::to_string(Id);
+    break;
+  }
+  case 1: {
+    const size_t Which = Pick(3);
+    uint64_t Tid = 0;
+    if (EditEntry([&](std::vector<ThreadEntry> &All, ThreadEntry &E) {
+          const uint64_t Tids[] = {All[Pick(All.size())].Tid, E.Tid + 1,
+                                   E.Tid - 1, Pick(64)};
+          Tid = Tids[Pick(4)];
+          if (Which != 1)
+            E.Tid = Tid;
+          if (Which != 0)
+            E.RecordTid = Tid;
+          return true;
+        }))
+      return "thread id " + std::to_string(Tid) + " (" +
+             std::to_string(Which) + ")";
+    break;
+  }
+  case 2: {
+    uint64_t Parent = 0;
+    if (EditEntry([&](auto &, ThreadEntry &E) {
+          if (E.Nodes.empty())
+            return false;
+          const size_t N = Pick(E.Nodes.size());
+          const uint64_t Id = E.FirstNode + N;
+          const uint64_t Parents[] = {0, Id, Id + 1 + Pick(4), Pick(Id + 1)};
+          Parent = Parents[Pick(4)];
+          E.Nodes[N][0] = Parent;
+          return true;
+        }))
+      return "CCT parent " + std::to_string(Parent);
+    break;
+  }
+  case 3: {
+    const std::vector<size_t> Tables = IndexesOf(
+        [](const Segment &S) { return S.Type == SegmentType::MethodTable; });
+    if (Tables.empty())
+      break;
+    std::string &P = Segs[Tables[Pick(Tables.size())]].Payload;
+    const size_t Field = 4 * Pick(2); // First, then Count.
+    uint32_t Old = 0;
+    for (int I = 3; I >= 0; --I)
+      Old = (Old << 8) | static_cast<uint8_t>(P[Field + I]);
+    const uint32_t Values[] = {Old + 1, Old - 1, 0,
+                               static_cast<uint32_t>(Pick(2 * Methods + 1)),
+                               UINT32_MAX};
+    const uint32_t V = Values[Pick(5)];
+    std::string Bytes;
+    appendU32(Bytes, V);
+    P.replace(Field, 4, Bytes);
+    return std::string(Field ? "table Count " : "table First ") +
+           std::to_string(V);
+  }
+  case 4: {
+    const size_t I = Pick(Segs.size());
+    Segs.erase(Segs.begin() + I);
+    return "dropped segment " + std::to_string(I);
+  }
+  case 5: {
+    const size_t I = Pick(Segs.size());
+    const size_t To = I + 1 + Pick(Segs.size() - I);
+    Segs.insert(Segs.begin() + To, Segment(Segs[I]));
+    return "segment " + std::to_string(I) + " copied to " + std::to_string(To);
+  }
+  case 6: {
+    const size_t I = Pick(Segs.size());
+    Segment S = std::move(Segs[I]);
+    Segs.erase(Segs.begin() + I);
+    const size_t To = Pick(Segs.size() + 1);
+    Segs.insert(Segs.begin() + To, std::move(S));
+    return "segment " + std::to_string(I) + " moved to " + std::to_string(To);
+  }
+  default: {
+    const std::vector<size_t> Cks = IndexesOf(
+        [](const Segment &S) { return S.Type == SegmentType::Checkpoint; });
+    const std::vector<size_t> Deltas = IndexesOf(
+        [](const Segment &S) { return S.Type == SegmentType::Delta; });
+    if (Cks.empty() || Deltas.empty())
+      break;
+    const size_t From = Cks.front();
+    const size_t After = Deltas[Pick(Deltas.size())];
+    Segment Ck = std::move(Segs[From]);
+    Segs.erase(Segs.begin() + From);
+    // The Delta sits one before its old index once the Checkpoint that
+    // preceded it is gone; the Checkpoint lands right after it or after
+    // its Commit.
+    const size_t To = std::min(After - (From < After) + 1 + Pick(2),
+                               Segs.size());
+    Segs.insert(Segs.begin() + To, std::move(Ck));
+    return "Checkpoint moved to " + std::to_string(To);
+  }
+  }
+  return "no edit";
+}
+
+TEST(JournalResealFuzz, RecordEditsNeverCrashRecoverOrMerge) {
+  // A writer-made journal, edited at the record level and resealed so
+  // every CRC holds: whatever the edit, readJournal returns with every
+  // recovered method id defined, and recover and merge exit 0 or 7,
+  // never from a signal. A failure names its seed and case.
+  std::string Path = tempPath("reseal.djxj");
+  const std::string Good = crashSource(runCompacted(Path).Files);
+  const JournalRecovery Whole = readBytes(Good);
+  ASSERT_TRUE(scansWhole(Whole));
+  const std::vector<Segment> Base = segmentsOf(Good);
+  ASSERT_EQ(resealed(Base), Good);
+  for (const Segment &S : Base)
+    if (holdsProfiles(S)) {
+      ASSERT_EQ(encodedEntries(entriesOf(S.Payload)), S.Payload);
+    }
+
+  const std::string GoodPath = tempPath("reseal_good.djxj");
+  const std::string BadPath = tempPath("reseal_bad.djxj");
+  spit(GoodPath, Good);
+  const uint64_t Seed = fuzzSeed();
+  for (int Case = 0; Case < kResealCases; ++Case) {
+    std::mt19937_64 Rng(mixSeed(Seed + static_cast<uint64_t>(Case)));
+    std::vector<Segment> Segs = Base;
+    char Head[64];
+    std::snprintf(Head, sizeof(Head),
+                  "DJX_JOURNAL_FUZZ_SEED=0x%016" PRIx64 " case %d:", Seed,
+                  Case);
+    std::string Label = Head;
+    for (size_t Edits = 1 + Rng() % 2; Edits > 0; --Edits)
+      Label += " " + mutate(Segs, Rng, Whole.Methods.size()) + ";";
+    spit(BadPath, resealed(Segs));
+    const JournalRecovery R = readJournal(BadPath); // Must return.
+    expectMethodsDefined(R, Label);
+    if (::testing::Test::HasFailure())
+      break; // Rendering would index past the method table.
+    recoveredReport(R);
+    for (const std::string &Args :
+         {"recover '" + BadPath + "'", "merge '" + BadPath + "'",
+          "merge '" + GoodPath + "' '" + BadPath + "'"}) {
+      const int Exit = runCli(Args).first;
+      EXPECT_TRUE(Exit == 0 || Exit == 7)
+          << Label << " djxperf " << Args << " exited " << Exit;
+    }
+  }
   std::remove(Path.c_str());
   std::remove(GoodPath.c_str());
   std::remove(BadPath.c_str());
