@@ -213,30 +213,32 @@ PhaseResult accessPhase(bool Profiled, int Reps, uint64_t Accesses,
 }
 
 /// Recovery's cost against the cheapest pass over the same bytes: the
-/// best time of \p PerSample consecutive CRC32C passes over the journal
-/// at \p Path divided by the best time of as many readJournal calls,
-/// over \p Samples interleaved samples of each. A sample spans many
-/// calls so it lasts well over a millisecond, longer than the host's
-/// timer and scheduling jitter. Host-independent, and higher is better.
+/// median over \p Samples samples of the time of \p PerSample
+/// consecutive CRC32C passes over the journal at \p Path divided by the
+/// time of as many readJournal calls timed right after them. Both halves
+/// of a sample see the same host load, so the ratio does not inherit
+/// it. A sample spans many calls so it lasts well over a millisecond,
+/// longer than the host's timer and scheduling jitter. Host-independent,
+/// and higher is better.
 double recoverVsCrc(const std::string &Path, int Samples, int PerSample) {
   std::ifstream In(Path, std::ios::binary);
   const std::string Bytes((std::istreambuf_iterator<char>(In)),
                           std::istreambuf_iterator<char>());
-  double Crc = 0, Recover = 0;
+  std::vector<double> Ratios;
   volatile uint64_t Sink = 0; // Keeps both passes from being elided.
   for (int I = 0; I < Samples; ++I) {
     Clock::time_point Start = Clock::now();
     for (int K = 0; K < PerSample; ++K)
       Sink = Sink + Crc32c::compute(Bytes.data(), Bytes.size());
-    double S = secondsSince(Start);
-    Crc = I == 0 ? S : std::min(Crc, S);
+    const double Crc = secondsSince(Start);
     Start = Clock::now();
     for (int K = 0; K < PerSample; ++K)
       Sink = Sink + readJournal(Path).SegmentsCommitted;
-    S = secondsSince(Start);
-    Recover = I == 0 ? S : std::min(Recover, S);
+    const double Recover = secondsSince(Start);
+    if (Recover > 0)
+      Ratios.push_back(Crc / Recover);
   }
-  return Recover > 0 ? Crc / Recover : 0;
+  return median(std::move(Ratios));
 }
 
 /// The median of recoverVsCrc(\p Path, 31, 32) over \p Children child

@@ -6,8 +6,8 @@
 ///
 /// \file
 /// Convenience facade running the src/analysis/ pipeline over one
-/// method: CFG + dominators/loops and type-state inference (per-pc
-/// stack depths, escape facts). The TraceCompiler and the static
+/// method: CFG + dominators/loops and type-state inference (per-block
+/// frames, per-pc depths, escape facts). The TraceCompiler and the static
 /// allocation-site report consume this; the Verifier drives the passes
 /// directly because it wants the diagnostics.
 ///

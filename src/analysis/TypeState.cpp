@@ -112,7 +112,7 @@ uint8_t calleeReturnTags(const BytecodeMethod &Callee) {
 
 /// The instruction-level abstract interpreter. One instance drives both
 /// the fixpoint (Record=false: pure transfer) and the final extraction
-/// pass (Record=true: per-pc states, diagnostics, escape routes).
+/// pass (Record=true: diagnostics, escape routes, peak depth).
 struct AbsInterp {
   const BytecodeMethod &M;
   const CalleeResolver &Resolve;
@@ -491,7 +491,7 @@ struct TypeStateProblem {
 TypeStateResult djx::inferTypeStates(const BytecodeMethod &M, const Cfg &G,
                                      const CalleeResolver &Resolve) {
   TypeStateResult R;
-  R.AtPc.assign(M.Code.size(), {});
+  R.Depth.assign(M.Code.size(), -1);
   AbsInterp AI(M, Resolve, R);
   TypeStateProblem P(M, G, AI);
 
@@ -506,36 +506,35 @@ TypeStateResult djx::inferTypeStates(const BytecodeMethod &M, const Cfg &G,
 
   // Re-join every edge once against the fixpoint to attribute depth
   // conflicts to their target blocks (the solver's joins mutated the
-  // vector as it grew, so attribution there would be unstable).
-  {
-    std::vector<AbsFrame> Out(G.blocks().size());
-    for (uint32_t B = 0; B < G.blocks().size(); ++B)
-      Out[B] = P.transfer(B, In[B]);
-    for (uint32_t B = 0; B < G.blocks().size(); ++B)
-      for (uint32_t S : G.blocks()[B].Succs)
-        P.joinInto(In[S], Out[B], S);
+  // vector as it grew, so attribution there would be unstable). In is
+  // a fixpoint, so these joins change only the conflicts.
+  for (uint32_t B = 0; B < G.blocks().size(); ++B) {
+    AbsFrame Out = P.transfer(B, In[B]);
+    for (uint32_t S : G.blocks()[B].Succs)
+      P.joinInto(In[S], Out, S);
   }
 
   // Extraction pass: replay each reachable block from its fixpoint
   // in-state in RPO (deterministic diagnostics order), recording per-pc
-  // states, type errors, escape routes and the peak depth.
+  // depths, type errors, escape routes and the peak depth.
   AI.Record = true;
   for (uint32_t B : G.rpo()) {
     const BasicBlock &Blk = G.blocks()[B];
-    AbsFrame F = In[B];
     if (auto [D1, D2] = P.Conflicts[B]; D1 >= 0)
       R.Errors.push_back(
           {Blk.Start, "operand stack depth mismatch at merge (" +
                           std::to_string(D1) + " vs " + std::to_string(D2) +
                           ")"});
-    if (!F.Reachable)
+    if (!In[B].Reachable)
       continue;
+    AbsFrame F = In[B];
     for (uint32_t Pc = Blk.Start; Pc < Blk.End; ++Pc) {
-      R.AtPc[Pc] = F;
+      R.Depth[Pc] = static_cast<int32_t>(F.Stack.size());
       if (!AI.apply(F, Pc))
         break;
     }
   }
+  R.BlockIn = std::move(In);
 
   // Entry-unreachable code is dead by construction; report it unless an
   // unresolved Invoke left reachability partial. (CFG reachability is

@@ -5,14 +5,17 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Forward dataflow over an abstract interpreter state: per-pc operand
-/// stack and locals, each slot an AbsValue over the Int/Ref/ArrayRef/Top
+/// Forward dataflow over an abstract interpreter state: operand stack
+/// and locals, each slot an AbsValue over the Int/Ref/ArrayRef/Top
 /// lattice (refined with null/zero knowledge so the checks exactly
-/// mirror the flat dispatch loop's runtime asserts). References also
-/// carry the set of in-method allocation sites that may have produced
-/// them, which makes allocation-site escape analysis a by-product of
-/// the same fixpoint: a site escapes its method when one of its values
-/// is stored into the heap, returned, or passed to a callee.
+/// mirror the flat dispatch loop's runtime asserts). Like the JVM's
+/// StackMapTable, the result keeps frames only at basic-block heads,
+/// plus one stack depth per pc: per-block frames, per-pc depths.
+/// References also carry the set of in-method allocation sites that may
+/// have produced them, which makes allocation-site escape analysis a
+/// by-product of the same fixpoint: a site escapes its method when one
+/// of its values is stored into the heap, returned, or passed to a
+/// callee.
 ///
 /// Error policy is *definite misuse only*: an operand is flagged when no
 /// possible concrete value it abstracts satisfies the opcode (zero
@@ -86,7 +89,8 @@ struct AbsValue {
   std::string str() const;
 };
 
-/// Abstract frame at one pc: locals and the operand stack (bottom up).
+/// Abstract frame at one program point: locals and the operand stack
+/// (bottom up).
 struct AbsFrame {
   std::vector<AbsValue> Locals;
   std::vector<AbsValue> Stack;
@@ -127,9 +131,11 @@ struct TypeStateResult {
   /// An Invoke could not be resolved: states downstream of it are
   /// missing and reachability is partial (no unreachable-code claims).
   bool Incomplete = false;
-  /// In-state (before execution) per pc; Reachable=false where the
-  /// fixpoint never arrived.
-  std::vector<AbsFrame> AtPc;
+  /// The stack map: the fixpoint's in-state per basic block, indexed
+  /// like Cfg::blocks(); Reachable=false where it never arrived.
+  std::vector<AbsFrame> BlockIn;
+  /// Operand-stack depth entering each pc; -1 where never reached.
+  std::vector<int32_t> Depth;
   std::vector<TypeStateError> Errors;
   /// Per allocation instruction, in code order (bit N of a value's site
   /// mask refers to Sites[N]).
@@ -138,20 +144,18 @@ struct TypeStateResult {
   /// max_stack, the operand slots the method's frame must reserve.
   uint32_t MaxStack = 0;
 
-  bool reachable(uint32_t Pc) const {
-    return Pc < AtPc.size() && AtPc[Pc].Reachable;
-  }
+  bool reachable(uint32_t Pc) const { return depthAt(Pc) >= 0; }
   /// Operand-stack depth entering \p Pc; -1 when unreachable/unknown.
   int depthAt(uint32_t Pc) const {
-    return reachable(Pc) ? static_cast<int>(AtPc[Pc].Stack.size()) : -1;
+    return Pc < Depth.size() ? Depth[Pc] : -1;
   }
   /// The site fact whose allocation opcode sits at \p Pc, if any.
   const AllocSiteFact *siteAtPc(uint32_t Pc) const;
 };
 
-/// Deepest operand stack a method may build. A deeper one is rejected
-/// at the pc that first exceeds it, and no per-pc states are recorded
-/// for the method (they would grow with code length times depth).
+/// Deepest operand stack a method may build, which bounds the size of
+/// one frame. A deeper one is rejected at the pc that first exceeds it,
+/// and neither frames nor depths are recorded for the method.
 constexpr uint32_t kMaxStackDepth = 1 << 16;
 
 /// Runs the type-state fixpoint over \p M. \p Resolve may be null: any

@@ -204,6 +204,7 @@ ScanStop scanSegments(const std::string &Data, const ScanStop &StopAt,
         if (Ok)
           PendingMethods.push_back(std::move(M));
       }
+      Ok = Ok && C.Off == C.Len;
       break;
     }
     case SegmentType::Delta:
@@ -237,7 +238,8 @@ ScanStop scanSegments(const std::string &Data, const ScanStop &StopAt,
       std::string Msg;
       Ok = C.u32(Failed) && C.u32(Kind) && C.u64(Tid) && C.u64(Steps) &&
            C.u32(Shard) && C.u32(MsgLen) && C.bytes(Msg, MsgLen) &&
-           C.u64(R.CloseSamplesHandled) && C.u64(R.CloseSamplesDropped);
+           C.u64(R.CloseSamplesHandled) && C.u64(R.CloseSamplesDropped) &&
+           C.Off == C.Len;
       if (Ok) {
         R.Closed = true;
         R.CloseClean = Failed == 0;

@@ -253,26 +253,34 @@ TEST(Dataflow, ForwardDistancesOnDiamond) {
 
 TEST(TypeState, TracksTagsAndAllocationSitesPerPc) {
   JavaVm Vm;
-  //   0: iconst 4   1: newarray    2: astore 1
-  //   3: aload 1    4: iconst 0    5: iconst 7   6: pastore
-  //   7: iconst 0   8: iret
+  // Frames are kept at block heads, so each pc whose frame is checked
+  // starts a block (a goto to the next pc):
+  //   0: iconst 4   1: newarray    2: astore 1   3: goto 4
+  //   4: aload 1    5: iconst 0    6: iconst 7   7: goto 8
+  //   8: pastore    9: iconst 0   10: iret
   MethodBuilder B("C", "m", 0, 2);
-  B.iconst(4).newArray(Vm.types().intArray()).astore(1);
-  B.aload(1).iconst(0).iconst(7).paStore();
+  Label AfterStore = B.newLabel(), AtStore = B.newLabel();
+  B.iconst(4).newArray(Vm.types().intArray()).astore(1).jmp(AfterStore);
+  B.bind(AfterStore).aload(1).iconst(0).iconst(7).jmp(AtStore);
+  B.bind(AtStore).paStore();
   B.iconst(0).iret();
   BytecodeMethod M = B.build();
   Cfg G = Cfg::build(M);
   TypeStateResult R = inferTypeStates(M, G);
   EXPECT_TRUE(R.Errors.empty());
   EXPECT_FALSE(R.Incomplete);
+  auto FrameAt = [&](uint32_t Pc) -> const AbsFrame & {
+    EXPECT_EQ(G.blocks()[G.blockOf(Pc)].Start, Pc);
+    return R.BlockIn[G.blockOf(Pc)];
+  };
   // Untouched locals enter as int-tagged zero.
-  EXPECT_EQ(R.AtPc[0].Locals[0].str(), "int0");
+  EXPECT_EQ(FrameAt(0).Locals[0].str(), "int0");
   // After the astore, local 1 is the array produced by site 0.
-  EXPECT_EQ(R.AtPc[3].Locals[1].str(), "arr@{0}");
+  EXPECT_EQ(FrameAt(4).Locals[1].str(), "arr@{0}");
   // Entering the pastore: [arr, int, int], depth 3.
-  EXPECT_EQ(R.depthAt(6), 3);
-  EXPECT_EQ(R.AtPc[6].Stack[0].str(), "arr@{0}");
-  EXPECT_TRUE(R.AtPc[6].Stack[1].mayInt());
+  EXPECT_EQ(R.depthAt(8), 3);
+  EXPECT_EQ(FrameAt(8).Stack[0].str(), "arr@{0}");
+  EXPECT_TRUE(FrameAt(8).Stack[1].mayInt());
   // Site bookkeeping: one newarray at pc 1, local to the method.
   ASSERT_EQ(R.Sites.size(), 1u);
   EXPECT_EQ(R.Sites[0].Pc, 1u);
@@ -290,8 +298,9 @@ TEST(TypeState, ArgumentLocalsEnterAsTop) {
   BytecodeMethod M = B.build();
   Cfg G = Cfg::build(M);
   TypeStateResult R = inferTypeStates(M, G);
-  EXPECT_EQ(R.AtPc[0].Locals[0].str(), "top");
-  EXPECT_EQ(R.AtPc[0].Locals[1].str(), "int0");
+  const AbsFrame &Entry = R.BlockIn[G.blockOf(0)];
+  EXPECT_EQ(Entry.Locals[0].str(), "top");
+  EXPECT_EQ(Entry.Locals[1].str(), "int0");
 }
 
 TEST(TypeState, EscapeRouteReturn) {
@@ -533,12 +542,77 @@ TEST(VerifierTypeState, ZeroFalsePositivesAcrossWorkloadCatalog) {
   }
 }
 
+/// Checks \p A's per-pc depths against its stack map: each block head
+/// enters at its frame's depth, each instruction moves the depth by its
+/// stack effect, and max_stack is the deepest post-instruction depth.
+void expectDepthsMatchStackMap(const BytecodeProgram &P,
+                               const BytecodeMethod &M,
+                               const MethodAnalysis &A) {
+  const TypeStateResult &R = A.Types;
+  ASSERT_TRUE(R.Errors.empty()) << M.qualifiedName();
+  ASSERT_EQ(R.BlockIn.size(), A.G.blocks().size()) << M.qualifiedName();
+  uint32_t Peak = 0;
+  for (uint32_t B = 0; B < A.G.blocks().size(); ++B) {
+    const BasicBlock &Blk = A.G.blocks()[B];
+    const AbsFrame &In = R.BlockIn[B];
+    EXPECT_EQ(R.depthAt(Blk.Start),
+              In.Reachable ? static_cast<int>(In.Stack.size()) : -1)
+        << M.qualifiedName() << " block head " << Blk.Start;
+    for (uint32_t Pc = Blk.Start; Pc < Blk.End; ++Pc) {
+      if (!R.reachable(Pc))
+        continue;
+      const Instruction &I = M.Code[Pc];
+      StackEffect E = instructionStackEffect(I);
+      // Invoke pushes one result exactly when its callee returns a value.
+      if (I.Op == Opcode::Invoke)
+        for (const Instruction &CI : P.method(static_cast<size_t>(I.A)).Code)
+          if (CI.Op == Opcode::IReturn || CI.Op == Opcode::AReturn)
+            E.Pushes = 1;
+      const int After = R.depthAt(Pc) - static_cast<int>(E.Pops) +
+                        static_cast<int>(E.Pushes);
+      Peak = std::max(Peak, static_cast<uint32_t>(After));
+      if (Pc + 1 < Blk.End) {
+        EXPECT_EQ(R.depthAt(Pc + 1), After)
+            << M.qualifiedName() << " pc " << Pc + 1;
+      }
+    }
+  }
+  EXPECT_EQ(R.MaxStack, Peak) << M.qualifiedName();
+}
+
+TEST(TypeState, DepthsAgreeWithTheStackMapAcrossWorkloadCatalog) {
+  JavaVm Vm;
+  std::vector<BytecodeProgram> Programs;
+  Programs.push_back(buildBatikProgram(Vm.types()));
+  Programs.push_back(buildLusearchProgram(Vm.types()));
+  Programs.push_back(buildParallelWorkerProgram(Vm.types()));
+  Programs.push_back(buildNumaWorkerProgram(Vm.types()));
+  for (BytecodeProgram &P : Programs) {
+    // Linked Invoke operands are global method indices.
+    P.load(Vm);
+    CalleeResolver Resolve = [&P](const Instruction &I) {
+      return &P.method(static_cast<size_t>(I.A));
+    };
+    auto CheckAll = [&] {
+      for (size_t I = 0; I < P.numMethods(); ++I) {
+        const BytecodeMethod &M = P.method(I);
+        expectDepthsMatchStackMap(P, M, MethodAnalysis::analyze(M, Resolve));
+      }
+    };
+    CheckAll();
+    AllocationSiteTable Sites;
+    instrumentProgram(P, Sites);
+    CheckAll();
+  }
+}
+
 TEST(MethodAnalysis, BundlesCfgAndTypeState) {
   JavaVm Vm;
   BytecodeMethod M = sweepMethod(Vm.types(), 8);
   MethodAnalysis A = MethodAnalysis::analyze(M);
   EXPECT_FALSE(A.G.blocks().empty());
-  EXPECT_EQ(A.Types.AtPc.size(), M.Code.size());
+  EXPECT_EQ(A.Types.Depth.size(), M.Code.size());
+  EXPECT_EQ(A.Types.BlockIn.size(), A.G.blocks().size());
   EXPECT_FALSE(A.Types.Incomplete);
   EXPECT_EQ(A.Types.depthAt(kSweepHead), 0);
   EXPECT_EQ(A.Types.MaxStack, 3u); // aload; iload; iload at the pastore.

@@ -418,6 +418,26 @@ TEST(Verifier, RejectsAStackPastTheDepthCapAtItsBci) {
   EXPECT_LT(Seconds, 5.0);
 }
 
+TEST(Verifier, AcceptsADeepStraightLineStackQuickly) {
+  // Half the cap pushed, then popped, in one block: a frame per pc would
+  // need about 16 GB here; the stack map keeps one frame for the block.
+  constexpr uint32_t N = 32768;
+  BytecodeMethod M;
+  M.ClassName = "C";
+  M.MethodName = "m";
+  M.Code.assign(N, Instruction{Opcode::IConst, 1, 0});
+  M.Code.insert(M.Code.end(), N, Instruction{Opcode::Pop, 0, 0});
+  M.Code.push_back(Instruction{Opcode::Return, 0, 0});
+  auto Start = std::chrono::steady_clock::now();
+  VerifyResult R = verifyOne(std::move(M));
+  double Seconds = std::chrono::duration<double>(
+                       std::chrono::steady_clock::now() - Start)
+                       .count();
+  EXPECT_TRUE(R.ok()) << (R.ok() ? "" : R.Errors[0]);
+  EXPECT_EQ(R.MaxStack, std::vector<uint32_t>{N});
+  EXPECT_LT(Seconds, 1.0);
+}
+
 TEST(Verifier, RejectsArgCountExceedingLocals) {
   MethodBuilder B("C", "m", 0, 1);
   B.ret();

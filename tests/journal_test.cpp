@@ -1497,6 +1497,59 @@ TEST(JournalReferences, MethodIdsAreCheckedAgainstTheTablesCommittedSoFar) {
   std::remove(Path.c_str());
 }
 
+TEST(JournalMalformed, BytesAfterAPayloadsLastFieldStopTheScan) {
+  // A MethodTable or a Close holds exactly the fields the writer puts in
+  // it, as a Commit does: bytes after the last one make it malformed.
+  std::string Path = tempPath("trailing.djxj");
+  std::vector<std::string> Files;
+  runJournaled(Path, 2, 0, journalWorkload(), {nullptr, &Files});
+  const JournalRecovery Whole = readBytes(Files.back());
+  ASSERT_TRUE(scansWhole(Whole));
+  ASSERT_TRUE(Whole.Closed);
+  const std::vector<Segment> Segs = segmentsOf(Files.back());
+  ASSERT_EQ(Segs.size(), 5u);
+  ASSERT_EQ(Segs[1].Type, SegmentType::MethodTable);
+  ASSERT_EQ(Segs[4].Type, SegmentType::Close);
+
+  // The table's Count lowered by one, its last method's bytes left over:
+  // the scan stops at the table, before any sentinel.
+  std::vector<Segment> Lowered = Segs;
+  std::string &Table = Lowered[1].Payload;
+  uint32_t Count = 0;
+  for (int I = 0; I < 4; ++I)
+    Count |= static_cast<uint32_t>(static_cast<uint8_t>(Table[4 + I]))
+             << (8 * I);
+  ASSERT_GE(Count, 1u);
+  std::string LowerCount;
+  appendU32(LowerCount, Count - 1);
+  Table.replace(4, 4, LowerCount);
+  JournalRecovery R = readBytes(resealed(Lowered));
+  ASSERT_TRUE(R.HeaderValid);
+  EXPECT_EQ(R.TruncationReason, "malformed segment payload");
+  EXPECT_EQ(R.Segments.size(), 1u);
+  EXPECT_EQ(R.LastEpoch, 0u);
+  EXPECT_TRUE(R.Methods.empty());
+  EXPECT_TRUE(R.Profiles.empty());
+
+  // One byte after the Close's last field: everything up to its Commit
+  // stands, and the journal does not read as closed.
+  std::vector<Segment> Padded = Segs;
+  Padded[4].Payload += '\0';
+  R = readBytes(resealed(Padded));
+  ASSERT_TRUE(R.HeaderValid);
+  EXPECT_EQ(R.TruncationReason, "malformed segment payload");
+  EXPECT_FALSE(R.Closed);
+  EXPECT_EQ(R.Segments.size(), 4u);
+  EXPECT_EQ(R.LastEpoch, Whole.LastEpoch);
+  EXPECT_EQ(R.BytesKept, Whole.Segments[3].Offset + Whole.Segments[3].Length);
+  EXPECT_EQ(R.Methods.size(), Whole.Methods.size());
+  ASSERT_EQ(R.Profiles.size(), Whole.Profiles.size());
+  for (size_t I = 0; I < R.Profiles.size(); ++I)
+    EXPECT_EQ(encoded(R.Profiles[I]), encoded(Whole.Profiles[I]))
+        << "thread " << I;
+  std::remove(Path.c_str());
+}
+
 // --- Resealing fuzzer -------------------------------------------------------
 
 /// Resealing fuzz iterations; each runs recover and merge twice.
