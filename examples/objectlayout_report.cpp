@@ -9,15 +9,18 @@
 /// object-centric view — the problematic intAddressableElements array's
 /// allocation site, its full allocation call path, all access call paths
 /// ordered by contribution, and the metrics pane — rendered as text
-/// instead of the paper's Python GUI. Also writes the per-thread profile
-/// files the offline analyzer consumes (Figure 3's workflow).
+/// instead of the paper's Python GUI. The view is drawn the way Figure 3
+/// splits the work: the collector journals every thread's profile to one
+/// file, and the offline analyzer reads the journal back and merges.
 ///
-/// Run: ./build/examples/objectlayout_report [profile-output-dir]
+/// Run: ./build/example_objectlayout_report [journal-path]
 ///
 //===----------------------------------------------------------------------===//
 
 #include "core/DjxPerf.h"
 #include "core/Report.h"
+#include "io/JournalReader.h"
+#include "io/ProfileJournal.h"
 #include "workloads/CaseStudies.h"
 
 #include <cstdio>
@@ -28,6 +31,17 @@ int main(int Argc, char **Argv) {
   auto Cases = table1CaseStudies();
   const CaseStudy &C = findCaseStudy(Cases, "ObjectLayout 1.0.5");
 
+  std::string Path = Argc > 1 ? Argv[1] : "/tmp/djxperf_objectlayout.djxj";
+  JournalMeta Meta;
+  Meta.Workload = C.Application;
+  std::string Err;
+  auto Journal = ProfileJournal::open(Path, Meta, &Err);
+  if (!Journal) {
+    std::fprintf(stderr, "error: cannot open journal %s: %s\n",
+                 Path.c_str(), Err.c_str());
+    return 1;
+  }
+
   JavaVm Vm(C.Config);
   DjxPerfConfig Agent;
   Agent.Events = {PerfEventAttr{PerfEventKind::L1Miss, 64, 64}};
@@ -35,19 +49,23 @@ int main(int Argc, char **Argv) {
   Prof.start();
   C.Baseline(Vm);
   Prof.stop();
+  Journal->closeClean(Prof, Vm.methods());
 
-  // Figure 3 workflow: collector emits one profile file per thread; the
-  // offline analyzer merges them.
-  std::string Dir = Argc > 1 ? Argv[1] : "/tmp/djxperf_objectlayout";
-  unsigned Files = Prof.writeProfiles(Dir);
-  std::printf("collector wrote %u per-thread profile file(s) to %s\n",
-              Files, Dir.c_str());
-
-  auto Merged = mergeProfileDir(Dir);
-  if (!Merged) {
-    std::fprintf(stderr, "error: no profiles found in %s\n", Dir.c_str());
+  // The offline analyzer sees only the journal: its profiles and its
+  // method table, not the live VM.
+  JournalRecovery R = readJournal(Path);
+  if (!R.HeaderValid || R.degraded()) {
+    std::fprintf(stderr, "error: journal %s did not read back whole\n",
+                 Path.c_str());
     return 1;
   }
+  std::printf("collector journaled %zu thread profile(s) to %s\n",
+              R.Profiles.size(), Path.c_str());
+  MethodRegistry Methods = buildJournalMethodRegistry(R);
+  std::vector<const ThreadProfile *> Parts;
+  for (const ThreadProfile &P : R.Profiles)
+    Parts.push_back(&P);
+  MergedProfile Merged = mergeProfiles(Parts);
 
   std::printf("\n=== DJXPerf top-down view (paper Figure 5) ===\n"
               "paper: the intAddressableElements allocation at\n"
@@ -57,11 +75,9 @@ int main(int Argc, char **Argv) {
   ReportOptions Opts;
   Opts.TopGroups = 4;
   Opts.TopAccessContexts = 6;
-  std::fputs(renderObjectCentric(*Merged, Vm.methods(), Opts).c_str(),
-             stdout);
+  std::fputs(renderObjectCentric(Merged, Methods, Opts).c_str(), stdout);
 
   std::printf("=== the same data, code-centric (what perf shows) ===\n\n");
-  std::fputs(renderCodeCentric(*Merged, Vm.methods(), Opts).c_str(),
-             stdout);
+  std::fputs(renderCodeCentric(Merged, Methods, Opts).c_str(), stdout);
   return 0;
 }

@@ -7,9 +7,6 @@
 #include "core/Analyzer.h"
 
 #include <algorithm>
-#include <filesystem>
-#include <fstream>
-#include <iterator>
 #include <unordered_map>
 
 using namespace djx;
@@ -114,32 +111,6 @@ djx::mergeProfiles(const std::vector<const ThreadProfile *> &Parts) {
     Out.UnattributedSamples += P->unattributedSamples();
   }
   return Out;
-}
-
-std::optional<MergedProfile> djx::mergeProfileDir(const std::string &Dir) {
-  namespace fs = std::filesystem;
-  std::vector<ThreadProfile> Loaded;
-  std::error_code Ec;
-  for (const auto &Entry : fs::directory_iterator(Dir, Ec)) {
-    if (Entry.path().extension() != ".djxprof")
-      continue;
-    std::ifstream In(Entry.path(), std::ios::binary);
-    std::string Bytes((std::istreambuf_iterator<char>(In)),
-                      std::istreambuf_iterator<char>());
-    std::string_view View(Bytes);
-    if (View.substr(0, sizeof(kProfileFileMagic)) !=
-        std::string_view(kProfileFileMagic, sizeof(kProfileFileMagic)))
-      continue;
-    if (auto P = ThreadProfile::decode(View.substr(sizeof(kProfileFileMagic))))
-      Loaded.push_back(std::move(*P));
-  }
-  if (Loaded.empty())
-    return std::nullopt;
-  std::vector<const ThreadProfile *> Ptrs;
-  Ptrs.reserve(Loaded.size());
-  for (const ThreadProfile &P : Loaded)
-    Ptrs.push_back(&P);
-  return mergeProfiles(Ptrs);
 }
 
 HierarchyStats

@@ -88,11 +88,6 @@ struct MergedProfile {
 /// the merged root.
 MergedProfile mergeProfiles(const std::vector<const ThreadProfile *> &Parts);
 
-/// Convenience: loads every "*.djxprof" file in \p Dir and merges; a
-/// file without kProfileFileMagic or that fails to decode is skipped.
-/// \returns nullopt when the directory holds no readable profiles.
-std::optional<MergedProfile> mergeProfileDir(const std::string &Dir);
-
 /// Deterministic merge of per-CPU / worker-private memory-hierarchy
 /// counters (the parallel runtime keeps one hierarchy per simulated
 /// thread): plain sums, so the result is identical for any host

@@ -6,11 +6,9 @@
 
 #include "core/DjxPerf.h"
 
-#include "io/AtomicFile.h"
 #include "support/FaultInjector.h"
 
 #include <algorithm>
-#include <filesystem>
 
 using namespace djx;
 
@@ -371,25 +369,6 @@ const ThreadProfile *DjxPerf::profileForThread(uint64_t ThreadId) const {
 }
 
 MergedProfile DjxPerf::analyze() const { return mergeProfiles(profiles()); }
-
-unsigned DjxPerf::writeProfiles(const std::string &Dir) const {
-  const_cast<DjxPerf *>(this)->drainAllRings();
-  namespace fs = std::filesystem;
-  std::error_code Ec;
-  fs::create_directories(Dir, Ec);
-  unsigned Written = 0;
-  SpinLockGuard G(ProfilesLock);
-  for (const auto &[Tid, P] : Profiles) {
-    std::string Bytes(kProfileFileMagic, sizeof(kProfileFileMagic));
-    P->encode(Bytes);
-    // Atomic replacement: a reader (or a crash) never sees a torn
-    // .djxprof file.
-    if (writeFileAtomic(Dir + "/thread_" + std::to_string(Tid) + ".djxprof",
-                        Bytes))
-      ++Written;
-  }
-  return Written;
-}
 
 size_t DjxPerf::memoryFootprint() const {
   size_t Bytes = const_cast<LiveObjectIndex &>(Index).memoryFootprint();

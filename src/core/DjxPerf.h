@@ -165,11 +165,6 @@ public:
   /// Runs the offline analyzer over all per-thread profiles.
   MergedProfile analyze() const;
 
-  /// Writes one "<Dir>/thread_<id>.djxprof" file per thread profile:
-  /// kProfileFileMagic, then the profile's full binary encoding.
-  /// \returns the number of files written.
-  unsigned writeProfiles(const std::string &Dir) const;
-
   LiveObjectIndex &index() { return Index; }
   const AllocationSiteTable &sites() const { return Sites; }
 

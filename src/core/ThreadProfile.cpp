@@ -440,17 +440,6 @@ bool ThreadProfile::apply(std::string_view Delta) {
   return Ok;
 }
 
-std::optional<ThreadProfile> ThreadProfile::decode(std::string_view Bytes) {
-  VarintReader R(Bytes);
-  uint64_t Tag, Tid;
-  if (!R.u64(Tag) || Tag != TagThread || !R.u64(Tid))
-    return std::nullopt;
-  ThreadProfile P(Tid, "");
-  if (!P.apply(Bytes))
-    return std::nullopt;
-  return P;
-}
-
 void ThreadProfile::remapIds(uint64_t ThreadOffset,
                              const std::vector<MethodId> &MethodMap) {
   auto MapTid = [&](uint64_t Tid) { return Tid == 0 ? 0 : Tid + ThreadOffset; };

@@ -11,11 +11,12 @@
 /// records the plain code-centric view (what Linux perf would report) for
 /// the Figure 1 comparison.
 ///
-/// Profiles have one binary encoding (LEB128 varint records): the
-/// collector writes one `.djxprof` file per thread and the analyzer loads
-/// them back — the workflow of Figure 3 — and the profile journal
-/// streams the same records as per-epoch deltas. A full profile is the
-/// delta from an empty one.
+/// Profiles have one binary encoding (LEB128 varint records), and the
+/// profile journal is the one way it reaches disk: the journal streams
+/// each thread's records as per-epoch Deltas and whole-profile
+/// Checkpoints, and the offline analyzer reads them back — the workflow
+/// of Figure 3. A full profile is the delta from an empty one: apply() it
+/// to ThreadProfile(Tid, "").
 ///
 /// Encoding, one record after another, each a varint tag then varint
 /// fields (strings length-prefixed):
@@ -60,7 +61,6 @@
 
 #include <cstdint>
 #include <map>
-#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -105,12 +105,6 @@ struct ObjectGroupStats {
   /// Disaggregated access contexts (nodes of the owning profile's CCT).
   std::map<CctNodeId, MetricCounts> AccessBreakdown;
 };
-
-/// "DJXPROF3": leads every `.djxprof` file, followed by one full
-/// encoding. The digit moves with the codec's byte layout ('3': sparse
-/// metric masks), so a file of an older layout is skipped, not misread.
-inline constexpr char kProfileFileMagic[8] = {'D', 'J', 'X', 'P',
-                                              'R', 'O', 'F', '3'};
 
 /// A point in a profile's history; ThreadProfile::encode() emits what
 /// changed after it. The default mark is the empty profile.
@@ -198,10 +192,6 @@ public:
   /// \p Delta; the profile is then partly applied, and the caller
   /// discards it.
   bool apply(std::string_view Delta);
-
-  /// Decodes a full encoding into a fresh profile. nullopt when
-  /// malformed.
-  static std::optional<ThreadProfile> decode(std::string_view Bytes);
 
   /// Merge support: adds \p ThreadOffset to every real thread id (id 0,
   /// unknown provenance, is kept) and maps CCT method ids through

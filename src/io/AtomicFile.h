@@ -5,11 +5,11 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Crash-safe report writing: every final artifact (text report, HTML
-/// report, per-thread .djxprof files) is written to "<path>.tmp", fsynced,
-/// and renamed over the destination. A reader therefore only ever sees
-/// the old complete file or the new complete file — an interrupted CLI
-/// can never leave a truncated report behind.
+/// Crash-safe report writing: a final artifact (the HTML report) is
+/// written to "<path>.tmp", fsynced, and renamed over the destination. A
+/// reader therefore only ever sees the old complete file or the new
+/// complete file — an interrupted CLI can never leave a truncated report
+/// behind.
 ///
 //===----------------------------------------------------------------------===//
 

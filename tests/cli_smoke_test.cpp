@@ -85,6 +85,43 @@ TEST(CliSmoke, JobsValidationRejectsZero) {
   EXPECT_NE(Out.find("--jobs must be positive"), std::string::npos) << Out;
 }
 
+// Numeric flags take the whole value as an unsigned number of the
+// flag's own width: no sign, no trailing characters, no silent
+// truncation, and zero only where the flag allows it.
+TEST(CliSmoke, NumericFlagsRejectMalformedValues) {
+  const std::pair<const char *, const char *> Cases[] = {
+      {"--period -1", "bad --period '-1'"},
+      {"--period 64abc", "bad --period '64abc'"},
+      {"--period 0", "--period must be positive"},
+      {"--top 3x", "bad --top '3x'"},
+      {"--hot-threshold 4294967297", "bad --hot-threshold '4294967297'"},
+      {"--max-rounds 1x", "bad --max-rounds '1x'"},
+      {"--fault-seed 12junk", "bad --fault-seed '12junk'"},
+  };
+  for (const auto &[Flags, Message] : Cases) {
+    auto [Exit, Out] = run("'" + DjxperfPath + "' " + Flags + " figure1");
+    EXPECT_EQ(Exit, 2) << Flags << "\n" << Out;
+    EXPECT_NE(Out.find(Message), std::string::npos) << Flags << "\n" << Out;
+  }
+  // A printed hex seed still replays.
+  auto [Exit, Out] = run("'" + DjxperfPath +
+                         "' --fault-rate alloc=0 --fault-seed 0x2a figure1");
+  EXPECT_EQ(Exit, 0) << Out;
+  EXPECT_NE(Out.find("DJX_FAULT_SEED=0x2a"), std::string::npos) << Out;
+}
+
+// Profiles reach disk only through --journal.
+TEST(CliSmoke, WriteProfilesFlagIsGone) {
+  const std::string Dir = ::testing::TempDir() + "/cli_write_profiles";
+  std::filesystem::remove_all(Dir);
+  auto [Exit, Out] =
+      run("'" + DjxperfPath + "' --write-profiles '" + Dir + "' figure1");
+  EXPECT_EQ(Exit, 2) << Out;
+  EXPECT_NE(Out.find("unknown flag '--write-profiles'"), std::string::npos)
+      << Out;
+  EXPECT_FALSE(std::filesystem::exists(Dir));
+}
+
 TEST(CliSmoke, MissingWorkloadPrintsUsageAndExitCodes) {
   auto [Exit, Out] = run("'" + DjxperfPath + "'");
   EXPECT_EQ(Exit, 2) << Out;
@@ -520,6 +557,9 @@ TEST(CliJournal, UsageDocumentsJournalVerbsAndExitCodes) {
   EXPECT_NE(Out.find("--journal"), std::string::npos) << Out;
   EXPECT_NE(Out.find("7 unusable journal"), std::string::npos) << Out;
   EXPECT_NE(Out.find("130 interrupted"), std::string::npos) << Out;
+  // The journal is the one on-disk profile format.
+  EXPECT_EQ(Out.find("--write-profiles"), std::string::npos) << Out;
+  EXPECT_EQ(Out.find(".djxprof"), std::string::npos) << Out;
 }
 
 } // namespace

@@ -13,10 +13,7 @@
 
 #include <gtest/gtest.h>
 
-#include <filesystem>
-#include <fstream>
 #include <initializer_list>
-#include <optional>
 
 #include "harness/TestModule.h"
 
@@ -253,37 +250,41 @@ TEST(ThreadProfile, SerializationRoundTrip) {
   P.recordUnattributed(PerfEventKind::TlbMiss);
 
   std::string Bytes = encoded(P);
-  std::optional<ThreadProfile> Q = ThreadProfile::decode(Bytes);
-  ASSERT_TRUE(Q.has_value());
-  EXPECT_EQ(Q->threadId(), 7u);
-  EXPECT_EQ(Q->threadName(), "worker3");
-  EXPECT_EQ(Q->cct().size(), P.cct().size());
-  const auto &G = Q->groups().at(AllocKey{7, A});
+  // A full profile is the delta from an empty one.
+  ThreadProfile Q(7, "");
+  ASSERT_TRUE(Q.apply(Bytes));
+  EXPECT_EQ(Q.threadId(), 7u);
+  EXPECT_EQ(Q.threadName(), "worker3");
+  EXPECT_EQ(Q.cct().size(), P.cct().size());
+  const auto &G = Q.groups().at(AllocKey{7, A});
   EXPECT_EQ(G.TypeName, "double[]");
   EXPECT_EQ(G.AllocCount, 1u);
   EXPECT_EQ(G.AllocBytes, 8192u);
   EXPECT_EQ(G.RemoteSamples, 1u);
   EXPECT_EQ(G.Metrics.get(PerfEventKind::L1Miss), 1u);
   EXPECT_EQ(G.AccessBreakdown.at(B).get(PerfEventKind::L1Miss), 1u);
-  EXPECT_EQ(Q->codeCentric().at(B).get(PerfEventKind::L1Miss), 1u);
-  EXPECT_EQ(Q->unattributedSamples(), 1u);
+  EXPECT_EQ(Q.codeCentric().at(B).get(PerfEventKind::L1Miss), 1u);
+  EXPECT_EQ(Q.unattributedSamples(), 1u);
   // Round-trip again: identical bytes.
-  EXPECT_EQ(encoded(*Q), encoded(P));
-  EXPECT_EQ(encoded(*Q), Bytes);
+  EXPECT_EQ(encoded(Q), encoded(P));
+  EXPECT_EQ(encoded(Q), Bytes);
 }
 
 TEST(ThreadProfile, ReadRejectsGarbage) {
-  EXPECT_FALSE(ThreadProfile::decode("not a profile\n").has_value());
-  EXPECT_FALSE(ThreadProfile::decode("").has_value());
+  // Each read is a full encoding applied to a fresh, empty profile.
+  auto Reads = [](std::string_view Bytes) {
+    return ThreadProfile(1, "").apply(Bytes);
+  };
+  EXPECT_FALSE(Reads("not a profile\n"));
+  EXPECT_FALSE(Reads(""));
   // A valid encoding cut anywhere before its End record.
   ThreadProfile P(1, "t");
   P.recordAllocation(P.cct().insertPath({{1, 0}}), "X", 64);
   std::string Bytes = encoded(P);
+  ASSERT_TRUE(Reads(Bytes));
   for (size_t Cut = 0; Cut < Bytes.size(); ++Cut)
-    EXPECT_FALSE(ThreadProfile::decode(Bytes.substr(0, Cut)).has_value())
-        << "cut at " << Cut;
-  EXPECT_FALSE(ThreadProfile::decode(Bytes + '\0').has_value())
-      << "trailing bytes after End";
+    EXPECT_FALSE(Reads(Bytes.substr(0, Cut))) << "cut at " << Cut;
+  EXPECT_FALSE(Reads(Bytes + '\0')) << "trailing bytes after End";
 }
 
 // --- Profile codec: deltas --------------------------------------------------
@@ -294,8 +295,8 @@ TEST(ProfileCodec, DeltaAppliedToOlderCopyReproducesProfile) {
   P.recordAllocation(A, "int[]", 256);
   P.recordObjectSample(AllocKey{3, A}, "int[]", PerfEventKind::L1Miss, A,
                        false, 0, 1);
-  std::optional<ThreadProfile> Copy = ThreadProfile::decode(encoded(P));
-  ASSERT_TRUE(Copy.has_value());
+  ThreadProfile Copy(3, "");
+  ASSERT_TRUE(Copy.apply(encoded(P)));
   ProfileMark Then = P.mark();
 
   CctNodeId B = P.cct().insertPath({{1, 0}, {2, 7}});
@@ -310,12 +311,12 @@ TEST(ProfileCodec, DeltaAppliedToOlderCopyReproducesProfile) {
 
   std::string Delta = encoded(P, Then);
   EXPECT_LT(Delta.size(), encoded(P).size());
-  ASSERT_TRUE(Copy->apply(Delta));
-  EXPECT_EQ(encoded(*Copy), encoded(P));
+  ASSERT_TRUE(Copy.apply(Delta));
+  EXPECT_EQ(encoded(Copy), encoded(P));
   // Records carry absolute values: applying the same delta again is a
   // no-op.
-  ASSERT_TRUE(Copy->apply(Delta));
-  EXPECT_EQ(encoded(*Copy), encoded(P));
+  ASSERT_TRUE(Copy.apply(Delta));
+  EXPECT_EQ(encoded(Copy), encoded(P));
 }
 
 TEST(ProfileCodec, UnchangedProfileEncodesNoEntries) {
@@ -370,10 +371,10 @@ TEST(ProfileCodec, DeltaSizeTracksChangesNotProfileSize) {
   EXPECT_GT(Full.size(), 100000u);
   EXPECT_LT(Delta.size(), 128u) << "delta must not grow with the profile";
 
-  std::optional<ThreadProfile> Copy = ThreadProfile::decode(Full);
-  ASSERT_TRUE(Copy.has_value());
-  ASSERT_TRUE(Copy->apply(Delta));
-  EXPECT_EQ(encoded(*Copy), encoded(P));
+  ThreadProfile Copy(P.threadId(), "");
+  ASSERT_TRUE(Copy.apply(Full));
+  ASSERT_TRUE(Copy.apply(Delta));
+  EXPECT_EQ(encoded(Copy), encoded(P));
 }
 
 TEST(ProfileCodec, ChangeLogOverflowFallsBackToFullProfile) {
@@ -434,7 +435,7 @@ TEST(ProfileCodec, CheckRejectsMalformedRecordsWithoutSideEffects) {
   ThreadProfile Empty(1, "t");
   EXPECT_FALSE(Empty.check(Nameless));
   EXPECT_FALSE(Empty.apply(Nameless));
-  EXPECT_FALSE(ThreadProfile::decode(Nameless).has_value());
+  EXPECT_FALSE(ThreadProfile(1, "").apply(Nameless));
   // The well-formed control cases, a nameless group included.
   EXPECT_TRUE(P.check(Thread + bytesOf({0})));
   EXPECT_TRUE(P.check(Nameless));
@@ -544,34 +545,6 @@ TEST(Analyzer, CodeCentricMerges) {
   MergedProfile M = mergeProfiles({&P1, &P2});
   ASSERT_EQ(M.CodeCentric.size(), 1u);
   EXPECT_EQ(M.CodeCentric.begin()->second.get(PerfEventKind::L1Miss), 2u);
-}
-
-TEST(Analyzer, DirectoryRoundTrip) {
-  ThreadProfile P(1, "main");
-  CctNodeId N = P.cct().insertPath({{1, 0}});
-  P.recordAllocation(N, "X", 64);
-  std::string Dir = ::testing::TempDir() + "/djxprof_dir_test";
-  std::filesystem::create_directories(Dir);
-  {
-    std::ofstream Out(Dir + "/thread_1.djxprof", std::ios::binary);
-    Out.write(kProfileFileMagic, sizeof(kProfileFileMagic));
-    Out << encoded(P);
-    // Neither a file without the magic nor a torn one loads.
-    std::ofstream(Dir + "/thread_2.djxprof", std::ios::binary)
-        << encoded(ThreadProfile(2, "t2"));
-    std::ofstream Torn(Dir + "/thread_3.djxprof", std::ios::binary);
-    Torn.write(kProfileFileMagic, sizeof(kProfileFileMagic));
-    Torn << encoded(ThreadProfile(3, "t3")).substr(0, 3);
-    // The previous layout's magic is skipped even before a body that
-    // would decode: that layout wrote every metric count.
-    std::ofstream(Dir + "/thread_4.djxprof", std::ios::binary)
-        << "DJXPROF2" << encoded(ThreadProfile(4, "t4"));
-  }
-  auto M = mergeProfileDir(Dir);
-  ASSERT_TRUE(M.has_value());
-  EXPECT_EQ(M->ThreadsMerged, 1u);
-  EXPECT_EQ(M->Groups.size(), 1u);
-  EXPECT_FALSE(mergeProfileDir(Dir + "/nonexistent").has_value());
 }
 
 // --- Report -------------------------------------------------------------------------
@@ -902,29 +875,6 @@ TEST(DjxPerf, GcReclaimsSnapshotsWithoutGcInterpositions) {
   }
   Prof.stop();
   Vm.endThread(T);
-}
-
-TEST(DjxPerf, WriteProfilesProducesLoadableFiles) {
-  JavaVm Vm;
-  DjxPerfConfig Cfg;
-  Cfg.Events = {PerfEventAttr{PerfEventKind::MemAccess, 10, 64}};
-  Cfg.MinObjectSize = 64;
-  DjxPerf Prof(Vm, Cfg);
-  Prof.start();
-  JavaThread &T = Vm.startThread("main", 0);
-  RootScope Roots(Vm);
-  ObjectRef &A =
-      Roots.add(Vm.allocateArray(T, Vm.types().longArray(), 128));
-  for (int I = 0; I < 500; ++I)
-    Vm.readWord(T, A, (static_cast<uint64_t>(I) % 128) * 8);
-  Prof.stop();
-  std::string Dir = ::testing::TempDir() + "/djxperf_profiles";
-  unsigned Written = Prof.writeProfiles(Dir);
-  EXPECT_GE(Written, 1u);
-  auto M = mergeProfileDir(Dir);
-  ASSERT_TRUE(M.has_value());
-  EXPECT_EQ(M->Totals.get(PerfEventKind::MemAccess),
-            Prof.analyze().Totals.get(PerfEventKind::MemAccess));
 }
 
 TEST(DjxPerf, MemoryFootprintGrowsWithTrackedObjects) {

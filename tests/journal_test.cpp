@@ -73,7 +73,6 @@
 #include <fstream>
 #include <functional>
 #include <initializer_list>
-#include <optional>
 #include <random>
 #include <sstream>
 #include <string>
@@ -687,9 +686,9 @@ void fuzzSalvage(const std::string &Path, int Cases, int Kinds) {
     EXPECT_EQ(recoveredReport(R), recoveredReport(readJournal(MutPath)))
         << Label;
     for (const ThreadProfile &P : R.Profiles) {
-      std::optional<ThreadProfile> Back = ThreadProfile::decode(encoded(P));
-      ASSERT_TRUE(Back.has_value()) << Label;
-      EXPECT_EQ(encoded(*Back), encoded(P)) << Label;
+      ThreadProfile Back(P.threadId(), "");
+      ASSERT_TRUE(Back.apply(encoded(P))) << Label;
+      EXPECT_EQ(encoded(Back), encoded(P)) << Label;
     }
   }
   std::remove(MutPath.c_str());
@@ -2029,14 +2028,14 @@ TEST(JournalMerge, RemapRewritesThreadAndMethodIds) {
                          false, /*HomeNode=*/0);
   Src.recordObjectSample(AllocKey{2, N}, "long[]", PerfEventKind::L1Miss, N,
                          false, /*HomeNode=*/0);
-  std::optional<ThreadProfile> P = ThreadProfile::decode(encoded(Src));
-  ASSERT_TRUE(P.has_value());
-  P->remapIds(10, {7});
-  EXPECT_EQ(P->threadId(), 12u);
-  EXPECT_EQ(P->threadName(), "worker-1");
-  EXPECT_EQ(P->cct().methodOf(N), 7u);
-  EXPECT_EQ(P->cct().bciOf(N), 4u);
-  const auto &Groups = P->groups();
+  ThreadProfile P(2, "");
+  ASSERT_TRUE(P.apply(encoded(Src)));
+  P.remapIds(10, {7});
+  EXPECT_EQ(P.threadId(), 12u);
+  EXPECT_EQ(P.threadName(), "worker-1");
+  EXPECT_EQ(P.cct().methodOf(N), 7u);
+  EXPECT_EQ(P.cct().bciOf(N), 4u);
+  const auto &Groups = P.groups();
   ASSERT_EQ(Groups.size(), 2u);
   EXPECT_EQ(Groups.at(AllocKey{12, N}).TypeName, "long[]");
   EXPECT_EQ(Groups.at(AllocKey{12, N}).AllocBytes, 64u);

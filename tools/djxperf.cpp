@@ -8,15 +8,15 @@
 /// The `djxperf` command-line tool: the moral equivalent of launching the
 /// real profiler via JVM agent options (Figure 3's workflow). Picks a
 /// workload from the built-in catalog, configures the agent from flags,
-/// runs collector + analyzer, and emits text/HTML reports and per-thread
-/// profile files.
+/// runs collector + analyzer, and emits text/HTML reports and, with
+/// --journal, the crash-durable profile journal that `recover` and
+/// `merge` read back.
 ///
 /// Examples:
 ///   djxperf --list
 ///   djxperf "ObjectLayout 1.0.5"
 ///   djxperf --event tlbmiss --period 128 "SPECjvm2008: Scimark.fft.large"
 ///   djxperf --optimized --html /tmp/druid.html "Apache Druid"
-///   djxperf --size-threshold 0 --write-profiles /tmp/prof figure1
 ///   djxperf --journal /tmp/run.djxj parallel4
 ///   djxperf recover /tmp/run.djxj
 ///   djxperf merge /tmp/a.djxj /tmp/b.djxj
@@ -39,10 +39,13 @@
 #include "workloads/Suites.h"
 
 #include <algorithm>
+#include <cctype>
+#include <cerrno>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <random>
@@ -209,8 +212,6 @@ void usage(const char *Argv0) {
       "executor rounds (0 = run to completion; the reference oracle for "
       "truncated-journal recovery)\n"
       "  --html <file>          also write a self-contained HTML report\n"
-      "  --write-profiles <dir> dump one binary .djxprof file per "
-      "thread (the journal's varint profile encoding)\n"
       "exit codes: 0 success, 2 usage error, 3 out-of-memory, 4 step "
       "limit,\n"
       "  5 invalid bytecode, 6 worker stall, 7 unusable journal "
@@ -495,7 +496,7 @@ int main(int Argc, char **Argv) {
   PerfEventKind Kind = PerfEventKind::L1Miss;
   uint64_t Period = 64;
   std::string Report = "object";
-  std::string HtmlPath, ProfileDir, Target;
+  std::string HtmlPath, Target;
   bool RunOptimized = false;
   unsigned Top = 10;
   unsigned Jobs = std::max(1u, std::thread::hardware_concurrency());
@@ -520,6 +521,26 @@ int main(int Argc, char **Argv) {
       }
       return Argv[++I];
     };
+    // The whole value of numeric flag A as an unsigned of Min's type, at
+    // least Min; a sign, trailing characters or a value the type cannot
+    // hold is a usage error.
+    auto Number = [&](auto Min, int Base = 10) {
+      const char *V = NeedsValue(A.c_str());
+      char *End = nullptr;
+      errno = 0;
+      unsigned long long N = std::strtoull(V, &End, Base);
+      if (!std::isdigit(static_cast<unsigned char>(*V)) || *End != '\0' ||
+          errno == ERANGE || N > std::numeric_limits<decltype(Min)>::max()) {
+        std::fprintf(stderr, "error: bad %s '%s' (want an unsigned integer)\n",
+                     A.c_str(), V);
+        std::exit(2);
+      }
+      if (N < Min) {
+        std::fprintf(stderr, "error: %s must be positive\n", A.c_str());
+        std::exit(2);
+      }
+      return static_cast<decltype(Min)>(N);
+    };
     if (A == "--list") {
       for (const CliWorkload &W : catalog())
         std::printf("%-12s %s\n", W.Kind.c_str(), W.Name.c_str());
@@ -540,14 +561,9 @@ int main(int Argc, char **Argv) {
       }
       Kind = *K;
     } else if (A == "--period") {
-      Period = std::strtoull(NeedsValue("--period"), nullptr, 10);
-      if (Period == 0) {
-        std::fprintf(stderr, "error: period must be positive\n");
-        return 2;
-      }
+      Period = Number(uint64_t{1});
     } else if (A == "--size-threshold") {
-      Agent.MinObjectSize =
-          std::strtoull(NeedsValue("--size-threshold"), nullptr, 10);
+      Agent.MinObjectSize = Number(uint64_t{0});
     } else if (A == "--no-gc-handling") {
       Agent.HandleGcMoves = Agent.HandleGcFrees = false;
     } else if (A == "--no-numa") {
@@ -559,19 +575,9 @@ int main(int Argc, char **Argv) {
         return 2;
       }
     } else if (A == "--top") {
-      Top = static_cast<unsigned>(
-          std::strtoul(NeedsValue("--top"), nullptr, 10));
-      if (Top == 0) {
-        std::fprintf(stderr, "error: --top must be positive\n");
-        return 2;
-      }
+      Top = Number(1u);
     } else if (A == "--jobs") {
-      Jobs = static_cast<unsigned>(
-          std::strtoul(NeedsValue("--jobs"), nullptr, 10));
-      if (Jobs == 0) {
-        std::fprintf(stderr, "error: --jobs must be positive\n");
-        return 2;
-      }
+      Jobs = Number(1u);
     } else if (A == "--numa-policy") {
       std::string V = NeedsValue("--numa-policy");
       NumaPolicy P;
@@ -589,33 +595,17 @@ int main(int Argc, char **Argv) {
       }
       Tier.Tier = T;
     } else if (A == "--hot-threshold") {
-      Tier.HotThreshold = static_cast<uint32_t>(
-          std::strtoul(NeedsValue("--hot-threshold"), nullptr, 10));
-      if (Tier.HotThreshold == 0) {
-        std::fprintf(stderr, "error: --hot-threshold must be positive\n");
-        return 2;
-      }
+      Tier.HotThreshold = Number(uint32_t{1});
     } else if (A == "--max-trace-len") {
-      Tier.MaxTraceLength = static_cast<uint32_t>(
-          std::strtoul(NeedsValue("--max-trace-len"), nullptr, 10));
-      if (Tier.MaxTraceLength == 0) {
-        std::fprintf(stderr, "error: --max-trace-len must be positive\n");
-        return 2;
-      }
+      Tier.MaxTraceLength = Number(uint32_t{1});
     } else if (A == "--dump-traces") {
       DumpTraces = true;
     } else if (A == "--static-report") {
       StaticReport = true;
     } else if (A == "--heap-bytes") {
-      uint64_t V = std::strtoull(NeedsValue("--heap-bytes"), nullptr, 10);
-      if (V == 0) {
-        std::fprintf(stderr, "error: --heap-bytes must be positive\n");
-        return 2;
-      }
-      HeapBytesOverride = V;
+      HeapBytesOverride = Number(uint64_t{1});
     } else if (A == "--stall-timeout-ms") {
-      StallTimeoutOverride =
-          std::strtoull(NeedsValue("--stall-timeout-ms"), nullptr, 10);
+      StallTimeoutOverride = Number(uint64_t{0});
     } else if (A == "--fault-rate") {
       std::string V = NeedsValue("--fault-rate");
       if (!parseFaultRate(V, Faults)) {
@@ -628,15 +618,13 @@ int main(int Argc, char **Argv) {
       }
       AnyFaultRate = true;
     } else if (A == "--fault-seed") {
-      FaultSeed = std::strtoull(NeedsValue("--fault-seed"), nullptr, 0);
+      FaultSeed = Number(uint64_t{0}, 0);
     } else if (A == "--journal") {
       JournalPath = NeedsValue("--journal");
     } else if (A == "--max-rounds") {
-      MaxRounds = std::strtoull(NeedsValue("--max-rounds"), nullptr, 10);
+      MaxRounds = Number(uint64_t{0});
     } else if (A == "--html") {
       HtmlPath = NeedsValue("--html");
-    } else if (A == "--write-profiles") {
-      ProfileDir = NeedsValue("--write-profiles");
     } else if (!A.empty() && A[0] == '-') {
       std::fprintf(stderr, "error: unknown flag '%s'\n", A.c_str());
       usage(Argv[0]);
@@ -846,11 +834,6 @@ int main(int Argc, char **Argv) {
       return 1;
     }
     std::fprintf(stderr, "djxperf: wrote %s\n", HtmlPath.c_str());
-  }
-  if (!ProfileDir.empty()) {
-    unsigned N = Profiler.writeProfiles(ProfileDir);
-    std::fprintf(stderr, "djxperf: wrote %u profile file(s) to %s\n", N,
-                 ProfileDir.c_str());
   }
   if (Failure) {
     std::fprintf(stderr, "djxperf: FAILED: %s\n",
